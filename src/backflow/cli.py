@@ -8,8 +8,7 @@ successful run, since evaluation aborts on violations).
 
 Exit codes: 0 success, 1 config error, 2 invariant violation. Configs are
 flat INI files whose sections mirror the run options; see the README for
-the format. The BACKFLOW_WORKERS environment variable overrides the
-number of row-evaluation threads.
+the format.
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ import argparse
 import configparser
 import csv
 import json
-import os
+import math
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -43,8 +42,6 @@ from .witness import InvariantViolation, WitnessSurface
 EXIT_OK = 0
 EXIT_CONFIG_ERROR = 1
 EXIT_INVARIANT = 2
-
-WORKERS_ENV_VAR = "BACKFLOW_WORKERS"
 
 SURFACE_COLUMNS = ("t", "tprime", "D_t", "D_tplus", "F", "B", "deltaD", "lower", "upper", "class")
 PROFILE_COLUMNS = ("t", "D", "interval_flag")
@@ -87,13 +84,13 @@ class RunConfig:
     rise_tol: float = blp.DEFAULT_RISE_TOL
     out_dir: str = "out"
     fmt: str = "csv"
-    workers: int = 1
 
 
 DEFAULT_GRID = GridSpec(0.0, 3.0, 50)
 FIG3_GRID = GridSpec(0.0, 3.0, 40)
 SWEEP_RATIOS = tuple(round(0.05 * i, 2) for i in range(21))
 SWEEP_TPRIME = 0.3
+BELL_CHECK_SEED = 20240317
 
 
 @dataclass(frozen=True)
@@ -176,9 +173,12 @@ _MODEL_KEYS = {
 
 def _parse_float(raw: str, where: str) -> float:
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError as exc:
         raise ConfigError(f"{where}: cannot parse {raw!r} as a number") from exc
+    if not math.isfinite(value):
+        raise ConfigError(f"{where}: {raw!r} is not a finite number")
+    return value
 
 
 def _parse_int(raw: str, where: str) -> int:
@@ -226,6 +226,9 @@ def parse_config(path: str | Path) -> RunConfig:
             class_eps = _parse_float(tol["class_eps"], "[tolerances] class_eps")
         if "rise_tol" in tol:
             rise_tol = _parse_float(tol["rise_tol"], "[tolerances] rise_tol")
+        for key, value in (("class_eps", class_eps), ("rise_tol", rise_tol)):
+            if value < 0:
+                raise ConfigError(f"[tolerances] {key} must be nonnegative, got {value}")
 
     out_dir = "out"
     fmt = "csv"
@@ -242,18 +245,7 @@ def parse_config(path: str | Path) -> RunConfig:
     return RunConfig(
         scenario=scenario, t_grid=t_grid, tprime_grid=tprime_grid,
         class_eps=class_eps, rise_tol=rise_tol, out_dir=out_dir, fmt=fmt,
-        workers=_workers_from_env(),
     )
-
-
-def _workers_from_env() -> int:
-    raw = os.environ.get(WORKERS_ENV_VAR)
-    if raw is None:
-        return 1
-    workers = _parse_int(raw, WORKERS_ENV_VAR)
-    if workers < 1:
-        raise ConfigError(f"{WORKERS_ENV_VAR} must be >= 1, got {workers}")
-    return workers
 
 
 # --------------------------------------------------------------------------
@@ -402,9 +394,7 @@ def _run_surface_job(job: _Job, cfg: RunConfig, out_dir: Path) -> dict:
     else:
         spec = _build_chain_spec(job.params, f"scenario {job.name}")
         scenario = spinchain.scenario(spec)
-        surface = witness.evaluate_surface(
-            scenario, ts, tps, eps=cfg.class_eps, workers=cfg.workers
-        )
+        surface = witness.evaluate_surface(scenario, ts, tps, eps=cfg.class_eps)
     profile = increasing_intervals(ts, surface.row_distances(), cfg.rise_tol)
     measure = profile.total_increase()
 
@@ -430,39 +420,28 @@ def _run_sweep_job(job: _Job, cfg: RunConfig, out_dir: Path) -> dict:
     ts = job.t_grid.points()
     tprime = SWEEP_TPRIME
     base = job.params
+    centres = {k: _num(base, k, "sweep") for k in ("omega0_1", "delta1", "omega0_2", "delta2")}
     rows: list[list] = []
     per_ratio: list[dict] = []
     for r in SWEEP_RATIOS:
-        dist = DoubleLorentzian(
-            omega0_1=_num(base, "omega0_1", "sweep"), delta1=_num(base, "delta1", "sweep"),
-            omega0_2=_num(base, "omega0_2", "sweep"), delta2=_num(base, "delta2", "sweep"),
-            r=r,
+        dist = DoubleLorentzian(**centres, r=r)
+        # D = |k(t)|, F = |k(t)k(t')|, B = |k(t+t') - k(t)k(t')|, as in analytic_witnesses.
+        k_t = dephasing_function(dist, ts)
+        k_step = k_t * dephasing_function(dist, tprime)
+        influence = np.abs(dephasing_function(dist, ts + tprime) - k_step)
+        upper = np.abs(k_t) + np.abs(k_step)
+        rows.extend(
+            [t, r, b, u] for t, b, u in zip(ts.tolist(), influence.tolist(), upper.tolist())
         )
-        max_b = 0.0
-        max_excess = -np.inf
-        above = 0
-        for t in ts:
-            d_t, forecast, influence, _ = analytic_witnesses(dist, tprime, t)
-            upper = d_t + forecast
-            rows.append([float(t), float(r), influence, upper])
-            max_b = max(max_b, influence)
-            max_excess = max(max_excess, influence - upper)
-            if influence > upper + cfg.class_eps:
-                above += 1
         per_ratio.append({
-            "r": r, "max_influence": max_b,
-            "max_excess_over_upper": float(max_excess), "points_above_upper": above,
+            "r": r, "max_influence": float(influence.max()),
+            "max_excess_over_upper": float((influence - upper).max()),
+            "points_above_upper": int(np.count_nonzero(influence > upper + cfg.class_eps)),
         })
     _write_table(out_dir / "surface", SWEEP_COLUMNS, rows, cfg.fmt)
 
     # Profile along t for the final ratio, where the transition is fully developed.
-    last = DoubleLorentzian(
-        omega0_1=_num(base, "omega0_1", "sweep"), delta1=_num(base, "delta1", "sweep"),
-        omega0_2=_num(base, "omega0_2", "sweep"), delta2=_num(base, "delta2", "sweep"),
-        r=SWEEP_RATIOS[-1],
-    )
-    distances = np.abs(dephasing_function(last, ts))
-    profile = increasing_intervals(ts, distances, cfg.rise_tol)
+    profile = increasing_intervals(ts, np.abs(k_t), cfg.rise_tol)
     _write_table(out_dir / "profile", PROFILE_COLUMNS, _profile_rows(profile), cfg.fmt)
     return {
         "scenario": job.name,
@@ -495,17 +474,10 @@ def _run_check_job(job: _Job, cfg: RunConfig, out_dir: Path) -> dict:
             linalg.tensor_product(split.system, split.environment), bell.op
         )
     )
-    rng = np.random.default_rng(20240317)
-    worst_random = 0.0
-    for ds, de in ((2, 2), (2, 3), (3, 3)):
-        for _ in range(8):
-            joint = states.BipartiteState(states.random_density(ds * de, rng), ds, de)
-            s = states.decompose(joint)
-            lhs = s.correlation_norm()
-            rhs = 2.0 * linalg.trace_distance(
-                linalg.tensor_product(s.system, s.environment), joint.op
-            )
-            worst_random = max(worst_random, abs(lhs - rhs))
+    try:
+        worst_random = _check_correlation_split(np.random.default_rng(BELL_CHECK_SEED))
+    except AssertionError as exc:
+        raise InvariantViolation(f"correlation split failed on random states: {exc}") from exc
     summary = {
         "scenario": job.name,
         "bell_correlation_norm": norm,
@@ -592,7 +564,10 @@ def _check_unitary_invariance(rng):
         assert abs(before - after) <= 1e-10, "conjugation changed the distance"
 
 
-def _check_correlation_split(rng):
+def _check_correlation_split(rng) -> float:
+    """Reconstruction, traceless marginals and the norm identity on random
+    joint states; returns the worst norm-identity error."""
+    worst = 0.0
     for ds, de in ((2, 2), (2, 3), (3, 3)):
         for _ in range(8):
             joint = states.BipartiteState(states.random_density(ds * de, rng), ds, de)
@@ -606,7 +581,9 @@ def _check_correlation_split(rng):
             rhs = 2.0 * linalg.trace_distance(
                 linalg.tensor_product(split.system, split.environment), joint.op
             )
-            assert abs(lhs - rhs) <= 1e-10, "norm identity failed"
+            worst = max(worst, abs(lhs - rhs))
+    assert worst <= 1e-10, f"norm identity failed: error {worst:.3e}"
+    return worst
 
 
 def _random_scenario(rng) -> witness.ScenarioPair:
@@ -743,7 +720,7 @@ def _cmd_run(args) -> int:
     if args.config:
         cfg = parse_config(args.config)
     elif args.preset:
-        cfg = RunConfig(scenario={"preset": args.preset}, workers=_workers_from_env())
+        cfg = RunConfig(scenario={"preset": args.preset})
     else:
         raise ConfigError("run needs a config file or --preset")
     if args.out:

@@ -188,20 +188,7 @@ def analytic_point(
 ) -> WitnessPoint:
     """Closed-form counterpart of witness.evaluate_point for this model."""
     d_t, forecast, influence, delta_d = analytic_witnesses(dist, tprime, t)
-    d_next = d_t + delta_d
-    lower = influence - forecast - d_t
-    upper = influence + forecast - d_t
-    if delta_d < lower - witness.BOUND_TOL or delta_d > upper + witness.BOUND_TOL:
-        raise witness.InvariantViolation(
-            f"bound violated at t={t:.12g}, t'={tprime:.12g}: "
-            f"delta_d={delta_d:.6e} outside [{lower:.6e}, {upper:.6e}]"
-        )
-    return WitnessPoint(
-        t=float(t), tprime=float(tprime), d_t=d_t, d_next=d_next,
-        forecast=forecast, influence=influence, delta_d=delta_d,
-        lower=lower, upper=upper,
-        label=witness.classify_values(influence, d_t, forecast, eps),
-    )
+    return witness.checked_point(t, tprime, d_t, d_t + delta_d, forecast, influence, eps)
 
 
 def analytic_surface(
@@ -304,7 +291,6 @@ class DiagonalPropagator:
 def full_model(
     env: Discrete,
     pair: tuple[np.ndarray, np.ndarray] | None = None,
-    dim_cap: int = FULL_MODEL_DIM_CAP,
 ) -> ScenarioPair:
     """Qubit plus discrete frequency modes as an explicit scenario.
 
@@ -314,8 +300,8 @@ def full_model(
     the discrete k. Default initial pair: the +/- states.
     """
     modes = int(env.freqs.size)
-    if modes > dim_cap:
-        raise ValueError(f"{modes} modes exceed the dense-storage cap {dim_cap}")
+    if modes > FULL_MODEL_DIM_CAP:
+        raise ValueError(f"{modes} modes exceed the dense-storage cap {FULL_MODEL_DIM_CAP}")
     if pair is None:
         pair = plus_minus_pair()
     amp = np.sqrt(env.probs).astype(complex)

@@ -24,7 +24,7 @@ PAULI = {
     "z": np.array([[1, 0], [0, -1]], dtype=complex),
 }
 
-DEFAULT_DIM_CAP = 4096
+DIM_CAP = 4096
 
 
 @dataclass(frozen=True)
@@ -35,16 +35,15 @@ class SpinChainSpec:
     exchange: float = 1.0
     probe_exchange: float = 1.0
     field: float = 0.0
-    dim_cap: int = DEFAULT_DIM_CAP
 
     def __post_init__(self):
         if self.sites < 1:
             raise ValueError(f"need at least one environment site, got {self.sites}")
         if self.exchange <= 0:
             raise ValueError(f"chain exchange must be positive, got {self.exchange}")
-        if self.dim < 1 or self.dim > self.dim_cap:
+        if self.dim > DIM_CAP:
             raise ValueError(
-                f"total dimension 2^{self.sites + 1} = {self.dim} exceeds cap {self.dim_cap}"
+                f"total dimension 2^{self.sites + 1} = {self.dim} exceeds cap {DIM_CAP}"
             )
 
     @property

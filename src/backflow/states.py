@@ -90,17 +90,22 @@ class CorrelationDecomposition:
         return linalg.trace_norm(self.correlation)
 
 
+def correlation_split(op: np.ndarray, ds: int, de: int) -> CorrelationDecomposition:
+    """Split a (ds*de)-dimensional operator into product-of-marginals plus
+    correlations, without validating it as a density operator."""
+    rho_s = linalg.partial_trace(op, ds, de, "system")
+    rho_e = linalg.partial_trace(op, ds, de, "environment")
+    # Conjugation chains leave ~1e-16 anti-Hermitian dust; symmetrizing here
+    # keeps the advertised invariants literally assertable.
+    chi = linalg.hermitian_part(op - linalg.tensor_product(rho_s, rho_e))
+    return CorrelationDecomposition(system=rho_s, environment=rho_e, correlation=chi)
+
+
 def decompose(state: BipartiteState) -> CorrelationDecomposition:
     """Split a joint state into product-of-marginals plus correlations."""
     if not isinstance(state, BipartiteState):
         raise TypeError("decompose expects a BipartiteState")
-    rho_s = state.system()
-    rho_e = state.environment()
-    chi = state.op - linalg.tensor_product(rho_s, rho_e)
-    # Conjugation chains leave ~1e-16 anti-Hermitian dust; symmetrizing here
-    # keeps the advertised invariants literally assertable.
-    chi = linalg.hermitian_part(chi)
-    return CorrelationDecomposition(system=rho_s, environment=rho_e, correlation=chi)
+    return correlation_split(state.op, state.ds, state.de)
 
 
 def pure_qubit(theta: float, phi: float) -> np.ndarray:

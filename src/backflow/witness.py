@@ -16,8 +16,6 @@ below D - F rules one out; in between nothing can be concluded.
 
 from __future__ import annotations
 
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator
@@ -30,6 +28,7 @@ from .states import BipartiteState
 
 DEFAULT_CLASS_EPS = 1e-9
 BOUND_TOL = 1e-9
+UNITARY_CACHE_SIZE = 128
 
 
 class Classification(str, Enum):
@@ -47,14 +46,12 @@ class EigenPropagator:
 
     Time-homogeneous: the step operator between t and t + t' is U(t').
     Unitaries are cached per distinct time so grid sweeps reuse them; the
-    cache is cleared wholesale when it outgrows ``cache_size``.
+    cache is cleared wholesale when it outgrows ``UNITARY_CACHE_SIZE``.
     """
 
-    def __init__(self, eig: HermitianEigenSystem, cache_size: int = 128):
+    def __init__(self, eig: HermitianEigenSystem):
         self._eig = eig
         self._cache: dict[float, np.ndarray] = {}
-        self._cache_size = cache_size
-        self._lock = threading.Lock()
 
     @property
     def dim(self) -> int:
@@ -66,14 +63,12 @@ class EigenPropagator:
 
     def unitary(self, t: float) -> np.ndarray:
         key = float(t)
-        with self._lock:
-            u = self._cache.get(key)
+        u = self._cache.get(key)
         if u is None:
             u = linalg.unitary_at(self._eig, key)
-            with self._lock:
-                if len(self._cache) >= self._cache_size:
-                    self._cache.clear()
-                self._cache[key] = u
+            if len(self._cache) >= UNITARY_CACHE_SIZE:
+                self._cache.clear()
+            self._cache[key] = u
         return u
 
     def evolve(self, mat: np.ndarray, t: float) -> np.ndarray:
@@ -204,6 +199,36 @@ def classify(point: WitnessPoint, eps: float = DEFAULT_CLASS_EPS) -> Classificat
     return classify_values(point.influence, point.d_t, point.forecast, eps)
 
 
+def checked_point(
+    t: float,
+    tprime: float,
+    d_t: float,
+    d_next: float,
+    forecast: float,
+    influence: float,
+    eps: float = DEFAULT_CLASS_EPS,
+) -> WitnessPoint:
+    """Assemble a point from its distances, enforcing the bound window.
+
+    Written so that a non-finite value fails the check as well: NaN
+    compares false against both edges.
+    """
+    delta_d = d_next - d_t
+    lower = influence - forecast - d_t
+    upper = influence + forecast - d_t
+    if not (lower - BOUND_TOL <= delta_d <= upper + BOUND_TOL):
+        raise InvariantViolation(
+            f"bound violated at t={t:.12g}, t'={tprime:.12g}: "
+            f"delta_d={delta_d:.6e} outside [{lower:.6e}, {upper:.6e}]"
+        )
+    return WitnessPoint(
+        t=float(t), tprime=float(tprime), d_t=d_t, d_next=d_next,
+        forecast=forecast, influence=influence, delta_d=delta_d,
+        lower=lower, upper=upper,
+        label=classify_values(influence, d_t, forecast, eps),
+    )
+
+
 def evolve_pair(sc: ScenarioPair, t: float) -> tuple[BipartiteState, BipartiteState]:
     """Both total states at time t; valid density operators by construction."""
     op1, op2 = _evolved_ops(sc, t)
@@ -229,14 +254,6 @@ def _evolved_ops(sc: ScenarioPair, t: float) -> tuple[np.ndarray, np.ndarray]:
     return sc.propagator.evolve(sc.state1.op, t), sc.propagator.evolve(sc.state2.op, t)
 
 
-def _split_op(op: np.ndarray, ds: int, de: int) -> states.CorrelationDecomposition:
-    """Correlation split of a trusted evolved operator (no validation)."""
-    rho_s = linalg.partial_trace(op, ds, de, "system")
-    rho_e = linalg.partial_trace(op, ds, de, "environment")
-    chi = linalg.hermitian_part(op - linalg.tensor_product(rho_s, rho_e))
-    return states.CorrelationDecomposition(system=rho_s, environment=rho_e, correlation=chi)
-
-
 @dataclass(frozen=True, eq=False)
 class _Row:
     """Everything reusable across the t' sweep at a fixed t.
@@ -258,8 +275,8 @@ def _build_row(sc: ScenarioPair, t: float, env_label: int = 1) -> _Row:
     if env_label not in (1, 2):
         raise ValueError(f"env_label must be 1 or 2, got {env_label}")
     op1, op2 = _evolved_ops(sc, t)
-    split1 = _split_op(op1, sc.ds, sc.de)
-    split2 = _split_op(op2, sc.ds, sc.de)
+    split1 = states.correlation_split(op1, sc.ds, sc.de)
+    split2 = states.correlation_split(op2, sc.ds, sc.de)
     d_t = linalg.trace_distance(split1.system, split2.system)
     env_diff = split1.environment - split2.environment
     chi_diff = split1.correlation - split2.correlation
@@ -286,22 +303,12 @@ def _point_from_row(
         raise ValueError(f"time step must be nonnegative, got {tprime}")
     reduced_forecast = _reduced_after(sc, row.x_forecast, tprime)
     reduced_influence = _reduced_after(sc, row.x_influence, tprime)
-    forecast = 0.5 * linalg.trace_norm(reduced_forecast)
-    influence = 0.5 * linalg.trace_norm(reduced_influence)
-    d_next = 0.5 * linalg.trace_norm(reduced_forecast + reduced_influence)
-    delta_d = d_next - row.d_t
-    lower = influence - forecast - row.d_t
-    upper = influence + forecast - row.d_t
-    if delta_d < lower - BOUND_TOL or delta_d > upper + BOUND_TOL:
-        raise InvariantViolation(
-            f"bound violated at t={row.t:.12g}, t'={tprime:.12g}: "
-            f"delta_d={delta_d:.6e} outside [{lower:.6e}, {upper:.6e}]"
-        )
-    return WitnessPoint(
-        t=row.t, tprime=tprime, d_t=row.d_t, d_next=d_next,
-        forecast=forecast, influence=influence, delta_d=delta_d,
-        lower=lower, upper=upper,
-        label=classify_values(influence, row.d_t, forecast, eps),
+    return checked_point(
+        row.t, tprime, row.d_t,
+        d_next=0.5 * linalg.trace_norm(reduced_forecast + reduced_influence),
+        forecast=0.5 * linalg.trace_norm(reduced_forecast),
+        influence=0.5 * linalg.trace_norm(reduced_influence),
+        eps=eps,
     )
 
 
@@ -356,8 +363,8 @@ def weak_upper_bound(sc: ScenarioPair, t: float) -> float:
     t'. Equals half the correlation norms plus the environment distance.
     """
     op1, op2 = _evolved_ops(sc, t)
-    split1 = _split_op(op1, sc.ds, sc.de)
-    split2 = _split_op(op2, sc.ds, sc.de)
+    split1 = states.correlation_split(op1, sc.ds, sc.de)
+    split2 = states.correlation_split(op2, sc.ds, sc.de)
     term1 = 0.5 * linalg.trace_norm(split1.correlation)
     term2 = 0.5 * linalg.trace_norm(split2.correlation)
     term3 = linalg.trace_distance(split1.environment, split2.environment)
@@ -392,25 +399,19 @@ def evaluate_surface(
     tprime_grid,
     eps: float = DEFAULT_CLASS_EPS,
     env_label: int = 1,
-    workers: int = 1,
 ) -> WitnessSurface:
     """Witness points over the full (t, t') product grid.
 
     Per-t quantities (reduced states, environments, correlations) are
-    computed once per row and reused across the t' sweep. Rows are
-    independent, so ``workers`` > 1 maps them onto a thread pool; results
-    are deterministic regardless of evaluation order.
+    computed once per row and reused across the t' sweep.
     """
     ts = _require_grid(t_grid, "t grid")
     tps = _require_grid(tprime_grid, "t' grid")
 
     def eval_row(t: float) -> tuple[WitnessPoint, ...]:
+        # A row holds several full-dimension operators; building it inside a
+        # call frees it on return, so only one row is alive at a time.
         row = _build_row(sc, t, env_label)
         return tuple(_point_from_row(sc, row, tp, eps) for tp in tps)
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = tuple(pool.map(eval_row, ts))
-    else:
-        rows = tuple(eval_row(t) for t in ts)
-    return WitnessSurface(t_grid=ts, tprime_grid=tps, points=rows)
+    return WitnessSurface(t_grid=ts, tprime_grid=tps, points=tuple(eval_row(t) for t in ts))

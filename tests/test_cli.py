@@ -226,14 +226,24 @@ class TestConfigErrors:
         cfg.write_text("[scenario]\nmodel = single_lorentzian\nomega0 = 1\ndelta = 1\nbogus = 2\n")
         assert main(["run", str(cfg)]) == EXIT_CONFIG_ERROR
 
-    def test_bad_workers_env(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(cli.WORKERS_ENV_VAR, "zero")
-        assert main(["run", "--preset", "fig2a", "--out", str(tmp_path / "w")]) == EXIT_CONFIG_ERROR
-
-    def test_workers_env_accepted(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(cli.WORKERS_ENV_VAR, "2")
-        out = tmp_path / "w2"
-        assert main(["run", "--preset", "fig2a", "--out", str(out)]) == EXIT_OK
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "[scenario]\nmodel = double_lorentzian\nomega0_1 = 1\ndelta1 = nan\n"
+            "omega0_2 = 9\ndelta2 = 1\nr = 1\n",
+            "[scenario]\nmodel = double_lorentzian\nomega0_1 = 1\ndelta1 = 1\n"
+            "omega0_2 = 9\ndelta2 = 1\nr = inf\n",
+            "[scenario]\npreset = fig2a\n\n[t_grid]\nmin = 0\nmax = nan\ncount = 5\n",
+            "[scenario]\npreset = fig2b\n\n[tolerances]\nclass_eps = -5\n",
+            "[scenario]\npreset = fig2b\n\n[tolerances]\nrise_tol = nan\n",
+        ],
+        ids=["delta1-nan", "r-inf", "grid-max-nan", "class-eps-negative", "rise-tol-nan"],
+    )
+    def test_bad_number_rejected(self, tmp_path, text):
+        cfg = tmp_path / "bad.ini"
+        cfg.write_text(text + f"\n[output]\npath = {tmp_path / 'out'}\n")
+        assert main(["run", str(cfg)]) == EXIT_CONFIG_ERROR
+        assert not (tmp_path / "out" / "summary.json").exists()
 
 
 class TestInvariantExit:
@@ -244,6 +254,19 @@ class TestInvariantExit:
         monkeypatch.setattr(cli, "_run_surface_job", boom)
         code = main(["run", "--preset", "semigroup", "--out", str(tmp_path / "v")])
         assert code == EXIT_INVARIANT
+
+    @pytest.mark.parametrize("failure", ["above-tolerance", "assertion"])
+    def test_bell_check_failure_exits_2(self, tmp_path, monkeypatch, capsys, failure):
+        def broken_split_check(rng):
+            if failure == "assertion":
+                raise AssertionError("reconstruction error 1.0")
+            return 1.0
+
+        monkeypatch.setattr(cli, "_check_correlation_split", broken_split_check)
+        out = tmp_path / "bell"
+        assert main(["run", "--preset", "bell-check", "--out", str(out)]) == EXIT_INVARIANT
+        assert "error" in read_summary(out)
+        assert "Traceback" not in capsys.readouterr().err
 
 
 class TestParseConfig:

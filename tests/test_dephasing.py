@@ -8,6 +8,7 @@ from backflow.dephasing import (
     DoubleLorentzian,
     SingleLorentzian,
     SingularPointError,
+    analytic_point,
     analytic_surface,
     analytic_witnesses,
     apply_channel,
@@ -300,3 +301,8 @@ class TestFullModel:
         big = Discrete(freqs=np.arange(5000, dtype=float), probs=np.full(5000, 1 / 5000))
         with pytest.raises(ValueError, match="cap"):
             full_model(big)
+
+    def test_non_finite_point_raises(self):
+        env = Discrete(freqs=np.array([np.nan]), probs=np.array([1.0]))
+        with pytest.raises(witness.InvariantViolation):
+            analytic_point(env, 0.1, 0.2)

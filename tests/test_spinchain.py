@@ -2,7 +2,14 @@ import numpy as np
 import pytest
 
 from backflow import linalg, witness
-from backflow.spinchain import PAULI, SpinChainSpec, build_hamiltonian, pauli_site, scenario
+from backflow.spinchain import (
+    DIM_CAP,
+    PAULI,
+    SpinChainSpec,
+    build_hamiltonian,
+    pauli_site,
+    scenario,
+)
 from backflow.states import pure_qubit
 from backflow.witness import evolve_pair, reduced_distance
 
@@ -57,12 +64,10 @@ class TestHamiltonian:
         assert np.max(np.abs(comm)) <= 1e-10
 
     def test_dimension_cap(self):
+        # checked on the spec alone, before any matrix is allocated
+        assert SpinChainSpec(sites=11).dim == DIM_CAP
         with pytest.raises(ValueError, match="cap"):
             SpinChainSpec(sites=12)
-        small_cap = SpinChainSpec(sites=3, dim_cap=16)
-        assert small_cap.dim == 16
-        with pytest.raises(ValueError, match="cap"):
-            SpinChainSpec(sites=4, dim_cap=16)
 
     def test_invalid_couplings(self):
         with pytest.raises(ValueError):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from backflow import linalg, states, witness
 from backflow.states import BipartiteState
@@ -231,14 +233,6 @@ class TestSurface:
         )
         assert surf.max_bound_violation() == 0.0
 
-    def test_threaded_matches_serial(self, rng):
-        sc = random_scenario(rng)
-        ts = np.linspace(0, 1.5, 5)
-        serial = evaluate_surface(sc, ts, ts, workers=1)
-        threaded = evaluate_surface(sc, ts, ts, workers=4)
-        for p, q in zip(serial.iter_points(), threaded.iter_points()):
-            assert p == q
-
     def test_rejects_bad_grids(self, rng):
         sc = random_scenario(rng)
         with pytest.raises(ValueError, match="ascending"):
@@ -252,9 +246,32 @@ class TestSurface:
 class TestEigenPropagator:
     def test_unitary_cache_consistent(self, rng):
         eig = linalg.hermitian_eigensystem(random_hermitian_direct(4, rng))
-        prop = EigenPropagator(eig, cache_size=2)
+        prop = EigenPropagator(eig)
         u1 = prop.unitary(0.5)
         np.testing.assert_array_equal(u1, prop.unitary(0.5))
-        prop.unitary(0.6)
-        prop.unitary(0.7)  # evicts
+        for i in range(witness.UNITARY_CACHE_SIZE + 1):  # fills, then evicts
+            prop.unitary(1.0 + i)
+            assert len(prop._cache) <= witness.UNITARY_CACHE_SIZE
         np.testing.assert_allclose(prop.unitary(0.5), u1, atol=1e-15)
+
+
+class TestCheckedPoint:
+    def test_escape_raises(self):
+        # D rises from 0.2 to 0.9, but B + F - D(t) caps the rise at 0
+        with pytest.raises(witness.InvariantViolation, match="bound violated"):
+            witness.checked_point(0.1, 0.2, d_t=0.2, d_next=0.9, forecast=0.1, influence=0.1)
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(
+        de=st.integers(2, 6),
+        seed=st.integers(0, 2**32 - 1),
+        t=st.floats(0.0, 3.0),
+        tprime=st.floats(0.0, 3.0),
+        equal_env=st.booleans(),
+    )
+    def test_window_holds_on_random_scenarios(self, de, seed, t, tprime, equal_env):
+        sc = random_scenario(np.random.default_rng(seed), de=de, equal_env=equal_env)
+        p = evaluate_point(sc, tprime, t)
+        assert p.lower - witness.BOUND_TOL <= p.delta_d <= p.upper + witness.BOUND_TOL
+        assert p.forecast <= p.d_t + 1e-9
+        assert 0.0 <= p.influence <= 2.0 + 1e-12
