@@ -19,7 +19,7 @@ import csv
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -31,7 +31,6 @@ from .dephasing import (
     SingleLorentzian,
     analytic_surface,
     analytic_witnesses,
-    dephasing_function,
     discretize,
     full_model,
     tcl_coefficients,
@@ -61,10 +60,10 @@ class GridSpec:
     def __post_init__(self):
         if self.count < 1:
             raise ConfigError(f"grid count must be >= 1, got {self.count}")
-        if self.lo < 0:
-            raise ConfigError(f"grid minimum must be nonnegative, got {self.lo}")
-        if self.hi < self.lo:
-            raise ConfigError(f"grid maximum {self.hi} is below minimum {self.lo}")
+        if not 0 <= self.lo < math.inf:
+            raise ConfigError(f"grid minimum must be nonnegative and finite, got {self.lo}")
+        if not self.lo <= self.hi < math.inf:
+            raise ConfigError(f"grid maximum {self.hi} is below minimum {self.lo} or not finite")
 
     def points(self) -> np.ndarray:
         return np.linspace(self.lo, self.hi, self.count)
@@ -73,34 +72,47 @@ class GridSpec:
         return {"min": self.lo, "max": self.hi, "count": self.count}
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Everything a run needs; grids left as None fall back to the scenario's defaults."""
-
-    scenario: dict
-    t_grid: GridSpec | None = None
-    tprime_grid: GridSpec | None = None
-    class_eps: float = witness.DEFAULT_CLASS_EPS
-    rise_tol: float = blp.DEFAULT_RISE_TOL
-    out_dir: str = "out"
-    fmt: str = "csv"
-
-
 DEFAULT_GRID = GridSpec(0.0, 3.0, 50)
 FIG3_GRID = GridSpec(0.0, 3.0, 40)
 SWEEP_RATIOS = tuple(round(0.05 * i, 2) for i in range(21))
 SWEEP_TPRIME = 0.3
 BELL_CHECK_SEED = 20240317
 
+# INI `model = ...` names of the dataclasses a config file can build.
+_MODELS = {
+    "single_lorentzian": SingleLorentzian,
+    "double_lorentzian": DoubleLorentzian,
+    "spin_chain": SpinChainSpec,
+}
+
 
 @dataclass(frozen=True)
 class Preset:
+    """What a run evaluates: the model, its grids and the kind of job.
+
+    ``surface`` evaluates the (t, t') grid, in closed form for a frequency
+    distribution and by explicit evolution for a chain; ``sweep`` ramps the
+    component ratio of a double Lorentzian; ``check`` runs the
+    correlation-split oracle and has no model.
+    """
+
     name: str
     description: str
-    kind: str  # "analytic" | "chain" | "sweep" | "check"
-    params: dict = field(default_factory=dict)
+    kind: str  # "surface" | "sweep" | "check"
+    model: SingleLorentzian | DoubleLorentzian | SpinChainSpec | None = None
     t_grid: GridSpec = DEFAULT_GRID
     tprime_grid: GridSpec = DEFAULT_GRID
+
+
+@dataclass(frozen=True)
+class RunConfig:
+    """Everything a run needs: the resolved scenario plus tolerances and output."""
+
+    preset: Preset
+    class_eps: float = witness.DEFAULT_CLASS_EPS
+    rise_tol: float = blp.DEFAULT_RISE_TOL
+    out_dir: str = "out"
+    fmt: str = "csv"
 
 
 PRESETS: dict[str, Preset] = {
@@ -108,45 +120,37 @@ PRESETS: dict[str, Preset] = {
         name="semigroup",
         description="single Lorentzian (center=width): memoryless reference, "
         "exponential distance decay, influence term identically zero",
-        kind="analytic",
-        params={"model": "single_lorentzian", "omega0": 1.0, "delta": 1.0},
+        kind="surface",
+        model=SingleLorentzian(omega0=1.0, delta=1.0),
     ),
     "fig2a": Preset(
         name="fig2a",
         description="double Lorentzian, equal centers, width ratio 10, r=1: "
         "influence stays below the lower threshold (Markovian)",
-        kind="analytic",
-        params={
-            "model": "double_lorentzian",
-            "omega0_1": 1.0, "delta1": 1.0, "omega0_2": 1.0, "delta2": 10.0, "r": 1.0,
-        },
+        kind="surface",
+        model=DoubleLorentzian(omega0_1=1.0, delta1=1.0, omega0_2=1.0, delta2=10.0, r=1.0),
     ),
     "fig2b": Preset(
         name="fig2b",
         description="double Lorentzian, centers 1 and 9 at common width, r=1: "
         "influence exceeds the upper threshold (non-Markovian)",
-        kind="analytic",
-        params={
-            "model": "double_lorentzian",
-            "omega0_1": 1.0, "delta1": 1.0, "omega0_2": 9.0, "delta2": 1.0, "r": 1.0,
-        },
+        kind="surface",
+        model=DoubleLorentzian(omega0_1=1.0, delta1=1.0, omega0_2=9.0, delta2=1.0, r=1.0),
     ),
     "fig2c": Preset(
         name="fig2c",
         description=f"transition sweep over the component ratio r in {{0, 0.05, ..., 1}} "
         f"at fixed t' = {SWEEP_TPRIME} (centers 1 and 9, common width)",
         kind="sweep",
-        params={"omega0_1": 1.0, "delta1": 1.0, "omega0_2": 9.0, "delta2": 1.0},
+        # r is replaced by each ratio of the sweep; the profile uses the last one
+        model=DoubleLorentzian(omega0_1=1.0, delta1=1.0, omega0_2=9.0, delta2=1.0, r=1.0),
     ),
     "fig3": Preset(
         name="fig3",
         description="probe qubit on an 8-site XX chain, J0/J=1, B/J=0.01: "
         "thresholds crossed well inside the recurrence time",
-        kind="chain",
-        params={
-            "model": "spin_chain",
-            "sites": 8, "exchange": 1.0, "probe_exchange": 1.0, "field": 0.01,
-        },
+        kind="surface",
+        model=SpinChainSpec(sites=8, exchange=1.0, probe_exchange=1.0, field=0.01),
         t_grid=FIG3_GRID,
         tprime_grid=FIG3_GRID,
     ),
@@ -164,11 +168,6 @@ PRESETS: dict[str, Preset] = {
 # --------------------------------------------------------------------------
 
 _KNOWN_SECTIONS = {"scenario", "t_grid", "tprime_grid", "tolerances", "output"}
-_MODEL_KEYS = {
-    "single_lorentzian": {"omega0", "delta"},
-    "double_lorentzian": {"omega0_1", "delta1", "omega0_2", "delta2", "r"},
-    "spin_chain": {"sites", "exchange", "probe_exchange", "field"},
-}
 
 
 def _parse_float(raw: str, where: str) -> float:
@@ -199,6 +198,42 @@ def _parse_grid(section: configparser.SectionProxy, name: str) -> GridSpec:
     )
 
 
+def _find_preset(name: str) -> Preset:
+    if name not in PRESETS:
+        raise ConfigError(f"unknown preset {name!r}; run list-presets to see choices")
+    return PRESETS[name]
+
+
+def _parse_scenario(scenario: dict, grids: dict) -> Preset:
+    """Resolve `[scenario]` into the preset it names, or into a surface run of
+    the model it spells out; a model needs every field of its dataclass."""
+    if "preset" in scenario:
+        name = scenario.pop("preset")
+        if scenario:
+            raise ConfigError(f"preset runs take no extra scenario keys: {sorted(scenario)}")
+        return replace(_find_preset(name), **grids)
+    if "model" not in scenario:
+        raise ConfigError("scenario needs either 'preset' or 'model'")
+    name = scenario.pop("model")
+    if name not in _MODELS:
+        raise ConfigError(f"unknown model {name!r}; choose from {sorted(_MODELS)}")
+    model_fields = fields(_MODELS[name])
+    extra = set(scenario) - {f.name for f in model_fields}
+    if extra:
+        raise ConfigError(f"unknown parameters for {name}: {sorted(extra)}")
+    values = {}
+    for f in model_fields:
+        if f.name not in scenario:
+            raise ConfigError(f"scenario {name}: missing parameter {f.name!r}")
+        parse = _parse_int if f.type in ("int", int) else _parse_float
+        values[f.name] = parse(scenario[f.name], f"scenario {name} {f.name}")
+    try:
+        model = _MODELS[name](**values)
+    except ValueError as exc:
+        raise ConfigError(f"scenario {name}: {exc}") from exc
+    return Preset(name, f"{name} from a config file", "surface", model, **grids)
+
+
 def parse_config(path: str | Path) -> RunConfig:
     """Read a run configuration from a flat INI file."""
     cp = configparser.ConfigParser()
@@ -210,131 +245,32 @@ def parse_config(path: str | Path) -> RunConfig:
         raise ConfigError(f"unknown config sections: {sorted(unknown)}")
     if "scenario" not in cp:
         raise ConfigError("config must have a [scenario] section")
-    scenario = dict(cp["scenario"])
+    grids = {name: _parse_grid(cp[name], name) for name in ("t_grid", "tprime_grid") if name in cp}
+    preset = _parse_scenario(dict(cp["scenario"]), grids)
 
-    t_grid = _parse_grid(cp["t_grid"], "t_grid") if "t_grid" in cp else None
-    tprime_grid = _parse_grid(cp["tprime_grid"], "tprime_grid") if "tprime_grid" in cp else None
-
-    class_eps = witness.DEFAULT_CLASS_EPS
-    rise_tol = blp.DEFAULT_RISE_TOL
-    if "tolerances" in cp:
-        tol = cp["tolerances"]
-        extra = set(tol.keys()) - {"class_eps", "rise_tol"}
-        if extra:
-            raise ConfigError(f"unknown tolerance keys: {sorted(extra)}")
-        if "class_eps" in tol:
-            class_eps = _parse_float(tol["class_eps"], "[tolerances] class_eps")
-        if "rise_tol" in tol:
-            rise_tol = _parse_float(tol["rise_tol"], "[tolerances] rise_tol")
-        for key, value in (("class_eps", class_eps), ("rise_tol", rise_tol)):
-            if value < 0:
-                raise ConfigError(f"[tolerances] {key} must be nonnegative, got {value}")
-
-    out_dir = "out"
-    fmt = "csv"
-    if "output" in cp:
-        out = cp["output"]
-        extra = set(out.keys()) - {"path", "format"}
-        if extra:
-            raise ConfigError(f"unknown output keys: {sorted(extra)}")
-        out_dir = out.get("path", out_dir)
-        fmt = out.get("format", fmt)
-    if fmt not in ("csv", "json"):
-        raise ConfigError(f"output format must be csv or json, got {fmt!r}")
-
-    return RunConfig(
-        scenario=scenario, t_grid=t_grid, tprime_grid=tprime_grid,
-        class_eps=class_eps, rise_tol=rise_tol, out_dir=out_dir, fmt=fmt,
-    )
-
-
-# --------------------------------------------------------------------------
-# scenario resolution
-# --------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class _Job:
-    name: str
-    kind: str
-    params: dict
-    t_grid: GridSpec
-    tprime_grid: GridSpec
-
-
-def _num(params: dict, key: str, where: str) -> float:
-    if key not in params:
-        raise ConfigError(f"{where}: missing parameter {key!r}")
-    value = params[key]
-    return value if isinstance(value, (int, float)) else _parse_float(value, f"{where} {key}")
-
-
-def _resolve_job(cfg: RunConfig) -> _Job:
-    scenario = dict(cfg.scenario)
-    if "preset" in scenario:
-        name = scenario.pop("preset")
-        if scenario:
-            raise ConfigError(f"preset runs take no extra scenario keys: {sorted(scenario)}")
-        if name not in PRESETS:
-            raise ConfigError(f"unknown preset {name!r}; run list-presets to see choices")
-        preset = PRESETS[name]
-        return _Job(
-            name=name, kind=preset.kind, params=dict(preset.params),
-            t_grid=cfg.t_grid or preset.t_grid,
-            tprime_grid=cfg.tprime_grid or preset.tprime_grid,
-        )
-    if "model" not in scenario:
-        raise ConfigError("scenario needs either 'preset' or 'model'")
-    model = scenario["model"]
-    if model not in _MODEL_KEYS:
-        raise ConfigError(f"unknown model {model!r}; choose from {sorted(_MODEL_KEYS)}")
-    extra = set(scenario) - _MODEL_KEYS[model] - {"model"}
+    tolerances = dict(cp["tolerances"]) if "tolerances" in cp else {}
+    extra = set(tolerances) - {"class_eps", "rise_tol"}
     if extra:
-        raise ConfigError(f"unknown parameters for {model}: {sorted(extra)}")
-    kind = "chain" if model == "spin_chain" else "analytic"
-    return _Job(
-        name=model, kind=kind, params=scenario,
-        t_grid=cfg.t_grid or DEFAULT_GRID,
-        tprime_grid=cfg.tprime_grid or DEFAULT_GRID,
-    )
+        raise ConfigError(f"unknown tolerance keys: {sorted(extra)}")
+    for key, raw in tolerances.items():
+        tolerances[key] = value = _parse_float(raw, f"[tolerances] {key}")
+        if value < 0:
+            raise ConfigError(f"[tolerances] {key} must be nonnegative, got {value}")
 
-
-def _build_distribution(params: dict, where: str):
-    model = params.get("model")
-    if model == "single_lorentzian":
-        return SingleLorentzian(
-            omega0=_num(params, "omega0", where), delta=_num(params, "delta", where)
-        )
-    if model == "double_lorentzian":
-        return DoubleLorentzian(
-            omega0_1=_num(params, "omega0_1", where), delta1=_num(params, "delta1", where),
-            omega0_2=_num(params, "omega0_2", where), delta2=_num(params, "delta2", where),
-            r=_num(params, "r", where),
-        )
-    raise ConfigError(f"{where}: not a frequency-distribution model: {model!r}")
-
-
-def _build_chain_spec(params: dict, where: str) -> SpinChainSpec:
-    sites = params.get("sites")
-    sites = sites if isinstance(sites, int) else _parse_int(str(sites), f"{where} sites")
-    try:
-        return SpinChainSpec(
-            sites=sites,
-            exchange=_num(params, "exchange", where),
-            probe_exchange=_num(params, "probe_exchange", where),
-            field=_num(params, "field", where),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
+    output = dict(cp["output"]) if "output" in cp else {}
+    extra = set(output) - {"path", "format"}
+    if extra:
+        raise ConfigError(f"unknown output keys: {sorted(extra)}")
+    cfg = RunConfig(preset, **tolerances)
+    cfg = replace(cfg, out_dir=output.get("path", cfg.out_dir), fmt=output.get("format", cfg.fmt))
+    if cfg.fmt not in ("csv", "json"):
+        raise ConfigError(f"output format must be csv or json, got {cfg.fmt!r}")
+    return cfg
 
 
 # --------------------------------------------------------------------------
 # output writers
 # --------------------------------------------------------------------------
-
-
-def _fmt(x: float) -> str:
-    return f"{x:.15g}"
 
 
 def _surface_rows(surface: WitnessSurface) -> list[list]:
@@ -355,7 +291,7 @@ def _write_table(path: Path, columns: tuple[str, ...], rows: list[list], fmt: st
             writer = csv.writer(fh)
             writer.writerow(columns)
             for row in rows:
-                writer.writerow([_fmt(v) if isinstance(v, float) else v for v in row])
+                writer.writerow([f"{v:.15g}" if isinstance(v, float) else v for v in row])
     else:
         records = [dict(zip(columns, row)) for row in rows]
         with out.open("w") as fh:
@@ -385,51 +321,44 @@ def _profile_rows(profile: MonotonicityProfile) -> list[list]:
 # --------------------------------------------------------------------------
 
 
-def _run_surface_job(job: _Job, cfg: RunConfig, out_dir: Path) -> dict:
-    ts = job.t_grid.points()
-    tps = job.tprime_grid.points()
-    if job.kind == "analytic":
-        dist = _build_distribution(job.params, f"scenario {job.name}")
-        surface = analytic_surface(dist, ts, tps, eps=cfg.class_eps)
-    else:
-        spec = _build_chain_spec(job.params, f"scenario {job.name}")
-        scenario = spinchain.scenario(spec)
+def _run_surface_job(cfg: RunConfig, out_dir: Path) -> dict:
+    preset = cfg.preset
+    ts = preset.t_grid.points()
+    tps = preset.tprime_grid.points()
+    if isinstance(preset.model, SpinChainSpec):
+        scenario = spinchain.scenario(preset.model)
         surface = witness.evaluate_surface(scenario, ts, tps, eps=cfg.class_eps)
+    else:
+        surface = analytic_surface(preset.model, ts, tps, eps=cfg.class_eps)
     profile = increasing_intervals(ts, surface.row_distances(), cfg.rise_tol)
-    measure = profile.total_increase()
 
     _write_table(out_dir / "surface", SURFACE_COLUMNS, _surface_rows(surface), cfg.fmt)
     _write_table(out_dir / "profile", PROFILE_COLUMNS, _profile_rows(profile), cfg.fmt)
     return {
-        "scenario": job.name,
-        "parameters": {k: v for k, v in job.params.items() if k != "model"},
+        "scenario": preset.name,
+        "parameters": asdict(preset.model),
         "points": len(ts) * len(tps),
         "classification_counts": surface.classification_counts(),
         "max_bound_violation": surface.max_bound_violation(),
-        "measure": measure,
+        "measure": profile.total_increase(),
         "growth_intervals": [list(iv) for iv in profile.interval_times()],
-        "t_grid": job.t_grid.as_dict(),
-        "tprime_grid": job.tprime_grid.as_dict(),
+        "t_grid": preset.t_grid.as_dict(),
+        "tprime_grid": preset.tprime_grid.as_dict(),
         "class_eps": cfg.class_eps,
         "rise_tol": cfg.rise_tol,
     }
 
 
-def _run_sweep_job(job: _Job, cfg: RunConfig, out_dir: Path) -> dict:
+def _run_sweep_job(cfg: RunConfig, out_dir: Path) -> dict:
     """Influence versus the upper threshold while the component ratio ramps up."""
-    ts = job.t_grid.points()
+    preset = cfg.preset
+    ts = preset.t_grid.points()
     tprime = SWEEP_TPRIME
-    base = job.params
-    centres = {k: _num(base, k, "sweep") for k in ("omega0_1", "delta1", "omega0_2", "delta2")}
     rows: list[list] = []
     per_ratio: list[dict] = []
     for r in SWEEP_RATIOS:
-        dist = DoubleLorentzian(**centres, r=r)
-        # D = |k(t)|, F = |k(t)k(t')|, B = |k(t+t') - k(t)k(t')|, as in analytic_witnesses.
-        k_t = dephasing_function(dist, ts)
-        k_step = k_t * dephasing_function(dist, tprime)
-        influence = np.abs(dephasing_function(dist, ts + tprime) - k_step)
-        upper = np.abs(k_t) + np.abs(k_step)
+        d_t, forecast, influence, _ = analytic_witnesses(replace(preset.model, r=r), tprime, ts)
+        upper = d_t + forecast
         rows.extend(
             [t, r, b, u] for t, b, u in zip(ts.tolist(), influence.tolist(), upper.tolist())
         )
@@ -441,23 +370,25 @@ def _run_sweep_job(job: _Job, cfg: RunConfig, out_dir: Path) -> dict:
     _write_table(out_dir / "surface", SWEEP_COLUMNS, rows, cfg.fmt)
 
     # Profile along t for the final ratio, where the transition is fully developed.
-    profile = increasing_intervals(ts, np.abs(k_t), cfg.rise_tol)
+    profile = increasing_intervals(ts, d_t, cfg.rise_tol)
     _write_table(out_dir / "profile", PROFILE_COLUMNS, _profile_rows(profile), cfg.fmt)
+    parameters = asdict(preset.model)
+    del parameters["r"]
     return {
-        "scenario": job.name,
-        "parameters": {k: v for k, v in base.items() if k != "model"},
+        "scenario": preset.name,
+        "parameters": parameters,
         "tprime": tprime,
         "ratios": list(SWEEP_RATIOS),
         "per_ratio": per_ratio,
         "profile_ratio": SWEEP_RATIOS[-1],
         "measure": profile.total_increase(),
-        "t_grid": job.t_grid.as_dict(),
+        "t_grid": preset.t_grid.as_dict(),
         "class_eps": cfg.class_eps,
         "rise_tol": cfg.rise_tol,
     }
 
 
-def _run_check_job(job: _Job, cfg: RunConfig, out_dir: Path) -> dict:
+def _run_check_job(cfg: RunConfig, out_dir: Path) -> dict:
     """Correlation-split oracle: exact values on the maximally entangled pair,
     norm identity on random joint states."""
     bell_vec = np.zeros(4, dtype=complex)
@@ -474,12 +405,9 @@ def _run_check_job(job: _Job, cfg: RunConfig, out_dir: Path) -> dict:
             linalg.tensor_product(split.system, split.environment), bell.op
         )
     )
-    try:
-        worst_random = _check_correlation_split(np.random.default_rng(BELL_CHECK_SEED))
-    except AssertionError as exc:
-        raise InvariantViolation(f"correlation split failed on random states: {exc}") from exc
+    worst_random = _check_correlation_split(np.random.default_rng(BELL_CHECK_SEED))
     summary = {
-        "scenario": job.name,
+        "scenario": cfg.preset.name,
         "bell_correlation_norm": norm,
         "bell_norm_error": abs(norm - 1.5),
         "bell_marginal_error": marginal_err,
@@ -500,20 +428,17 @@ def _run_check_job(job: _Job, cfg: RunConfig, out_dir: Path) -> dict:
 
 def run(cfg: RunConfig) -> int:
     """Execute a run; returns the process exit status."""
-    job = _resolve_job(cfg)
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     try:
-        if job.kind in ("analytic", "chain"):
-            summary = _run_surface_job(job, cfg, out_dir)
-        elif job.kind == "sweep":
-            summary = _run_sweep_job(job, cfg, out_dir)
-        elif job.kind == "check":
-            summary = _run_check_job(job, cfg, out_dir)
+        if cfg.preset.kind == "surface":
+            summary = _run_surface_job(cfg, out_dir)
+        elif cfg.preset.kind == "sweep":
+            summary = _run_sweep_job(cfg, out_dir)
         else:
-            raise ConfigError(f"unknown job kind {job.kind!r}")
+            summary = _run_check_job(cfg, out_dir)
     except InvariantViolation as exc:
-        _write_summary(out_dir, {"scenario": job.name, "error": str(exc)})
+        _write_summary(out_dir, {"scenario": cfg.preset.name, "error": str(exc)})
         print(f"invariant violation: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
     _write_summary(out_dir, summary)
@@ -530,6 +455,12 @@ def list_presets() -> str:
 # --------------------------------------------------------------------------
 
 
+def _require(ok: bool, message: str) -> None:
+    """Audit check that survives ``python -O``, unlike ``assert``."""
+    if not ok:
+        raise InvariantViolation(message)
+
+
 def _check_trace_norm_triangle(rng):
     for _ in range(30):
         dim = int(rng.integers(2, 9))
@@ -537,8 +468,8 @@ def _check_trace_norm_triangle(rng):
         b = linalg.random_hermitian(dim, rng)
         na, nb = linalg.trace_norm(a), linalg.trace_norm(b)
         nd = linalg.trace_norm(a - b)
-        assert abs(na - nb) <= nd + 1e-10, "lower triangle bound failed"
-        assert nd <= na + nb + 1e-10, "upper triangle bound failed"
+        _require(abs(na - nb) <= nd + 1e-10, "lower triangle bound failed")
+        _require(nd <= na + nb + 1e-10, "upper triangle bound failed")
 
 
 def _check_contractivity(rng):
@@ -549,7 +480,8 @@ def _check_contractivity(rng):
         reduced = linalg.trace_distance(
             linalg.partial_trace(m1, ds, de), linalg.partial_trace(m2, ds, de)
         )
-        assert reduced <= linalg.trace_distance(m1, m2) + 1e-10, "partial trace expanded distance"
+        full = linalg.trace_distance(m1, m2)
+        _require(reduced <= full + 1e-10, "partial trace expanded distance")
 
 
 def _check_unitary_invariance(rng):
@@ -561,7 +493,7 @@ def _check_unitary_invariance(rng):
         u = linalg.unitary_at(eig, float(rng.uniform(0.1, 2.0)))
         before = linalg.trace_distance(r1, r2)
         after = linalg.trace_distance(linalg.conjugate(u, r1), linalg.conjugate(u, r2))
-        assert abs(before - after) <= 1e-10, "conjugation changed the distance"
+        _require(abs(before - after) <= 1e-10, "conjugation changed the distance")
 
 
 def _check_correlation_split(rng) -> float:
@@ -573,16 +505,16 @@ def _check_correlation_split(rng) -> float:
             joint = states.BipartiteState(states.random_density(ds * de, rng), ds, de)
             split = states.decompose(joint)
             recon = float(np.max(np.abs(split.reconstruct() - joint.op)))
-            assert recon <= 1e-12, f"reconstruction error {recon}"
+            _require(recon <= 1e-12, f"reconstruction error {recon}")
             for keep in ("system", "environment"):
                 marg = linalg.partial_trace(split.correlation, ds, de, keep)
-                assert float(np.max(np.abs(marg))) <= 1e-12, "correlation marginal not zero"
+                _require(float(np.max(np.abs(marg))) <= 1e-12, "correlation marginal not zero")
             lhs = split.correlation_norm()
             rhs = 2.0 * linalg.trace_distance(
                 linalg.tensor_product(split.system, split.environment), joint.op
             )
             worst = max(worst, abs(lhs - rhs))
-    assert worst <= 1e-10, f"norm identity failed: error {worst:.3e}"
+    _require(worst <= 1e-10, f"norm identity failed: error {worst:.3e}")
     return worst
 
 
@@ -608,9 +540,9 @@ def _check_bound_window(rng):
             t = float(rng.uniform(0.0, 2.0))
             tp = float(rng.uniform(0.0, 2.0))
             p = witness.evaluate_point(sc, tp, t)  # raises on a window escape
-            assert p.lower - 1e-9 <= p.delta_d <= p.upper + 1e-9
-            assert p.d_t - p.forecast >= -1e-9, "forecast exceeded current distance"
-            assert 0.0 <= p.influence <= 2.0 + 1e-12
+            _require(p.lower - 1e-9 <= p.delta_d <= p.upper + 1e-9, "change outside its window")
+            _require(p.d_t - p.forecast >= -1e-9, "forecast exceeded current distance")
+            _require(0.0 <= p.influence <= 2.0 + 1e-12, "influence outside [0, 2]")
 
 
 def _check_exponential_reference(rng):
@@ -618,14 +550,15 @@ def _check_exponential_reference(rng):
     ts = np.linspace(0.0, 3.0, 25)
     surface = analytic_surface(dist, ts, ts)
     worst_b = max(p.influence for p in surface.iter_points())
-    assert worst_b <= 1e-12, f"influence should vanish, got {worst_b}"
+    _require(worst_b <= 1e-12, f"influence should vanish, got {worst_b}")
     d_err = float(np.max(np.abs(surface.row_distances() - np.exp(-ts))))
-    assert d_err <= 1e-12, f"distance should decay exponentially, error {d_err}"
+    _require(d_err <= 1e-12, f"distance should decay exponentially, error {d_err}")
     for t in (0.1, 1.0, 2.5):
         eps_t, gamma_t = tcl_coefficients(dist, t)
-        assert abs(eps_t - 0.5) <= 1e-12 and abs(gamma_t - 0.5) <= 1e-12
+        rate_err = max(abs(eps_t - 0.5), abs(gamma_t - 0.5))
+        _require(rate_err <= 1e-12, f"rates ({eps_t}, {gamma_t}) should both be 0.5")
     profile = increasing_intervals(ts, surface.row_distances())
-    assert profile.total_increase() == 0.0
+    _require(profile.total_increase() == 0.0, "measure should vanish")
 
 
 def _check_closed_form_vs_model(rng):
@@ -633,12 +566,10 @@ def _check_closed_form_vs_model(rng):
     sc = full_model(env)
     for t in (0.3, 0.9):
         for tp in (0.0, 0.7):
-            point = witness.evaluate_point(sc, tp, t)
-            d_t, forecast, influence, delta_d = analytic_witnesses(env, tp, t)
-            assert abs(point.d_t - d_t) <= 1e-9
-            assert abs(point.forecast - forecast) <= 1e-9
-            assert abs(point.influence - influence) <= 1e-9
-            assert abs(point.delta_d - delta_d) <= 1e-9
+            p = witness.evaluate_point(sc, tp, t)
+            got = (p.d_t, p.forecast, p.influence, p.delta_d)
+            err = max(abs(a - b) for a, b in zip(got, analytic_witnesses(env, tp, t)))
+            _require(err <= 1e-9, f"point ({t}, {tp}) is {err:.3e} off the closed form")
 
 
 def _check_chain_conservation(rng):
@@ -647,16 +578,16 @@ def _check_chain_conservation(rng):
     h = spinchain.build_hamiltonian(spec)
     total_z = sum(spinchain.pauli_site("z", n, spec.sites + 1) for n in range(spec.sites + 1))
     comm = h @ total_z - total_z @ h
-    assert float(np.max(np.abs(comm))) <= 1e-10, "magnetization not conserved"
+    _require(float(np.max(np.abs(comm))) <= 1e-10, "magnetization not conserved")
     e0 = float(np.trace(h @ sc.state1.op).real)
     for t in (0.5, 1.5):
         s1, s2 = witness.evolve_pair(sc, t)
-        assert abs(float(np.trace(h @ s1.op).real) - e0) <= 1e-9, "energy drifted"
+        _require(abs(float(np.trace(h @ s1.op).real) - e0) <= 1e-9, "energy drifted")
         purity = float(np.trace(s1.op @ s1.op).real)
-        assert abs(purity - 1.0) <= 1e-9, "purity drifted"
+        _require(abs(purity - 1.0) <= 1e-9, "purity drifted")
         d_t = witness.reduced_distance(sc, t)
         f = witness.forecast_distance(sc, 0.8, t)
-        assert f <= d_t + 1e-9, "forecast above current distance"
+        _require(f <= d_t + 1e-9, "forecast above current distance")
 
 
 AUDIT_CHECKS = (
@@ -720,13 +651,13 @@ def _cmd_run(args) -> int:
     if args.config:
         cfg = parse_config(args.config)
     elif args.preset:
-        cfg = RunConfig(scenario={"preset": args.preset})
+        cfg = RunConfig(preset=_find_preset(args.preset))
     else:
         raise ConfigError("run needs a config file or --preset")
     if args.out:
-        cfg = RunConfig(**{**cfg.__dict__, "out_dir": args.out})
+        cfg = replace(cfg, out_dir=args.out)
     if args.format:
-        cfg = RunConfig(**{**cfg.__dict__, "fmt": args.format})
+        cfg = replace(cfg, fmt=args.format)
     return run(cfg)
 
 
@@ -745,9 +676,6 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
-    except InvariantViolation as exc:
-        print(f"invariant violation: {exc}", file=sys.stderr)
-        return EXIT_INVARIANT
 
 
 def console_main() -> None:

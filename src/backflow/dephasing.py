@@ -14,6 +14,7 @@ directly. The two routes must agree, which makes them mutually validating.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Union
 
@@ -25,7 +26,6 @@ from .witness import ScenarioPair, WitnessPoint, WitnessSurface
 
 PROB_TOL = 1e-12
 SINGULAR_TOL = 1e-12
-FULL_MODEL_DIM_CAP = 4096
 DEFAULT_MODES = 2048
 DEFAULT_WINDOW = 40.0
 
@@ -42,8 +42,10 @@ class SingleLorentzian:
     delta: float
 
     def __post_init__(self):
-        if self.delta <= 0:
-            raise ValueError(f"width must be positive, got {self.delta}")
+        if not math.isfinite(self.omega0):
+            raise ValueError(f"center must be finite, got {self.omega0}")
+        if not 0 < self.delta < math.inf:
+            raise ValueError(f"width must be positive and finite, got {self.delta}")
 
 
 @dataclass(frozen=True)
@@ -57,10 +59,14 @@ class DoubleLorentzian:
     r: float
 
     def __post_init__(self):
-        if self.delta1 <= 0 or self.delta2 <= 0:
-            raise ValueError(f"widths must be positive, got ({self.delta1}, {self.delta2})")
-        if self.r < 0:
-            raise ValueError(f"component ratio must be nonnegative, got {self.r}")
+        if not (math.isfinite(self.omega0_1) and math.isfinite(self.omega0_2)):
+            raise ValueError(f"centers must be finite, got ({self.omega0_1}, {self.omega0_2})")
+        if not (0 < self.delta1 < math.inf and 0 < self.delta2 < math.inf):
+            raise ValueError(
+                f"widths must be positive and finite, got ({self.delta1}, {self.delta2})"
+            )
+        if not 0 <= self.r < math.inf:
+            raise ValueError(f"component ratio must be nonnegative and finite, got {self.r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -75,10 +81,12 @@ class Discrete:
         p = np.asarray(self.probs, dtype=float)
         if f.ndim != 1 or p.shape != f.shape or f.size == 0:
             raise ValueError("freqs and probs must be matching nonempty 1-d arrays")
-        if np.any(p < 0):
+        if not np.all(np.isfinite(f)):
+            raise ValueError("frequencies must be finite")
+        if not np.all(p >= 0):
             raise ValueError("probabilities must be nonnegative")
         total = float(p.sum())
-        if abs(total - 1.0) > PROB_TOL:
+        if not abs(total - 1.0) <= PROB_TOL:
             raise ValueError(f"probabilities sum to {total:.15g}, expected 1")
         object.__setattr__(self, "freqs", f)
         object.__setattr__(self, "probs", p)
@@ -166,9 +174,10 @@ def analytic_witnesses(
     """(d_t, forecast, influence, delta_d) for the optimal +/- initial pair.
 
     All four reduce to moduli of k: D = |k(t)|, F = |k(t)k(t')|,
-    B = |k(t+t') - k(t)k(t')| and delta_d = |k(t+t')| - |k(t)|.
+    B = |k(t+t') - k(t)k(t')| and delta_d = |k(t+t')| - |k(t)|. Array
+    times broadcast against each other and give arrays.
     """
-    if t < 0 or tprime < 0:
+    if np.any(np.asarray(t) < 0) or np.any(np.asarray(tprime) < 0):
         raise ValueError("times must be nonnegative")
     kt = dephasing_function(dist, t)
     ktp = dephasing_function(dist, tprime)
@@ -200,8 +209,12 @@ def analytic_surface(
     """Closed-form witness surface over a (t, t') product grid."""
     ts = witness._require_grid(t_grid, "t grid")
     tps = witness._require_grid(tprime_grid, "t' grid")
+    d_t, forecast, influence, delta_d = analytic_witnesses(dist, tps[None, :], ts[:, None])
+    columns = np.broadcast_arrays(d_t, d_t + delta_d, forecast, influence)
+    values = np.stack(columns, axis=-1).tolist()
     rows = tuple(
-        tuple(analytic_point(dist, tp, t, eps) for tp in tps) for t in ts
+        tuple(witness.checked_point(t, tp, *v, eps=eps) for tp, v in zip(tps.tolist(), row))
+        for t, row in zip(ts.tolist(), values)
     )
     return WitnessSurface(t_grid=ts, tprime_grid=tps, points=rows)
 
@@ -300,8 +313,10 @@ def full_model(
     the discrete k. Default initial pair: the +/- states.
     """
     modes = int(env.freqs.size)
-    if modes > FULL_MODEL_DIM_CAP:
-        raise ValueError(f"{modes} modes exceed the dense-storage cap {FULL_MODEL_DIM_CAP}")
+    if 2 * modes > linalg.DENSE_DIM_CAP:
+        raise ValueError(
+            f"total dimension 2 * {modes} = {2 * modes} exceeds cap {linalg.DENSE_DIM_CAP}"
+        )
     if pair is None:
         pair = plus_minus_pair()
     amp = np.sqrt(env.probs).astype(complex)

@@ -19,6 +19,9 @@ HERMITICITY_TOL = 1e-10
 PSD_TOL = 1e-9
 TRACE_TOL = 1e-9
 EIG_RESIDUAL_TOL = 1e-9
+# Largest total dimension a model may store densely: one complex matrix of
+# this size takes 256 MiB, and a point holds several.
+DENSE_DIM_CAP = 4096
 
 
 def as_complex_matrix(a) -> np.ndarray:

@@ -10,6 +10,7 @@ eigenstate of sigma_z.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,8 +25,6 @@ PAULI = {
     "z": np.array([[1, 0], [0, -1]], dtype=complex),
 }
 
-DIM_CAP = 4096
-
 
 @dataclass(frozen=True)
 class SpinChainSpec:
@@ -37,14 +36,19 @@ class SpinChainSpec:
     field: float = 0.0
 
     def __post_init__(self):
-        if self.sites < 1:
+        if not self.sites >= 1:
             raise ValueError(f"need at least one environment site, got {self.sites}")
-        if self.exchange <= 0:
-            raise ValueError(f"chain exchange must be positive, got {self.exchange}")
-        if self.dim > DIM_CAP:
+        if not 0 < self.exchange < math.inf:
+            raise ValueError(f"chain exchange must be positive and finite, got {self.exchange}")
+        if not (math.isfinite(self.probe_exchange) and math.isfinite(self.field)):
             raise ValueError(
-                f"total dimension 2^{self.sites + 1} = {self.dim} exceeds cap {DIM_CAP}"
+                f"probe exchange and field must be finite, "
+                f"got ({self.probe_exchange}, {self.field})"
             )
+        cap = linalg.DENSE_DIM_CAP
+        # compares exponents, so a huge site count never builds 2^(sites + 1)
+        if self.sites + 1 >= cap.bit_length():
+            raise ValueError(f"total dimension 2^{self.sites + 1} exceeds cap {cap}")
 
     @property
     def dim(self) -> int:

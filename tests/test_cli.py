@@ -1,9 +1,14 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import backflow
 from backflow import cli
 from backflow.cli import (
     EXIT_CONFIG_ERROR,
@@ -159,6 +164,10 @@ path = {out}
         summary = read_summary(out)
         assert summary["points"] == 25
         assert summary["max_bound_violation"] == 0.0
+        assert summary["parameters"] == {
+            "sites": 3, "exchange": 1.0, "probe_exchange": 1.0, "field": 0.01,
+        }
+        assert isinstance(summary["parameters"]["sites"], int)
 
     def test_preset_with_grid_override(self, tmp_path):
         out = tmp_path / "po"
@@ -245,6 +254,32 @@ class TestConfigErrors:
         assert main(["run", str(cfg)]) == EXIT_CONFIG_ERROR
         assert not (tmp_path / "out" / "summary.json").exists()
 
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            ("model = single_lorentzian\nomega0 = 1\ndelta = -1.0\n", "width"),
+            (
+                "model = double_lorentzian\nomega0_1 = 1\ndelta1 = 1\n"
+                "omega0_2 = 9\ndelta2 = 1\nr = -0.5\n",
+                "ratio",
+            ),
+            ("model = spin_chain\nexchange = 1\nprobe_exchange = 1\nfield = 0\n", "'sites'"),
+            (
+                "model = spin_chain\nsites = 12\nexchange = 1\nprobe_exchange = 1\nfield = 0\n",
+                "cap",
+            ),
+        ],
+        ids=["delta-negative", "r-negative", "sites-missing", "sites-over-cap"],
+    )
+    def test_invalid_model_parameter(self, tmp_path, capsys, text, expected):
+        cfg = tmp_path / "bad.ini"
+        cfg.write_text(f"[scenario]\n{text}\n[output]\npath = {tmp_path / 'out'}\n")
+        assert main(["run", str(cfg)]) == EXIT_CONFIG_ERROR
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert expected in err
+        assert not (tmp_path / "out" / "summary.json").exists()
+
 
 class TestInvariantExit:
     def test_violation_maps_to_exit_2(self, tmp_path, monkeypatch):
@@ -259,7 +294,7 @@ class TestInvariantExit:
     def test_bell_check_failure_exits_2(self, tmp_path, monkeypatch, capsys, failure):
         def broken_split_check(rng):
             if failure == "assertion":
-                raise AssertionError("reconstruction error 1.0")
+                raise InvariantViolation("reconstruction error 1.0")
             return 1.0
 
         monkeypatch.setattr(cli, "_check_correlation_split", broken_split_check)
@@ -298,6 +333,25 @@ class TestAudit:
         out = capsys.readouterr().out
         assert out.count("PASS") == len(cli.AUDIT_CHECKS)
         assert "FAIL" not in out
+
+    def test_broken_trace_norm_fails_under_optimize(self):
+        # -O strips assert statements; the audit checks must not depend on them
+        script = (
+            "import sys\n"
+            "from backflow import cli, linalg\n"
+            "norm = linalg.trace_norm\n"
+            "linalg.trace_norm = lambda a, tol=linalg.HERMITICITY_TOL: 3.0 * norm(a, tol)\n"
+            "sys.exit(cli.main(['audit']))\n"
+        )
+        src = str(Path(backflow.__file__).resolve().parents[1])
+        path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+        env = {**os.environ, "PYTHONPATH": path}
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            capture_output=True, text=True, env=env, timeout=300,
+        )
+        assert proc.returncode == EXIT_INVARIANT, proc.stdout + proc.stderr
+        assert f"{len(cli.AUDIT_CHECKS) - 1}/{len(cli.AUDIT_CHECKS)} checks passed" in proc.stdout
 
 
 def test_all_cheap_presets_run(tmp_path):

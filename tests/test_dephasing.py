@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from backflow import linalg, witness
+from backflow.cli import GridSpec
 from backflow.dephasing import (
     DiagonalPropagator,
     Discrete,
@@ -18,6 +19,7 @@ from backflow.dephasing import (
     full_model,
     tcl_coefficients,
 )
+from backflow.spinchain import SpinChainSpec
 from backflow.states import plus_minus_pair
 from backflow.witness import Classification
 
@@ -298,11 +300,39 @@ class TestFullModel:
             assert linalg.trace_distance(s1.environment(), s2.environment()) <= 1e-10
 
     def test_oversized_environment_rejected(self):
-        big = Discrete(freqs=np.arange(5000, dtype=float), probs=np.full(5000, 1 / 5000))
-        with pytest.raises(ValueError, match="cap"):
-            full_model(big)
+        # the cap counts the qubit too: 2049 modes make 4098 dimensions
+        for modes in (2049, 5000):
+            big = Discrete(freqs=np.arange(modes, dtype=float), probs=np.full(modes, 1 / modes))
+            with pytest.raises(ValueError, match="cap"):
+                full_model(big)
 
     def test_non_finite_point_raises(self):
-        env = Discrete(freqs=np.array([np.nan]), probs=np.array([1.0]))
-        with pytest.raises(witness.InvariantViolation):
-            analytic_point(env, 0.1, 0.2)
+        # an infinite time turns k(t) into NaN, which must fail the window check
+        env = Discrete(freqs=np.array([1.0]), probs=np.array([1.0]))
+        with np.errstate(invalid="ignore"), pytest.raises(witness.InvariantViolation):
+            analytic_point(env, 0.1, np.inf)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: SingleLorentzian(1.0, np.nan),
+        lambda: DoubleLorentzian(1.0, 1.0, 9.0, 1.0, np.nan),
+        lambda: SpinChainSpec(2, exchange=np.nan),
+        lambda: Discrete(np.array([np.nan, 1.0]), np.array([0.5, 0.5])),
+        lambda: GridSpec(0.0, np.nan, 3),
+        lambda: SingleLorentzian(np.inf, 1.0),
+        lambda: DoubleLorentzian(1.0, np.inf, 9.0, 1.0, 1.0),
+        lambda: SpinChainSpec(2, field=np.inf),
+        lambda: Discrete(np.array([1.0, 2.0]), np.array([np.nan, 1.0])),
+        lambda: GridSpec(np.inf, np.inf, 3),
+    ],
+    ids=[
+        "single-delta-nan", "double-r-nan", "chain-exchange-nan", "discrete-freq-nan",
+        "grid-max-nan", "single-omega0-inf", "double-delta1-inf", "chain-field-inf",
+        "discrete-prob-nan", "grid-min-inf",
+    ],
+)
+def test_non_finite_parameters_rejected(build):
+    with pytest.raises(ValueError):
+        build()

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from backflow import linalg, witness
+from backflow.linalg import DENSE_DIM_CAP
 from backflow.spinchain import (
-    DIM_CAP,
     PAULI,
     SpinChainSpec,
     build_hamiltonian,
@@ -65,9 +65,10 @@ class TestHamiltonian:
 
     def test_dimension_cap(self):
         # checked on the spec alone, before any matrix is allocated
-        assert SpinChainSpec(sites=11).dim == DIM_CAP
-        with pytest.raises(ValueError, match="cap"):
-            SpinChainSpec(sites=12)
+        assert SpinChainSpec(sites=11).dim == DENSE_DIM_CAP
+        for sites in (12, 10**9):
+            with pytest.raises(ValueError, match="cap"):
+                SpinChainSpec(sites=sites)
 
     def test_invalid_couplings(self):
         with pytest.raises(ValueError):

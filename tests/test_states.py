@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from backflow import linalg, states
 from backflow.states import BipartiteState, decompose, plus_minus_pair, pure_qubit
@@ -87,6 +89,18 @@ class TestDecompose:
     def test_rejects_non_state(self):
         with pytest.raises(TypeError):
             decompose(np.eye(4) / 4)
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(ds=st.integers(2, 4), de=st.integers(2, 4), seed=st.integers(0, 2**32 - 1))
+    def test_split_identities_hold_on_random_states(self, ds, de, seed):
+        joint = BipartiteState(random_density_direct(ds * de, np.random.default_rng(seed)), ds, de)
+        split = decompose(joint)
+        assert np.max(np.abs(split.reconstruct() - joint.op)) <= 1e-12
+        for keep in ("system", "environment"):
+            assert np.max(np.abs(linalg.partial_trace(split.correlation, ds, de, keep))) <= 1e-12
+        product = linalg.tensor_product(split.system, split.environment)
+        distance = linalg.trace_distance(product, joint.op)
+        assert abs(split.correlation_norm() - 2 * distance) <= 1e-10
 
 
 class TestPureQubit:
