@@ -92,8 +92,7 @@ def distance_profile(
 ) -> MonotonicityProfile:
     """Reduced trace distance sampled along ``times``, with growth intervals."""
     ts = np.asarray(times, dtype=float)
-    values = np.array([witness.reduced_distance(sc, t) for t in ts])
-    return increasing_intervals(ts, values, rise_tol)
+    return increasing_intervals(ts, witness.reduced_distance(sc, ts), rise_tol)
 
 
 def bloch_pair_grid(

@@ -27,6 +27,7 @@ import numpy as np
 from . import blp, linalg, spinchain, states, witness
 from .blp import MonotonicityProfile, increasing_intervals
 from .dephasing import (
+    DiagonalPropagator,
     DoubleLorentzian,
     SingleLorentzian,
     analytic_surface,
@@ -168,6 +169,9 @@ PRESETS: dict[str, Preset] = {
 # --------------------------------------------------------------------------
 
 _KNOWN_SECTIONS = {"scenario", "t_grid", "tprime_grid", "tolerances", "output"}
+# Sections a kind of job has no use for: the sweep runs at the fixed
+# SWEEP_TPRIME, and the check job evaluates no grid and no tolerance.
+_UNUSED_SECTIONS = {"sweep": {"tprime_grid"}, "check": {"t_grid", "tprime_grid", "tolerances"}}
 
 
 def _parse_float(raw: str, where: str) -> float:
@@ -247,6 +251,10 @@ def parse_config(path: str | Path) -> RunConfig:
         raise ConfigError("config must have a [scenario] section")
     grids = {name: _parse_grid(cp[name], name) for name in ("t_grid", "tprime_grid") if name in cp}
     preset = _parse_scenario(dict(cp["scenario"]), grids)
+    unused = sorted(_UNUSED_SECTIONS.get(preset.kind, set()) & set(cp.sections()))
+    if unused:
+        listed = ", ".join(f"[{name}]" for name in unused)
+        raise ConfigError(f"preset {preset.name} does not use the section(s) {listed}")
 
     tolerances = dict(cp["tolerances"]) if "tolerances" in cp else {}
     extra = set(tolerances) - {"class_eps", "rise_tol"}
@@ -533,6 +541,19 @@ def _random_scenario(rng) -> witness.ScenarioPair:
     return witness.ScenarioPair(state1=s1, state2=s2, propagator=eig)
 
 
+def _check_spectral_reduction(rng):
+    """The eigenbasis reduced state against the dense evolve-then-trace path."""
+    for _ in range(10):
+        ds, de = int(rng.integers(2, 4)), int(rng.integers(2, 5))
+        mat = linalg.random_hermitian(ds * de, rng)
+        times = np.concatenate([[0.0], rng.uniform(0.0, 3.0, size=4)])
+        eig = linalg.hermitian_eigensystem(linalg.random_hermitian(ds * de, rng))
+        for prop in (witness.EigenPropagator(eig), DiagonalPropagator(rng.normal(size=ds * de))):
+            dense = [linalg.partial_trace(prop.evolve(mat, t), ds, de) for t in times]
+            err = float(np.max(np.abs(prop.reduced(mat, times, ds, de) - dense)))
+            _require(err <= 1e-12, f"{type(prop).__name__} reduced state is {err:.3e} off")
+
+
 def _check_bound_window(rng):
     for _ in range(25):
         sc = _random_scenario(rng)
@@ -599,6 +620,7 @@ AUDIT_CHECKS = (
     ("exponential-decay reference model", _check_exponential_reference),
     ("closed form agrees with the explicit mode model", _check_closed_form_vs_model),
     ("spin chain conservation laws", _check_chain_conservation),
+    ("eigenbasis reduced states match dense evolution", _check_spectral_reduction),
 )
 
 

@@ -297,8 +297,23 @@ class DiagonalPropagator:
         return np.diag(self.phases(t))
 
     def evolve(self, mat: np.ndarray, t: float) -> np.ndarray:
+        """U(t) mat U(t)^dagger; a stack of matrices is evolved in one call."""
         p = self.phases(t)
         return mat * np.outer(p, p.conj())
+
+    def reduced(self, mat: np.ndarray, times, ds: int, de: int) -> np.ndarray:
+        """Tr_E[U(t) mat U(t)^dagger] at every t of ``times``.
+
+        Only the entries mat[(a, e), (b, e)] reach the reduced state, each
+        twisted by the phases of its two levels: O(dim) work per time.
+        Returns shape ``np.shape(times) + (ds, ds)``.
+        """
+        if ds * de != self.dim:
+            raise ValueError(f"factors ({ds}, {de}) do not match dimension {self.dim}")
+        ts = np.asarray(times, dtype=float)
+        diag = np.einsum("aebe->abe", np.reshape(mat, (ds, de, ds, de)))
+        p = np.exp(1j * np.multiply.outer(ts, self._rates)).reshape(ts.shape + (ds, de))
+        return np.einsum("...ae,abe,...be->...ab", p, diag, p.conj())
 
 
 def full_model(

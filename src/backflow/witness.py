@@ -28,7 +28,6 @@ from .states import BipartiteState
 
 DEFAULT_CLASS_EPS = 1e-9
 BOUND_TOL = 1e-9
-UNITARY_CACHE_SIZE = 128
 
 
 class Classification(str, Enum):
@@ -45,13 +44,13 @@ class EigenPropagator:
     """One-parameter unitary group U(t) = exp(-i H t) from an eigensystem of H.
 
     Time-homogeneous: the step operator between t and t + t' is U(t').
-    Unitaries are cached per distinct time so grid sweeps reuse them; the
-    cache is cleared wholesale when it outgrows ``UNITARY_CACHE_SIZE``.
+    Reduced states are computed in the eigenbasis without forming U(t);
+    the partial-trace kernels they need are built on first use.
     """
 
     def __init__(self, eig: HermitianEigenSystem):
         self._eig = eig
-        self._cache: dict[float, np.ndarray] = {}
+        self._kernels: dict[tuple[int, int, int], np.ndarray] = {}
 
     @property
     def dim(self) -> int:
@@ -62,26 +61,49 @@ class EigenPropagator:
         return self._eig
 
     def unitary(self, t: float) -> np.ndarray:
-        key = float(t)
-        u = self._cache.get(key)
-        if u is None:
-            u = linalg.unitary_at(self._eig, key)
-            if len(self._cache) >= UNITARY_CACHE_SIZE:
-                self._cache.clear()
-            self._cache[key] = u
-        return u
+        return linalg.unitary_at(self._eig, t)
 
     def evolve(self, mat: np.ndarray, t: float) -> np.ndarray:
+        """U(t) mat U(t)^dagger; a stack of matrices is evolved in one call."""
         u = self.unitary(t)
         return u @ mat @ u.conj().T
+
+    def _kernel(self, a: int, b: int, ds: int) -> np.ndarray:
+        """G^{ab}_{ij} = sum_e V_{ae,i} conj(V_{be,j}); stored for a <= b only."""
+        if a > b:
+            return self._kernel(b, a, ds).conj().T
+        key = (ds, a, b)
+        if key not in self._kernels:
+            v = self._eig.vectors.reshape(ds, -1, self.dim)
+            self._kernels[key] = v[a].T @ v[b].conj()
+        return self._kernels[key]
+
+    def reduced(self, mat: np.ndarray, times, ds: int, de: int) -> np.ndarray:
+        """Tr_E[U(t) mat U(t)^dagger] at every t of ``times``.
+
+        With mat~ = V^dagger mat V and phi = exp(-i w t), entry (a, b) is
+        phi^T (mat~ o G^{ab}) conj(phi): one product over the whole time
+        grid per entry. Returns shape ``np.shape(times) + (ds, ds)``.
+        """
+        if ds * de != self.dim:
+            raise ValueError(f"factors ({ds}, {de}) do not match dimension {self.dim}")
+        v = self._eig.vectors
+        x = v.conj().T @ mat @ v
+        phi = np.exp(-1j * np.multiply.outer(np.asarray(times, dtype=float), self._eig.values))
+        out = np.empty(phi.shape[:-1] + (ds, ds), dtype=complex)
+        for a in range(ds):
+            for b in range(ds):
+                out[..., a, b] = np.sum((phi @ (x * self._kernel(a, b, ds))) * phi.conj(), -1)
+        return out
 
 
 @dataclass(frozen=True, eq=False)
 class ScenarioPair:
     """Two initial total states plus a shared propagator.
 
-    ``propagator`` is anything with ``dim`` and ``evolve(mat, t)``; a bare
-    HermitianEigenSystem of a total Hamiltonian is wrapped automatically.
+    ``propagator`` is anything with ``dim``, ``evolve(mat, t)`` and
+    ``reduced(mat, times, ds, de)``; a bare HermitianEigenSystem of a total
+    Hamiltonian is wrapped automatically.
     """
 
     state1: BipartiteState
@@ -98,8 +120,10 @@ class ScenarioPair:
         if isinstance(prop, HermitianEigenSystem):
             prop = EigenPropagator(prop)
             object.__setattr__(self, "propagator", prop)
-        if not hasattr(prop, "evolve") or not hasattr(prop, "dim"):
-            raise TypeError("propagator must expose 'evolve(mat, t)' and 'dim'")
+        if not all(hasattr(prop, name) for name in ("dim", "evolve", "reduced")):
+            raise TypeError(
+                "propagator must expose 'dim', 'evolve(mat, t)' and 'reduced(mat, times, ds, de)'"
+            )
         if prop.dim != self.state1.dim:
             raise ValueError(
                 f"propagator dimension {prop.dim} does not match state dimension {self.state1.dim}"
@@ -240,18 +264,26 @@ def evolve_pair(sc: ScenarioPair, t: float) -> tuple[BipartiteState, BipartiteSt
     )
 
 
-def _evolved_ops(sc: ScenarioPair, t: float) -> tuple[np.ndarray, np.ndarray]:
-    """Evolved total operators without density re-validation.
+def _require_times(times, name: str = "time") -> np.ndarray:
+    """Times as a float array, rejecting non-finite and negative entries."""
+    ts = np.asarray(times, dtype=float)
+    if not np.all(np.isfinite(ts)):
+        raise ValueError(f"{name} must be finite, got {times}")
+    if np.any(ts < 0):
+        raise ValueError(f"{name} must be nonnegative, got {times}")
+    return ts
+
+
+def _evolved_ops(sc: ScenarioPair, t: float) -> np.ndarray:
+    """Both evolved total operators, stacked, without density re-validation.
 
     Conjugation by a unitary cannot break Hermiticity, trace or positivity
     beyond floating-point dust, so internal sweeps skip the eigenvalue
     check that BipartiteState construction would repeat at every time.
     """
-    if t < 0:
-        raise ValueError(f"time must be nonnegative, got {t}")
-    if t == 0:
-        return sc.state1.op, sc.state2.op
-    return sc.propagator.evolve(sc.state1.op, t), sc.propagator.evolve(sc.state2.op, t)
+    _require_times(t)
+    ops = np.stack([sc.state1.op, sc.state2.op])
+    return ops if t == 0 else sc.propagator.evolve(ops, t)
 
 
 @dataclass(frozen=True, eq=False)
@@ -292,33 +324,34 @@ def _build_row(sc: ScenarioPair, t: float, env_label: int = 1) -> _Row:
     )
 
 
-def _reduced_after(sc: ScenarioPair, mat: np.ndarray, tprime: float) -> np.ndarray:
-    return linalg.partial_trace(sc.propagator.evolve(mat, tprime), sc.ds, sc.de, "system")
-
-
-def _point_from_row(
-    sc: ScenarioPair, row: _Row, tprime: float, eps: float = DEFAULT_CLASS_EPS
-) -> WitnessPoint:
-    if tprime < 0:
-        raise ValueError(f"time step must be nonnegative, got {tprime}")
-    reduced_forecast = _reduced_after(sc, row.x_forecast, tprime)
-    reduced_influence = _reduced_after(sc, row.x_influence, tprime)
-    return checked_point(
-        row.t, tprime, row.d_t,
-        d_next=0.5 * linalg.trace_norm(reduced_forecast + reduced_influence),
-        forecast=0.5 * linalg.trace_norm(reduced_forecast),
-        influence=0.5 * linalg.trace_norm(reduced_influence),
-        eps=eps,
+def _row_points(
+    sc: ScenarioPair, row: _Row, tprimes: np.ndarray, eps: float = DEFAULT_CLASS_EPS
+) -> tuple[WitnessPoint, ...]:
+    """The points of one row at every t' of ``tprimes``, from one reduced-state
+    call per row operator."""
+    forecast = sc.propagator.reduced(row.x_forecast, tprimes, sc.ds, sc.de)
+    influence = sc.propagator.reduced(row.x_influence, tprimes, sc.ds, sc.de)
+    return tuple(
+        checked_point(
+            row.t, tp, row.d_t,
+            d_next=0.5 * linalg.trace_norm(f + b),
+            forecast=0.5 * linalg.trace_norm(f),
+            influence=0.5 * linalg.trace_norm(b),
+            eps=eps,
+        )
+        for tp, f, b in zip(tprimes.tolist(), forecast, influence)
     )
 
 
-def reduced_distance(sc: ScenarioPair, t: float) -> float:
-    """Trace distance between the two reduced system states at time t."""
-    op1, op2 = _evolved_ops(sc, t)
-    return linalg.trace_distance(
-        linalg.partial_trace(op1, sc.ds, sc.de, "system"),
-        linalg.partial_trace(op2, sc.ds, sc.de, "system"),
-    )
+def reduced_distance(sc: ScenarioPair, t):
+    """Trace distance between the two reduced system states at time t.
+
+    Array times give an array, from one reduced-state call.
+    """
+    ts = _require_times(t)
+    diffs = sc.propagator.reduced(sc.state1.op - sc.state2.op, ts, sc.ds, sc.de)
+    dist = [0.5 * linalg.trace_norm(m) for m in diffs.reshape(-1, sc.ds, sc.ds)]
+    return dist[0] if ts.ndim == 0 else np.reshape(dist, ts.shape)
 
 
 def forecast_distance(sc: ScenarioPair, tprime: float, t: float, env_label: int = 1) -> float:
@@ -327,10 +360,7 @@ def forecast_distance(sc: ScenarioPair, tprime: float, t: float, env_label: int 
 
     Contractive: at most D(t), with equality at t' = 0.
     """
-    row = _build_row(sc, t, env_label)
-    if tprime < 0:
-        raise ValueError(f"time step must be nonnegative, got {tprime}")
-    return 0.5 * linalg.trace_norm(_reduced_after(sc, row.x_forecast, tprime))
+    return evaluate_point(sc, tprime, t, env_label=env_label).forecast
 
 
 def correlation_influence(sc: ScenarioPair, tprime: float, t: float, env_label: int = 1) -> float:
@@ -340,19 +370,12 @@ def correlation_influence(sc: ScenarioPair, tprime: float, t: float, env_label: 
     Lies in [0, 2]; zero whenever correlations and environment differences
     have no effect on the reduced pair.
     """
-    row = _build_row(sc, t, env_label)
-    if tprime < 0:
-        raise ValueError(f"time step must be nonnegative, got {tprime}")
-    return 0.5 * linalg.trace_norm(_reduced_after(sc, row.x_influence, tprime))
+    return evaluate_point(sc, tprime, t, env_label=env_label).influence
 
 
 def distance_change(sc: ScenarioPair, tprime: float, t: float) -> float:
     """D(t + t') - D(t)."""
-    row = _build_row(sc, t)
-    if tprime < 0:
-        raise ValueError(f"time step must be nonnegative, got {tprime}")
-    reduced = _reduced_after(sc, row.x_forecast + row.x_influence, tprime)
-    return 0.5 * linalg.trace_norm(reduced) - row.d_t
+    return evaluate_point(sc, tprime, t).delta_d
 
 
 def weak_upper_bound(sc: ScenarioPair, t: float) -> float:
@@ -379,16 +402,16 @@ def evaluate_point(
     env_label: int = 1,
 ) -> WitnessPoint:
     """All witnesses at one (t, t'), with bounds checked and classified."""
-    return _point_from_row(sc, _build_row(sc, t, env_label), tprime, eps)
+    tps = _require_times(tprime, "time step").reshape(1)
+    return _row_points(sc, _build_row(sc, t, env_label), tps, eps)[0]
 
 
 def _require_grid(grid, name: str) -> np.ndarray:
     g = np.asarray(grid, dtype=float)
     if g.ndim != 1 or g.size == 0:
         raise ValueError(f"{name} must be a nonempty 1-d array")
-    if g[0] < 0:
-        raise ValueError(f"{name} must be nonnegative")
-    if g.size > 1 and np.any(np.diff(g) <= 0):
+    _require_times(g, name)
+    if np.any(np.diff(g) <= 0):
         raise ValueError(f"{name} must be strictly ascending")
     return g
 
@@ -403,15 +426,11 @@ def evaluate_surface(
     """Witness points over the full (t, t') product grid.
 
     Per-t quantities (reduced states, environments, correlations) are
-    computed once per row and reused across the t' sweep.
+    computed once per row and reused across the t' sweep. A row holds
+    several full-dimension operators; building each one inside the
+    generator frees it before the next, so only one row is alive at a time.
     """
     ts = _require_grid(t_grid, "t grid")
     tps = _require_grid(tprime_grid, "t' grid")
-
-    def eval_row(t: float) -> tuple[WitnessPoint, ...]:
-        # A row holds several full-dimension operators; building it inside a
-        # call frees it on return, so only one row is alive at a time.
-        row = _build_row(sc, t, env_label)
-        return tuple(_point_from_row(sc, row, tp, eps) for tp in tps)
-
-    return WitnessSurface(t_grid=ts, tprime_grid=tps, points=tuple(eval_row(t) for t in ts))
+    points = tuple(_row_points(sc, _build_row(sc, t, env_label), tps, eps) for t in ts)
+    return WitnessSurface(t_grid=ts, tprime_grid=tps, points=points)

@@ -27,7 +27,7 @@ from backflow.spinchain import SpinChainSpec
 from backflow.states import BipartiteState
 from backflow.witness import Classification, ScenarioPair, evaluate_point
 
-from conftest import double_lorentzian_k_direct
+from conftest import chain_transfer_amplitude_direct, double_lorentzian_k_direct
 
 BOUND_TOL = 1e-9
 CLASS_EPS = 1e-9
@@ -308,6 +308,24 @@ def test_criterion_5_spin_chain(fig3_run):
         f"{len(certified_early)} certified-increase points with J(t+t')<3, "
         f"worst bound excess {worst:.3e} over 1600 points",
     )
+
+
+def test_fig3_distances_match_transfer_amplitude(fig3_run):
+    """D(t) and D(t + t') of the 512-dimensional run against |f| of the
+    9-dimensional single-excitation sector, on every point."""
+    rows, summary = fig3_run
+    chain = summary["parameters"]
+    assert chain == dict(sites=8, exchange=1.0, probe_exchange=1.0, field=0.01)
+    t = np.array([row["t"] for row in rows])
+    tprime = np.array([row["tprime"] for row in rows])
+    d_t = np.array([row["D_t"] for row in rows])
+    d_next = np.array([row["D_tplus"] for row in rows])
+    assert len(rows) == 1600
+    worst = max(
+        float(np.max(np.abs(d_t - chain_transfer_amplitude_direct(t, **chain)))),
+        float(np.max(np.abs(d_next - chain_transfer_amplitude_direct(t + tprime, **chain)))),
+    )
+    assert worst <= 1e-12, f"worst deviation from |f| is {worst:.3e}"
 
 
 def test_criterion_6_correlation_decomposition():

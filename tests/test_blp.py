@@ -17,6 +17,9 @@ from backflow.dephasing import (
     full_model,
 )
 from backflow.spinchain import SpinChainSpec
+from backflow.states import pure_qubit
+
+from conftest import chain_transfer_amplitude_direct
 
 SPLIT_CENTERS = DoubleLorentzian(omega0_1=1.0, delta1=1.0, omega0_2=9.0, delta2=1.0, r=1.0)
 
@@ -102,6 +105,20 @@ class TestFixedPairMeasure:
         coarse = increasing_intervals(ts_coarse, vals(ts_coarse)).total_increase()
         fine = increasing_intervals(ts_fine, vals(ts_fine)).total_increase()
         assert fine >= coarse - len(ts_fine) * blp.DEFAULT_RISE_TOL
+
+    def test_chain_profile_matches_transfer_amplitude(self):
+        # an antipodal pair at polar angle theta keeps |f| of its coherence
+        # and |f|^2 of its population difference: D = sqrt(|f|^2 s^2 + |f|^4 c^2)
+        chain = dict(sites=4, exchange=1.0, probe_exchange=0.7, field=0.05)
+        spec = SpinChainSpec(**chain)
+        ts = np.linspace(0.0, 4.0, 33)
+        f = chain_transfer_amplitude_direct(ts, **chain)
+        for (th1, ph1), (th2, ph2) in bloch_pair_grid(5, 2):
+            sc = spinchain.scenario(spec, pair=(pure_qubit(th1, ph1), pure_qubit(th2, ph2)))
+            expected = np.sqrt(f**2 * np.sin(th1) ** 2 + f**4 * np.cos(th1) ** 2)
+            np.testing.assert_allclose(
+                distance_profile(sc, ts).values, expected, rtol=0, atol=1e-12
+            )
 
 
 class TestPairGrid:

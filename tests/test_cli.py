@@ -280,6 +280,27 @@ class TestConfigErrors:
         assert expected in err
         assert not (tmp_path / "out" / "summary.json").exists()
 
+    @pytest.mark.parametrize(
+        "preset, section",
+        [
+            ("fig2c", "[tprime_grid]\nmin = 0\nmax = 1\ncount = 3\n"),
+            ("bell-check", "[t_grid]\nmin = 0\nmax = 1\ncount = 3\n"),
+            ("bell-check", "[tprime_grid]\nmin = 0\nmax = 1\ncount = 3\n"),
+            ("bell-check", "[tolerances]\nclass_eps = 1e-9\n"),
+        ],
+        ids=["fig2c-tprime-grid", "bell-check-t-grid", "bell-check-tprime-grid",
+             "bell-check-tolerances"],
+    )
+    def test_unused_section_rejected(self, tmp_path, capsys, preset, section):
+        cfg = tmp_path / "unused.ini"
+        out = tmp_path / "out"
+        cfg.write_text(f"[scenario]\npreset = {preset}\n\n{section}\n[output]\npath = {out}\n")
+        assert main(["run", str(cfg)]) == EXIT_CONFIG_ERROR
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert section.split("\n")[0] in err
+        assert not (out / "summary.json").exists()
+
 
 class TestInvariantExit:
     def test_violation_maps_to_exit_2(self, tmp_path, monkeypatch):

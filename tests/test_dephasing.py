@@ -199,6 +199,13 @@ class TestAnalyticWitnesses:
         counts = surf.classification_counts()
         assert counts[Classification.GUARANTEED_INCREASE.value] > 0
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_surface_rejects_non_finite_times(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            analytic_surface(SINGLE, [0.0, bad], [0.0])
+        with pytest.raises(ValueError, match="finite"):
+            analytic_surface(SINGLE, [0.0], [0.0, bad])
+
     def test_semigroup_surface_classifications(self):
         ts = np.linspace(0.0, 3.0, 20)
         surf = analytic_surface(SINGLE, ts, ts)

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from backflow import linalg, states, witness
+from backflow.dephasing import DiagonalPropagator
 from backflow.states import BipartiteState
 from backflow.witness import (
     Classification,
@@ -242,17 +243,76 @@ class TestSurface:
         with pytest.raises(ValueError):
             evaluate_surface(sc, [], [0.0])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_times(self, rng, bad):
+        sc = random_scenario(rng)
+        with pytest.raises(ValueError, match="finite"):
+            evaluate_surface(sc, [0.0, bad], [0.0])
+        with pytest.raises(ValueError, match="finite"):
+            evaluate_surface(sc, [0.0], [0.0, bad])
+
+
+class TestReducedDistance:
+    def test_array_times_match_scalar_calls(self, rng):
+        sc = random_scenario(rng)
+        ts = np.array([0.0, 0.4, 1.3, 2.2])
+        got = reduced_distance(sc, ts)
+        assert got.shape == ts.shape
+        np.testing.assert_allclose(got, [reduced_distance(sc, t) for t in ts], atol=1e-14)
+        assert isinstance(reduced_distance(sc, 0.4), float)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_times(self, rng, bad):
+        sc = random_scenario(rng)
+        with pytest.raises(ValueError, match="finite"):
+            reduced_distance(sc, bad)
+        with pytest.raises(ValueError, match="finite"):
+            reduced_distance(sc, [0.0, bad])
+
+    def test_rejects_negative_times(self, rng):
+        with pytest.raises(ValueError, match="nonnegative"):
+            reduced_distance(random_scenario(rng), [0.5, -0.1])
+
 
 class TestEigenPropagator:
-    def test_unitary_cache_consistent(self, rng):
-        eig = linalg.hermitian_eigensystem(random_hermitian_direct(4, rng))
-        prop = EigenPropagator(eig)
-        u1 = prop.unitary(0.5)
-        np.testing.assert_array_equal(u1, prop.unitary(0.5))
-        for i in range(witness.UNITARY_CACHE_SIZE + 1):  # fills, then evicts
-            prop.unitary(1.0 + i)
-            assert len(prop._cache) <= witness.UNITARY_CACHE_SIZE
-        np.testing.assert_allclose(prop.unitary(0.5), u1, atol=1e-15)
+    def test_stacked_evolve_matches_single_calls(self, rng):
+        prop = EigenPropagator(linalg.hermitian_eigensystem(random_hermitian_direct(6, rng)))
+        a, b = random_density_direct(6, rng), random_density_direct(6, rng)
+        stacked = prop.evolve(np.stack([a, b]), 0.7)
+        np.testing.assert_allclose(stacked[0], prop.evolve(a, 0.7), rtol=0, atol=1e-15)
+        np.testing.assert_allclose(stacked[1], prop.evolve(b, 0.7), rtol=0, atol=1e-15)
+
+    def test_factor_mismatch_rejected(self, rng):
+        prop = EigenPropagator(linalg.hermitian_eigensystem(random_hermitian_direct(6, rng)))
+        with pytest.raises(ValueError, match="factors"):
+            prop.reduced(random_hermitian_direct(6, rng), [0.0], 2, 2)
+
+
+class TestReducedStates:
+    """The eigenbasis path of both propagators against evolve-then-trace."""
+
+    @pytest.mark.parametrize("diagonal", [False, True], ids=["eigen", "diagonal"])
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(
+        ds=st.integers(2, 4),
+        de=st.integers(2, 4),
+        seed=st.integers(0, 2**32 - 1),
+        times=st.lists(st.floats(0.0, 5.0), min_size=0, max_size=4),
+    )
+    def test_matches_dense_partial_trace(self, diagonal, ds, de, seed, times):
+        rng = np.random.default_rng(seed)
+        dim = ds * de
+        if diagonal:
+            prop = DiagonalPropagator(rng.normal(scale=3.0, size=dim))
+        else:
+            prop = EigenPropagator(linalg.hermitian_eigensystem(random_hermitian_direct(dim, rng)))
+        mat = random_hermitian_direct(dim, rng)
+        ts = np.array([0.0, *times])
+        dense = np.array([linalg.partial_trace(prop.evolve(mat, t), ds, de) for t in ts])
+        got = prop.reduced(mat, ts, ds, de)
+        assert got.shape == (ts.size, ds, ds)
+        assert np.max(np.abs(got - dense)) <= 1e-12
+        np.testing.assert_allclose(prop.reduced(mat, ts[-1], ds, de), dense[-1], rtol=0, atol=1e-12)
 
 
 class TestCheckedPoint:
