@@ -611,6 +611,31 @@ def _check_chain_conservation(rng):
         _require(f <= d_t + 1e-9, "forecast above current distance")
 
 
+def _check_block_propagator(rng):
+    """The chain's charge-block propagator against the full-space one."""
+    spec = SpinChainSpec(sites=4, exchange=1.0, probe_exchange=0.8, field=0.05)
+    de = 2**spec.sites
+    sc = spinchain.scenario(spec)
+    blocks = sc.propagator
+    full = witness.EigenPropagator(linalg.hermitian_eigensystem(spinchain.build_hamiltonian(spec)))
+    inside = np.zeros(spec.dim, dtype=bool)
+    inside[blocks.support] = True
+    mat = linalg.random_hermitian(spec.dim, rng) * np.outer(inside, inside)
+    times = np.concatenate([[0.0], rng.uniform(0.0, 3.0, size=4)])
+    for op in (sc.state1.op - sc.state2.op, mat):
+        for t in times:
+            err = float(np.max(np.abs(blocks.evolve(op, t) - full.evolve(op, t))))
+            _require(err <= 1e-12, f"evolved operator is {err:.3e} off at t={t:.3g}")
+        diff = blocks.reduced(op, times, 2, de) - full.reduced(op, times, 2, de)
+        err = float(np.max(np.abs(diff)))
+        _require(err <= 1e-12, f"reduced state is {err:.3e} off")
+    try:
+        blocks.reduced(linalg.random_hermitian(spec.dim, rng), times, 2, de)
+    except InvariantViolation:
+        return
+    raise InvariantViolation("an operator outside the subspace was accepted")
+
+
 AUDIT_CHECKS = (
     ("trace-norm triangle inequality", _check_trace_norm_triangle),
     ("distance contracts under partial trace", _check_contractivity),
@@ -621,6 +646,7 @@ AUDIT_CHECKS = (
     ("closed form agrees with the explicit mode model", _check_closed_form_vs_model),
     ("spin chain conservation laws", _check_chain_conservation),
     ("eigenbasis reduced states match dense evolution", _check_spectral_reduction),
+    ("block propagator matches dense evolution", _check_block_propagator),
 )
 
 

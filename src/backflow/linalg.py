@@ -86,13 +86,24 @@ def partial_trace(
     raise ValueError(f"keep must be 'system' or 'environment', got {keep!r}")
 
 
+def nonzero_block(sym: np.ndarray) -> np.ndarray:
+    """The rows and columns of a Hermitian matrix that are not exactly zero.
+
+    A zero row of a Hermitian matrix comes with a zero column, so the
+    dropped part only adds zero eigenvalues.
+    """
+    keep = sym.any(axis=1)
+    return sym if keep.all() else sym[np.ix_(keep, keep)]
+
+
 def trace_norm(a, tol: float = HERMITICITY_TOL) -> float:
     """Sum of absolute eigenvalues of the Hermitian part of ``a``.
 
     The input is symmetrized before eigensolving; an anti-Hermitian defect
-    above ``tol`` is rejected rather than silently absorbed.
+    above ``tol`` is rejected rather than silently absorbed. The
+    eigensolver sees only the rows and columns that are not exactly zero.
     """
-    sym = require_hermitian(a, tol)
+    sym = nonzero_block(require_hermitian(a, tol))
     if sym.size == 0:
         return 0.0
     return float(np.sum(np.abs(np.linalg.eigvalsh(sym))))

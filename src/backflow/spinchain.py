@@ -17,7 +17,7 @@ import numpy as np
 
 from . import linalg
 from .states import BipartiteState, plus_minus_pair
-from .witness import EigenPropagator, ScenarioPair
+from .witness import SUPPORT_TOL, EigenPropagator, ScenarioPair
 
 PAULI = {
     "x": np.array([[0, 1], [1, 0]], dtype=complex),
@@ -94,15 +94,39 @@ def build_hamiltonian(spec: SpinChainSpec) -> np.ndarray:
     return h
 
 
+def excitations(count: int) -> np.ndarray:
+    """Number of excited spins (|1> factors) in each of ``count`` basis states."""
+    return np.array([bin(i).count("1") for i in range(count)])
+
+
+def allowed_charges(initial, charges, system_charges) -> set[int]:
+    """Charges that witness operators can reach from the states ``initial``.
+
+    ``charges`` holds the charge of every basis vector of the total space
+    and ``system_charges`` those of the system's basis. The charge is
+    additive, Q = q_S + q_E. The states at t stay in the charges q of the
+    initial support, and a row operator such as Delta_S (x) rho_E pairs an
+    environment charge q - q_s with any system charge q_s', so every
+    operator lies in {q + q_s' - q_s}, cut to the charges that exist.
+    """
+    charges = np.asarray(charges)
+    weight = np.max([np.abs(op) for op in initial], axis=(0, 2))
+    present = set(charges[weight > SUPPORT_TOL * weight.max()].tolist())
+    steps = {int(b - a) for a in system_charges for b in system_charges}
+    return {q + step for q in present for step in steps} & set(charges.tolist())
+
+
 def scenario(
     spec: SpinChainSpec, pair: tuple[np.ndarray, np.ndarray] | None = None
 ) -> ScenarioPair:
     """Initial pair (default: the +/- probe states) against a polarized chain.
 
     Both branches start as products with every environment spin in |0>, so
-    all correlations seen later are built by the interaction. The
-    propagator holds one dense eigensystem of the Hamiltonian, shared
-    across the whole time grid.
+    all correlations seen later are built by the interaction. The chain
+    conserves the number of excitations, so the propagator works on the
+    excitation blocks that ``allowed_charges`` finds for the pair, one
+    eigensystem per block, shared across the whole time grid: for the +/-
+    pair that is 0, 1 and 2 excitations, 46 of 512 dimensions on 8 sites.
     """
     if pair is None:
         pair = plus_minus_pair()
@@ -111,5 +135,7 @@ def scenario(
     env[0, 0] = 1.0
     state1 = BipartiteState(linalg.tensor_product(pair[0], env), 2, de)
     state2 = BipartiteState(linalg.tensor_product(pair[1], env), 2, de)
-    eig = linalg.hermitian_eigensystem(build_hamiltonian(spec))
-    return ScenarioPair(state1=state1, state2=state2, propagator=EigenPropagator(eig))
+    charges = excitations(spec.dim)
+    allowed = allowed_charges((state1.op, state2.op), charges, excitations(2))
+    prop = EigenPropagator.from_charges(build_hamiltonian(spec), charges, allowed)
+    return ScenarioPair(state1=state1, state2=state2, propagator=prop)

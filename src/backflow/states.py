@@ -33,7 +33,8 @@ def validate_density_matrix(
     tr = complex(np.trace(m))
     if abs(tr - 1.0) > trace_tol:
         raise ValueError(f"{name} has trace {tr:.12g}, expected 1")
-    smallest = float(np.linalg.eigvalsh(linalg.hermitian_part(m))[0])
+    # exactly zero rows only add zero eigenvalues, which pass the check
+    smallest = float(np.linalg.eigvalsh(linalg.nonzero_block(linalg.hermitian_part(m)))[0])
     if smallest < -psd_tol:
         raise ValueError(f"{name} has negative eigenvalue {smallest:.3e}")
     return m

@@ -28,6 +28,9 @@ from .states import BipartiteState
 
 DEFAULT_CLASS_EPS = 1e-9
 BOUND_TOL = 1e-9
+# Weight an operator may have outside a propagator's subspace, relative to
+# its largest entry, before it is rejected.
+SUPPORT_TOL = 1e-12
 
 
 class Classification(str, Enum):
@@ -41,54 +44,130 @@ class InvariantViolation(RuntimeError):
 
 
 class EigenPropagator:
-    """One-parameter unitary group U(t) = exp(-i H t) from an eigensystem of H.
+    """exp(-i H t) on an H-invariant subspace made of conserved-charge blocks.
 
+    The subspace is spanned by the basis vectors ``support`` of the
+    ``dim``-dimensional space, and ``eig`` is H restricted to it, rows and
+    columns in the order of ``support``. A bare eigensystem of the full H
+    is the one-block case: the support is the whole space. Operators enter
+    by an index gather onto the support; one with weight outside it raises
+    InvariantViolation, because the subspace evolution would drop that part.
     Time-homogeneous: the step operator between t and t + t' is U(t').
-    Reduced states are computed in the eigenbasis without forming U(t);
-    the partial-trace kernels they need are built on first use.
+    Reduced states are computed in the eigenbasis; the partial-trace
+    kernels they need are built on first use.
     """
 
-    def __init__(self, eig: HermitianEigenSystem):
+    def __init__(self, eig: HermitianEigenSystem, support=None, dim: int | None = None):
         self._eig = eig
+        s = np.arange(eig.dim) if support is None else np.asarray(support)
+        dim = eig.dim if dim is None else int(dim)
+        if s.shape != (eig.dim,) or np.unique(s).size != s.size or np.any((s < 0) | (s >= dim)):
+            raise ValueError(f"support must list {eig.dim} distinct basis indices below {dim}")
+        outside = np.ones(dim, dtype=bool)
+        outside[s] = False
+        self._support, self._dim, self._outside = s, dim, np.flatnonzero(outside)
         self._kernels: dict[tuple[int, int, int], np.ndarray] = {}
+
+    @classmethod
+    def from_charges(cls, h, charges, allowed) -> EigenPropagator:
+        """Propagator of H on the blocks of the charges in ``allowed``.
+
+        ``charges`` gives the conserved charge of every basis vector; H must
+        have no weight between different charges. Each allowed block gets
+        its own eigensystem, so no eigensolver sees the full matrix.
+        """
+        h = linalg.as_complex_matrix(h)
+        q = np.asarray(charges)
+        if q.shape != (h.shape[0],):
+            raise ValueError(f"need one charge per basis vector, got shape {q.shape}")
+        mixing = float(np.max(np.abs(h[q[:, None] != q]), initial=0.0))
+        if mixing > SUPPORT_TOL * float(np.max(np.abs(h))):
+            raise InvariantViolation(f"Hamiltonian couples different charges: weight {mixing:.3e}")
+        kept = sorted(set(allowed) & set(q.tolist()))
+        if not kept:
+            raise ValueError(f"no basis vector carries an allowed charge of {sorted(allowed)}")
+        blocks = [np.flatnonzero(q == c) for c in kept]
+        eigs = [linalg.hermitian_eigensystem(h[np.ix_(b, b)]) for b in blocks]
+        support = np.concatenate(blocks)
+        vectors = np.zeros((support.size, support.size), dtype=complex)
+        start = 0
+        for e in eigs:
+            vectors[start : start + e.dim, start : start + e.dim] = e.vectors
+            start += e.dim
+        values = np.concatenate([e.values for e in eigs])
+        order = np.argsort(values, kind="stable")
+        eig = HermitianEigenSystem(values=values[order], vectors=vectors[:, order])
+        return cls(eig, support, h.shape[0])
 
     @property
     def dim(self) -> int:
-        return self._eig.dim
+        return self._dim
+
+    @property
+    def support(self) -> np.ndarray:
+        """Basis indices spanning the subspace, in the eigensystem's row order."""
+        return self._support
 
     @property
     def eigensystem(self) -> HermitianEigenSystem:
+        """H restricted to the subspace."""
         return self._eig
 
     def unitary(self, t: float) -> np.ndarray:
+        """U(t) on the subspace, in the basis ``support``."""
         return linalg.unitary_at(self._eig, t)
+
+    def _gather(self, mat: np.ndarray) -> np.ndarray:
+        """The support rows and columns of ``mat`` (or of each matrix of a stack)."""
+        mat = np.asarray(mat)
+        if mat.shape[-2:] != (self._dim, self._dim):
+            raise ValueError(f"operator shape {mat.shape} does not match dimension {self._dim}")
+        inside = mat[..., self._support[:, None], self._support]
+        if self._outside.size:
+            mag = np.abs(mat)
+            rows, cols = mag.max(-1), mag.max(-2)  # largest entry of each row, column
+            out = np.maximum(rows[..., self._outside].max(-1), cols[..., self._outside].max(-1))
+            if np.any(out > SUPPORT_TOL * rows.max(-1)):
+                raise InvariantViolation(
+                    f"operator has weight {float(np.max(out)):.3e} outside the propagator's "
+                    f"{self._support.size}-dimensional subspace"
+                )
+        return inside
 
     def evolve(self, mat: np.ndarray, t: float) -> np.ndarray:
         """U(t) mat U(t)^dagger; a stack of matrices is evolved in one call."""
+        inside = self._gather(mat)
         u = self.unitary(t)
-        return u @ mat @ u.conj().T
+        out = np.zeros(inside.shape[:-2] + (self._dim, self._dim), dtype=complex)
+        out[..., self._support[:, None], self._support] = u @ inside @ u.conj().T
+        return out
 
     def _kernel(self, a: int, b: int, ds: int) -> np.ndarray:
-        """G^{ab}_{ij} = sum_e V_{ae,i} conj(V_{be,j}); stored for a <= b only."""
+        """G^{ab}_{ij} = sum_e M_{ae,i} conj(M_{be,j}) for the dim x n mode
+        matrix M (the eigenvectors placed on the support rows); stored for
+        a <= b only."""
         if a > b:
             return self._kernel(b, a, ds).conj().T
         key = (ds, a, b)
         if key not in self._kernels:
-            v = self._eig.vectors.reshape(ds, -1, self.dim)
+            modes = np.zeros((self._dim, self._eig.dim), dtype=complex)
+            modes[self._support] = self._eig.vectors
+            v = modes.reshape(ds, -1, self._eig.dim)
             self._kernels[key] = v[a].T @ v[b].conj()
         return self._kernels[key]
 
     def reduced(self, mat: np.ndarray, times, ds: int, de: int) -> np.ndarray:
         """Tr_E[U(t) mat U(t)^dagger] at every t of ``times``.
 
-        With mat~ = V^dagger mat V and phi = exp(-i w t), entry (a, b) is
-        phi^T (mat~ o G^{ab}) conj(phi): one product over the whole time
-        grid per entry. Returns shape ``np.shape(times) + (ds, ds)``.
+        With mat~ = V^dagger mat V on the subspace and phi = exp(-i w t),
+        entry (a, b) is phi^T (mat~ o G^{ab}) conj(phi): one product over
+        the whole time grid per entry. Returns shape
+        ``np.shape(times) + (ds, ds)``.
         """
-        if ds * de != self.dim:
-            raise ValueError(f"factors ({ds}, {de}) do not match dimension {self.dim}")
+        if ds * de != self._dim:
+            raise ValueError(f"factors ({ds}, {de}) do not match dimension {self._dim}")
         v = self._eig.vectors
-        x = v.conj().T @ mat @ v
+        x = v.conj().T @ self._gather(mat) @ v
         phi = np.exp(-1j * np.multiply.outer(np.asarray(times, dtype=float), self._eig.values))
         out = np.empty(phi.shape[:-1] + (ds, ds), dtype=complex)
         for a in range(ds):
@@ -296,8 +375,6 @@ class _Row:
     """
 
     t: float
-    split1: states.CorrelationDecomposition
-    split2: states.CorrelationDecomposition
     d_t: float
     x_forecast: np.ndarray
     x_influence: np.ndarray
@@ -318,10 +395,7 @@ def _build_row(sc: ScenarioPair, t: float, env_label: int = 1) -> _Row:
     else:
         x_forecast = linalg.tensor_product(split1.system - split2.system, split2.environment)
         x_influence = linalg.tensor_product(split1.system, env_diff) + chi_diff
-    return _Row(
-        t=t, split1=split1, split2=split2, d_t=d_t,
-        x_forecast=x_forecast, x_influence=x_influence,
-    )
+    return _Row(t=t, d_t=d_t, x_forecast=x_forecast, x_influence=x_influence)
 
 
 def _row_points(

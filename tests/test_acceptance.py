@@ -27,7 +27,11 @@ from backflow.spinchain import SpinChainSpec
 from backflow.states import BipartiteState
 from backflow.witness import Classification, ScenarioPair, evaluate_point
 
-from conftest import chain_transfer_amplitude_direct, double_lorentzian_k_direct
+from conftest import (
+    chain_transfer_amplitude_direct,
+    chain_witnesses_direct,
+    double_lorentzian_k_direct,
+)
 
 BOUND_TOL = 1e-9
 CLASS_EPS = 1e-9
@@ -326,6 +330,22 @@ def test_fig3_distances_match_transfer_amplitude(fig3_run):
         float(np.max(np.abs(d_next - chain_transfer_amplitude_direct(t + tprime, **chain)))),
     )
     assert worst <= 1e-12, f"worst deviation from |f| is {worst:.3e}"
+
+
+def test_fig3_witnesses_match_free_fermions(fig3_run):
+    """D(t), D(t + t'), F and B of the 512-dimensional run against the
+    46-dimensional free-fermion propagation, on every point."""
+    rows, summary = fig3_run
+    chain = summary["parameters"]
+    t = np.array([row["t"] for row in rows]).reshape(40, 40)
+    tprime = np.array([row["tprime"] for row in rows]).reshape(40, 40)
+    assert np.all(t == t[:, :1]) and np.all(tprime == tprime[:1])
+    expected = chain_witnesses_direct(t[:, 0], tprime[0], **chain)
+    worst = {}
+    for column, oracle in zip(("D_t", "D_tplus", "F", "B"), expected):
+        got = np.array([row[column] for row in rows]).reshape(40, 40)
+        worst[column] = float(np.max(np.abs(got - oracle)))
+    assert max(worst.values()) <= 1e-12, f"worst deviations from free fermions: {worst}"
 
 
 def test_criterion_6_correlation_decomposition():

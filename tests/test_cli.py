@@ -324,6 +324,21 @@ class TestInvariantExit:
         assert "error" in read_summary(out)
         assert "Traceback" not in capsys.readouterr().err
 
+    def test_operator_outside_the_chain_subspace_exits_2(self, tmp_path, monkeypatch, capsys):
+        # a subspace without the vacuum cannot hold the polarised initial pair
+        monkeypatch.setattr(cli.spinchain, "allowed_charges", lambda *args: {1, 2})
+        cfg = tmp_path / "chain.ini"
+        cfg.write_text(
+            "[scenario]\nmodel = spin_chain\nsites = 3\nexchange = 1.0\n"
+            "probe_exchange = 1.0\nfield = 0.0\n\n"
+            "[t_grid]\nmin = 0.0\nmax = 1.0\ncount = 2\n\n"
+            "[tprime_grid]\nmin = 0.0\nmax = 1.0\ncount = 2\n"
+        )
+        out = tmp_path / "chain"
+        assert main(["run", str(cfg), "--out", str(out)]) == EXIT_INVARIANT
+        assert "outside" in read_summary(out)["error"]
+        assert "Traceback" not in capsys.readouterr().err
+
 
 class TestParseConfig:
     def test_grid_spec_validation(self):

@@ -101,9 +101,22 @@ class TestTraceNorm:
         np.testing.assert_allclose(oracle, [-0.25, -0.25, -0.25, 0.75], atol=1e-14)
         assert linalg.trace_norm(diff) == pytest.approx(1.5, abs=1e-12)
 
+    def test_zero_padding_leaves_norm_unchanged(self, rng):
+        for _ in range(20):
+            dim = int(rng.integers(1, 7))
+            a = random_hermitian_direct(dim, rng)
+            where = np.sort(rng.choice(dim + 9, size=dim, replace=False))
+            padded = np.zeros((dim + 9, dim + 9), dtype=complex)
+            padded[np.ix_(where, where)] = a
+            assert abs(linalg.trace_norm(padded) - linalg.trace_norm(a)) <= 1e-15
+        assert linalg.trace_norm(np.zeros((9, 9), dtype=complex)) == 0.0
+
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValueError, match="Hermitian"):
             linalg.trace_norm(np.array([[0.0, 1.0], [0.0, 0.0]]))
+        # the Hermitian part of this one is zero; the check still sees the input
+        with pytest.raises(ValueError, match="Hermitian"):
+            linalg.trace_norm(np.array([[0.0, 1e-3], [-1e-3, 0.0]]))
 
     def test_absorbs_tiny_defect(self):
         m = np.diag([1.0, -1.0]).astype(complex)

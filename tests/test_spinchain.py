@@ -6,7 +6,9 @@ from backflow.linalg import DENSE_DIM_CAP
 from backflow.spinchain import (
     PAULI,
     SpinChainSpec,
+    allowed_charges,
     build_hamiltonian,
+    excitations,
     pauli_site,
     scenario,
 )
@@ -117,3 +119,42 @@ class TestScenario:
         pair = (pure_qubit(0.0, 0.0), pure_qubit(np.pi, 0.0))
         sc = scenario(self.spec, pair=pair)
         assert reduced_distance(sc, 0.0) == pytest.approx(1.0, abs=1e-12)
+
+
+class TestChargeBlocks:
+    def test_fig3_pair_reaches_two_excitations(self):
+        sc = scenario(SpinChainSpec(sites=8, exchange=1.0, probe_exchange=1.0, field=0.01))
+        assert allowed_charges((sc.state1.op, sc.state2.op), excitations(512), [0, 1]) == {0, 1, 2}
+        assert sc.propagator.support.size == 1 + 9 + 36
+
+    def test_seven_site_chain_with_a_bloch_pair(self):
+        spec = SpinChainSpec(sites=7, exchange=1.0, probe_exchange=1.0, field=0.01)
+        sc = scenario(spec, pair=(pure_qubit(0.4, 1.0), pure_qubit(np.pi - 0.4, 1.0 + np.pi)))
+        assert allowed_charges((sc.state1.op, sc.state2.op), excitations(256), [0, 1]) == {0, 1, 2}
+        assert sc.propagator.support.size == 1 + 8 + 28
+
+    def test_rule_follows_the_initial_charges(self):
+        ground, excited = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
+        env = np.diag([0.0, 1.0] + [0.0] * 6)  # one chain excitation
+        assert allowed_charges((np.kron(ground, env),) * 2, excitations(16), [0, 1]) == {0, 1, 2}
+        assert allowed_charges((np.kron(excited, env),) * 2, excitations(16), [0, 1]) == {1, 2, 3}
+
+    def test_no_full_eigensolve_and_no_full_unitary(self, monkeypatch):
+        spec = SpinChainSpec(sites=8, exchange=1.0, probe_exchange=1.0, field=0.01)
+        sizes = {"eigh": [], "unitary": []}
+        eigh, unitary_at = np.linalg.eigh, linalg.unitary_at
+
+        def recording_eigh(a, *args, **kwargs):
+            sizes["eigh"].append(a.shape[-1])
+            return eigh(a, *args, **kwargs)
+
+        def recording_unitary(eig, t):
+            u = unitary_at(eig, t)
+            sizes["unitary"].append(u.shape[-1])
+            return u
+
+        monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
+        monkeypatch.setattr(linalg, "unitary_at", recording_unitary)
+        witness.evaluate_surface(scenario(spec), [0.0, 0.5, 1.0], [0.0, 0.7])
+        assert sorted(sizes["eigh"]) == [1, 9, 36]
+        assert sizes["unitary"] == [46, 46]

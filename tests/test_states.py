@@ -40,6 +40,11 @@ class TestBipartiteState:
         m = np.diag([1.5, -0.5, 0.0, 0.0]).astype(complex)
         with pytest.raises(ValueError, match="negative"):
             BipartiteState(m, 2, 2)
+        # eigenvalues 1.3 and -0.3 on rows 0 and 3, zero rows in between
+        m = np.zeros((4, 4), dtype=complex)
+        m[np.ix_([0, 3], [0, 3])] = [[0.5, 0.8], [0.8, 0.5]]
+        with pytest.raises(ValueError, match="negative"):
+            BipartiteState(m, 2, 2)
 
 
 class TestDecompose:

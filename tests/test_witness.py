@@ -335,3 +335,68 @@ class TestCheckedPoint:
         assert p.lower - witness.BOUND_TOL <= p.delta_d <= p.upper + witness.BOUND_TOL
         assert p.forecast <= p.d_t + 1e-9
         assert 0.0 <= p.influence <= 2.0 + 1e-12
+
+
+class TestChargeBlocks:
+    """The block path against the one-block, full-space path of the same H."""
+
+    @staticmethod
+    def blocked_hamiltonian(rng, dim, n_charges):
+        """Random H with no weight between charges, blocks scattered by a
+        random basis permutation."""
+        charges = rng.permutation(np.arange(dim) % n_charges)
+        h = random_hermitian_direct(dim, rng) * (charges[:, None] == charges[None, :])
+        return h, charges
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(
+        ds=st.integers(2, 3),
+        de=st.integers(2, 4),
+        n_charges=st.integers(1, 4),
+        seed=st.integers(0, 2**32 - 1),
+        times=st.lists(st.floats(0.0, 5.0), min_size=0, max_size=4),
+    )
+    def test_matches_one_block_path(self, ds, de, n_charges, seed, times):
+        rng = np.random.default_rng(seed)
+        dim = ds * de
+        h, charges = self.blocked_hamiltonian(rng, dim, n_charges)
+        allowed = set(rng.choice(n_charges, size=rng.integers(1, n_charges + 1), replace=False))
+        blocks = EigenPropagator.from_charges(h, charges, allowed)
+        full = EigenPropagator(linalg.hermitian_eigensystem(h))
+        inside = np.isin(charges, list(allowed))
+        assert sorted(blocks.support) == list(np.flatnonzero(inside))
+        mask = inside[:, None] & inside[None, :]
+        mats = np.stack([random_hermitian_direct(dim, rng) * mask for _ in range(2)])
+        ts = np.array([0.0, *times])
+        for t in ts:
+            assert np.max(np.abs(blocks.evolve(mats, t) - full.evolve(mats, t))) <= 1e-12
+        got = blocks.reduced(mats[0], ts, ds, de)
+        assert np.max(np.abs(got - full.reduced(mats[0], ts, ds, de))) <= 1e-12
+
+    def test_weight_outside_the_subspace_raises(self, rng):
+        h, charges = self.blocked_hamiltonian(rng, 8, 3)
+        allowed = {int(charges[0])}
+        prop = EigenPropagator.from_charges(h, charges, allowed)
+        stray = np.zeros((8, 8), dtype=complex)
+        stray[prop.support[0], prop.support[0]] = 1.0
+        outside = int(np.flatnonzero(charges != charges[0])[0])
+        stray[outside, prop.support[0]] = stray[prop.support[0], outside] = 1e-9
+        with pytest.raises(witness.InvariantViolation, match="outside"):
+            prop.evolve(stray, 0.5)
+        with pytest.raises(witness.InvariantViolation, match="outside"):
+            prop.reduced(stray, [0.5], 2, 4)
+        stray[outside, prop.support[0]] = stray[prop.support[0], outside] = 1e-13
+        prop.reduced(stray, [0.5], 2, 4)  # below the tolerance: dropped
+
+    def test_charge_mixing_hamiltonian_rejected(self, rng):
+        h, charges = self.blocked_hamiltonian(rng, 6, 2)
+        i, j = np.flatnonzero(charges == 0)[0], np.flatnonzero(charges == 1)[0]
+        h[i, j] = h[j, i] = 0.1
+        with pytest.raises(witness.InvariantViolation, match="couples"):
+            EigenPropagator.from_charges(h, charges, {0, 1})
+
+    @pytest.mark.parametrize("support", [[0, 0], [0, 6], [-1, 2], [0, 1, 2]])
+    def test_rejects_bad_support(self, rng, support):
+        eig = linalg.hermitian_eigensystem(random_hermitian_direct(2, rng))
+        with pytest.raises(ValueError, match="support"):
+            EigenPropagator(eig, support, 6)
