@@ -542,7 +542,8 @@ def _random_scenario(rng) -> witness.ScenarioPair:
 
 
 def _check_spectral_reduction(rng):
-    """The eigenbasis reduced state against the dense evolve-then-trace path."""
+    """The eigenbasis reduced state against the dense evolve-then-trace path,
+    and the time homogeneity that witness rows rely on."""
     for _ in range(10):
         ds, de = int(rng.integers(2, 4)), int(rng.integers(2, 5))
         mat = linalg.random_hermitian(ds * de, rng)
@@ -552,6 +553,9 @@ def _check_spectral_reduction(rng):
             dense = [linalg.partial_trace(prop.evolve(mat, t), ds, de) for t in times]
             err = float(np.max(np.abs(prop.reduced(mat, times, ds, de) - dense)))
             _require(err <= 1e-12, f"{type(prop).__name__} reduced state is {err:.3e} off")
+            shifted = prop.reduced(prop.evolve(mat, times[1]), times, ds, de)
+            err = float(np.max(np.abs(shifted - prop.reduced(mat, times[1] + times, ds, de))))
+            _require(err <= 1e-12, f"{type(prop).__name__} is {err:.3e} off time homogeneity")
 
 
 def _check_bound_window(rng):

@@ -12,6 +12,10 @@ change of the reduced distance is always confined to the window
 
 so B above D + F certifies an increase (non-Markovian behaviour) while B
 below D - F rules one out; in between nothing can be concluded.
+
+A row of fixed t needs no correlation split: the reduced images of the
+total difference at t are the reduced differences g at t + t', the forecast
+f is the reduced image of (rho_S1 - rho_S2) (x) rho_E, and B = |g - f| / 2.
 """
 
 from __future__ import annotations
@@ -182,7 +186,9 @@ class ScenarioPair:
 
     ``propagator`` is anything with ``dim``, ``evolve(mat, t)`` and
     ``reduced(mat, times, ds, de)``; a bare HermitianEigenSystem of a total
-    Hamiltonian is wrapped automatically.
+    Hamiltonian is wrapped automatically. It must be time-homogeneous,
+    ``reduced(evolve(X, t), t', ...) == reduced(X, t + t', ...)``: witness
+    rows read the state at t + t' from the initial states.
     """
 
     state1: BipartiteState
@@ -334,12 +340,10 @@ def checked_point(
 
 def evolve_pair(sc: ScenarioPair, t: float) -> tuple[BipartiteState, BipartiteState]:
     """Both total states at time t; valid density operators by construction."""
-    op1, op2 = _evolved_ops(sc, t)
-    if t == 0:
+    if _require_times(t) == 0:
         return sc.state1, sc.state2
-    return (
-        BipartiteState(op1, sc.ds, sc.de),
-        BipartiteState(op2, sc.ds, sc.de),
+    return tuple(
+        BipartiteState(sc.propagator.evolve(s.op, t), sc.ds, sc.de) for s in (sc.state1, sc.state2)
     )
 
 
@@ -353,67 +357,58 @@ def _require_times(times, name: str = "time") -> np.ndarray:
     return ts
 
 
-def _evolved_ops(sc: ScenarioPair, t: float) -> np.ndarray:
-    """Both evolved total operators, stacked, without density re-validation.
+def _evolved(sc: ScenarioPair, op: np.ndarray, t: float) -> np.ndarray:
+    """One total operator at time t, without density re-validation.
 
     Conjugation by a unitary cannot break Hermiticity, trace or positivity
     beyond floating-point dust, so internal sweeps skip the eigenvalue
     check that BipartiteState construction would repeat at every time.
     """
-    _require_times(t)
-    ops = np.stack([sc.state1.op, sc.state2.op])
-    return ops if t == 0 else sc.propagator.evolve(ops, t)
+    return op if _require_times(t) == 0 else sc.propagator.evolve(op, t)
 
 
 @dataclass(frozen=True, eq=False)
 class _Row:
-    """Everything reusable across the t' sweep at a fixed t.
+    """Everything the t' sweep at a fixed t needs.
 
-    ``x_forecast`` and ``x_influence`` add up to the difference of the two
-    total states at t; propagating and reducing each part separately gives
-    F, B and (from their sum) the distance at t + t' in one pass.
+    ``next_diffs`` are the reduced differences g of the two states at every
+    t + t' and ``x_forecast`` is (rho_S1 - rho_S2) (x) rho_E at t, with the
+    environment of the branch picked by ``env_label``. B is |g - f| / 2 for
+    the forecast's reduced image f.
     """
 
     t: float
     d_t: float
+    next_diffs: np.ndarray
     x_forecast: np.ndarray
-    x_influence: np.ndarray
 
 
-def _build_row(sc: ScenarioPair, t: float, env_label: int = 1) -> _Row:
+def _build_row(sc: ScenarioPair, t: float, tprimes: np.ndarray, env_label: int = 1) -> _Row:
     if env_label not in (1, 2):
         raise ValueError(f"env_label must be 1 or 2, got {env_label}")
-    op1, op2 = _evolved_ops(sc, t)
-    split1 = states.correlation_split(op1, sc.ds, sc.de)
-    split2 = states.correlation_split(op2, sc.ds, sc.de)
-    d_t = linalg.trace_distance(split1.system, split2.system)
-    env_diff = split1.environment - split2.environment
-    chi_diff = split1.correlation - split2.correlation
-    if env_label == 1:
-        x_forecast = linalg.tensor_product(split1.system - split2.system, split1.environment)
-        x_influence = linalg.tensor_product(split2.system, env_diff) + chi_diff
-    else:
-        x_forecast = linalg.tensor_product(split1.system - split2.system, split2.environment)
-        x_influence = linalg.tensor_product(split1.system, env_diff) + chi_diff
-    return _Row(t=t, d_t=d_t, x_forecast=x_forecast, x_influence=x_influence)
+    times = np.concatenate([_require_times(t).reshape(1), t + tprimes])
+    diffs = sc.propagator.reduced(sc.state1.op - sc.state2.op, times, sc.ds, sc.de)
+    branch = (sc.state1, sc.state2)[env_label - 1]
+    env = linalg.partial_trace(_evolved(sc, branch.op, t), sc.ds, sc.de, "environment")
+    d_t = 0.5 * linalg.trace_norm(diffs[0])
+    return _Row(t=t, d_t=d_t, next_diffs=diffs[1:], x_forecast=linalg.tensor_product(diffs[0], env))
 
 
 def _row_points(
     sc: ScenarioPair, row: _Row, tprimes: np.ndarray, eps: float = DEFAULT_CLASS_EPS
 ) -> tuple[WitnessPoint, ...]:
     """The points of one row at every t' of ``tprimes``, from one reduced-state
-    call per row operator."""
+    call for the forecast."""
     forecast = sc.propagator.reduced(row.x_forecast, tprimes, sc.ds, sc.de)
-    influence = sc.propagator.reduced(row.x_influence, tprimes, sc.ds, sc.de)
     return tuple(
         checked_point(
             row.t, tp, row.d_t,
-            d_next=0.5 * linalg.trace_norm(f + b),
+            d_next=0.5 * linalg.trace_norm(g),
             forecast=0.5 * linalg.trace_norm(f),
-            influence=0.5 * linalg.trace_norm(b),
+            influence=0.5 * linalg.trace_norm(g - f),
             eps=eps,
         )
-        for tp, f, b in zip(tprimes.tolist(), forecast, influence)
+        for tp, g, f in zip(tprimes.tolist(), row.next_diffs, forecast)
     )
 
 
@@ -459,9 +454,8 @@ def weak_upper_bound(sc: ScenarioPair, t: float) -> float:
     distance between the environmental states; dominates delta_d for every
     t'. Equals half the correlation norms plus the environment distance.
     """
-    op1, op2 = _evolved_ops(sc, t)
-    split1 = states.correlation_split(op1, sc.ds, sc.de)
-    split2 = states.correlation_split(op2, sc.ds, sc.de)
+    split1 = states.correlation_split(_evolved(sc, sc.state1.op, t), sc.ds, sc.de)
+    split2 = states.correlation_split(_evolved(sc, sc.state2.op, t), sc.ds, sc.de)
     term1 = 0.5 * linalg.trace_norm(split1.correlation)
     term2 = 0.5 * linalg.trace_norm(split2.correlation)
     term3 = linalg.trace_distance(split1.environment, split2.environment)
@@ -477,7 +471,7 @@ def evaluate_point(
 ) -> WitnessPoint:
     """All witnesses at one (t, t'), with bounds checked and classified."""
     tps = _require_times(tprime, "time step").reshape(1)
-    return _row_points(sc, _build_row(sc, t, env_label), tps, eps)[0]
+    return _row_points(sc, _build_row(sc, t, tps, env_label), tps, eps)[0]
 
 
 def _require_grid(grid, name: str) -> np.ndarray:
@@ -499,12 +493,11 @@ def evaluate_surface(
 ) -> WitnessSurface:
     """Witness points over the full (t, t') product grid.
 
-    Per-t quantities (reduced states, environments, correlations) are
-    computed once per row and reused across the t' sweep. A row holds
-    several full-dimension operators; building each one inside the
-    generator frees it before the next, so only one row is alive at a time.
+    Per-t quantities (the reduced differences, one environment, the
+    forecast operator) are computed once per row and reused across the t'
+    sweep; only one row is alive at a time.
     """
     ts = _require_grid(t_grid, "t grid")
     tps = _require_grid(tprime_grid, "t' grid")
-    points = tuple(_row_points(sc, _build_row(sc, t, env_label), tps, eps) for t in ts)
+    points = tuple(_row_points(sc, _build_row(sc, t, tps, env_label), tps, eps) for t in ts)
     return WitnessSurface(t_grid=ts, tprime_grid=tps, points=points)

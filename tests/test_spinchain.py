@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from backflow import linalg, witness
+from backflow import linalg, states, witness
 from backflow.linalg import DENSE_DIM_CAP
 from backflow.spinchain import (
     PAULI,
@@ -158,3 +158,25 @@ class TestChargeBlocks:
         witness.evaluate_surface(scenario(spec), [0.0, 0.5, 1.0], [0.0, 0.7])
         assert sorted(sizes["eigh"]) == [1, 9, 36]
         assert sizes["unitary"] == [46, 46]
+
+    @pytest.mark.parametrize("env_label", [1, 2])
+    def test_row_cost_shape(self, monkeypatch, env_label):
+        """No correlation split, and one evolve of one D x D state per nonzero t."""
+        spec = SpinChainSpec(sites=4, exchange=1.0, probe_exchange=0.8, field=0.05)
+        sc = scenario(spec)
+        calls = {"split": 0, "evolve": []}
+        split, evolve = states.correlation_split, sc.propagator.evolve
+
+        def recording_split(*args):
+            calls["split"] += 1
+            return split(*args)
+
+        def recording_evolve(mat, t):
+            calls["evolve"].append(np.shape(mat))
+            return evolve(mat, t)
+
+        monkeypatch.setattr(states, "correlation_split", recording_split)
+        monkeypatch.setattr(sc.propagator, "evolve", recording_evolve)
+        witness.evaluate_surface(sc, [0.0, 0.5, 1.0, 1.5], [0.0, 0.7], env_label=env_label)
+        assert calls["split"] == 0
+        assert calls["evolve"] == [(spec.dim, spec.dim)] * 3

@@ -315,6 +315,50 @@ class TestReducedStates:
         np.testing.assert_allclose(prop.reduced(mat, ts[-1], ds, de), dense[-1], rtol=0, atol=1e-12)
 
 
+class TestInfluenceShortcut:
+    """F, B and D(t + t') of a row against the paper's definitions, built
+    densely from the correlation split of the states at t."""
+
+    @pytest.mark.parametrize("env_label", [1, 2])
+    @pytest.mark.parametrize("diagonal", [False, True], ids=["eigen", "diagonal"])
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(
+        ds=st.integers(2, 4),
+        de=st.integers(2, 4),
+        seed=st.integers(0, 2**32 - 1),
+        t=st.one_of(st.just(0.0), st.floats(0.0, 3.0)),
+        tprime=st.floats(0.0, 3.0),
+    )
+    def test_matches_dense_definition(self, env_label, diagonal, ds, de, seed, t, tprime):
+        rng = np.random.default_rng(seed)
+        dim = ds * de
+        if diagonal:
+            prop = DiagonalPropagator(rng.normal(scale=3.0, size=dim))
+        else:
+            prop = EigenPropagator(linalg.hermitian_eigensystem(random_hermitian_direct(dim, rng)))
+        sc = ScenarioPair(
+            state1=BipartiteState(random_density_direct(dim, rng), ds, de),
+            state2=BipartiteState(random_density_direct(dim, rng), ds, de),
+            propagator=prop,
+        )
+        s1 = states.correlation_split(prop.evolve(sc.state1.op, t), ds, de)
+        s2 = states.correlation_split(prop.evolve(sc.state2.op, t), ds, de)
+        kept, other = (s1, s2) if env_label == 1 else (s2, s1)
+        x_forecast = np.kron(s1.system - s2.system, kept.environment)
+        x_influence = (
+            np.kron(other.system, s1.environment - s2.environment)
+            + s1.correlation - s2.correlation
+        )
+
+        def weight(x):
+            return 0.5 * linalg.trace_norm(linalg.partial_trace(prop.evolve(x, tprime), ds, de))
+
+        p = evaluate_point(sc, tprime, t, env_label=env_label)
+        assert abs(p.forecast - weight(x_forecast)) <= 1e-12
+        assert abs(p.influence - weight(x_influence)) <= 1e-12
+        assert abs(p.d_next - reduced_distance(sc, t + tprime)) <= 1e-12
+
+
 class TestCheckedPoint:
     def test_escape_raises(self):
         # D rises from 0.2 to 0.9, but B + F - D(t) caps the rise at 0
