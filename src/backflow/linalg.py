@@ -40,19 +40,20 @@ def hermitian_part(a) -> np.ndarray:
 
 
 def hermiticity_defect(a) -> float:
-    """Largest entrywise magnitude of A - A^dagger."""
+    """Largest entrywise magnitude of A - A^dagger; not finite if A is not."""
     m = as_complex_matrix(a)
     if m.shape[0] != m.shape[1]:
         raise ValueError(f"matrix must be square, got shape {m.shape}")
     if m.size == 0:
         return 0.0
-    return float(np.max(np.abs(m - m.conj().T)))
+    with np.errstate(invalid="ignore"):  # inf - inf is NaN, the intended result
+        return float(np.max(np.abs(m - m.conj().T)))
 
 
 def require_hermitian(a, tol: float = HERMITICITY_TOL, name: str = "matrix") -> np.ndarray:
-    """Return the Hermitian part of ``a``, rejecting defects above ``tol``."""
+    """Return the Hermitian part of ``a``, rejecting defects above ``tol`` or NaN."""
     defect = hermiticity_defect(a)
-    if defect > tol:
+    if not defect <= tol:
         raise ValueError(f"{name} is not Hermitian: defect {defect:.3e} exceeds {tol:.1e}")
     return hermitian_part(a)
 
@@ -86,14 +87,14 @@ def partial_trace(
     raise ValueError(f"keep must be 'system' or 'environment', got {keep!r}")
 
 
-def nonzero_block(sym: np.ndarray) -> np.ndarray:
-    """The rows and columns of a Hermitian matrix that are not exactly zero.
+def nonzero_block(m: np.ndarray) -> np.ndarray:
+    """The block of indices i whose row i or column i is not exactly zero.
 
-    A zero row of a Hermitian matrix comes with a zero column, so the
-    dropped part only adds zero eigenvalues.
+    For a Hermitian matrix the dropped part only adds zero eigenvalues.
+    When every index is kept the input itself is returned, not a copy.
     """
-    keep = sym.any(axis=1)
-    return sym if keep.all() else sym[np.ix_(keep, keep)]
+    keep = m.any(axis=1) | m.any(axis=0)
+    return m if keep.all() else m[np.ix_(keep, keep)]
 
 
 def trace_norm(a, tol: float = HERMITICITY_TOL) -> float:

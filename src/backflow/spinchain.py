@@ -70,33 +70,34 @@ def pauli_site(axis: str, site: int, total: int) -> np.ndarray:
     return np.kron(np.kron(left, PAULI[axis]), right)
 
 
-def _xx_bond(site: int, total: int) -> np.ndarray:
-    """sigma_x sigma_x + sigma_y sigma_y on the adjacent pair (site, site+1)."""
-    core = np.kron(PAULI["x"], PAULI["x"]) + np.kron(PAULI["y"], PAULI["y"])
-    left = np.eye(2**site, dtype=complex)
-    right = np.eye(2 ** (total - site - 2), dtype=complex)
-    return np.kron(np.kron(left, core), right)
+def _occupations(count: int) -> np.ndarray:
+    """Bit table: [i, n] is 1 when site n of basis state i is excited; site 0 is the top bit."""
+    shifts = np.arange(max(count - 1, 0).bit_length())[::-1]
+    return (np.arange(count)[:, None] >> shifts) & 1
 
 
 def build_hamiltonian(spec: SpinChainSpec) -> np.ndarray:
     """Dense Hamiltonian of the probe-plus-chain system.
 
     -2*J0 on the probe bond, -2*J on each chain bond, -2*B sigma_z on each
-    environment site (the probe feels no field).
+    environment site (the probe feels no field). Written from the hopping
+    rule: sigma_x sigma_x + sigma_y sigma_y links the basis states whose
+    bits n and n+1 differ, with amplitude 2, by flipping both bits.
     """
-    total = spec.sites + 1
-    h = -2.0 * spec.probe_exchange * _xx_bond(0, total)
-    for n in range(1, spec.sites):
-        h = h - 2.0 * spec.exchange * _xx_bond(n, total)
-    if spec.field != 0.0:
-        for n in range(1, spec.sites + 1):
-            h = h - 2.0 * spec.field * pauli_site("z", n, total)
+    total, dim = spec.sites + 1, spec.dim
+    bits, index = _occupations(dim), np.arange(dim)
+    h = np.zeros((dim, dim), dtype=complex)
+    for n in range(spec.sites):
+        hop = index[bits[:, n] != bits[:, n + 1]]
+        h[hop, hop ^ (3 << (total - 2 - n))] = -4.0 * (spec.exchange if n else spec.probe_exchange)
+    for n in range(1, total):
+        h[index, index] -= 2.0 * spec.field * (1 - 2 * bits[:, n])
     return h
 
 
 def excitations(count: int) -> np.ndarray:
     """Number of excited spins (|1> factors) in each of ``count`` basis states."""
-    return np.array([bin(i).count("1") for i in range(count)])
+    return _occupations(count).sum(axis=1)
 
 
 def allowed_charges(initial, charges, system_charges) -> set[int]:

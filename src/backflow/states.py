@@ -23,20 +23,28 @@ def validate_density_matrix(
     trace_tol: float = TRACE_TOL,
     psd_tol: float = PSD_TOL,
 ) -> np.ndarray:
-    """Check Hermiticity, unit trace and positivity; return the input array."""
+    """Check Hermiticity, unit trace and positivity; return the input array.
+
+    Non-finite entries fail. Positive means the Hermitian part of the nonzero
+    rows and columns plus ``psd_tol`` on the diagonal has a Cholesky factor;
+    only a rejected state is eigensolved, to report its negative eigenvalue.
+    """
     m = linalg.as_complex_matrix(rho)
     if m.shape[0] != m.shape[1]:
         raise ValueError(f"{name} must be square, got shape {m.shape}")
     defect = linalg.hermiticity_defect(m)
-    if defect > hermiticity_tol:
+    if not defect <= hermiticity_tol:
         raise ValueError(f"{name} is not Hermitian: defect {defect:.3e}")
     tr = complex(np.trace(m))
-    if abs(tr - 1.0) > trace_tol:
+    if not abs(tr - 1.0) <= trace_tol:
         raise ValueError(f"{name} has trace {tr:.12g}, expected 1")
-    # exactly zero rows only add zero eigenvalues, which pass the check
-    smallest = float(np.linalg.eigvalsh(linalg.nonzero_block(linalg.hermitian_part(m)))[0])
-    if smallest < -psd_tol:
-        raise ValueError(f"{name} has negative eigenvalue {smallest:.3e}")
+    shifted = linalg.hermitian_part(linalg.nonzero_block(m))
+    shifted.flat[:: len(shifted) + 1] += psd_tol
+    try:
+        np.linalg.cholesky(shifted)
+    except np.linalg.LinAlgError:
+        smallest = float(np.linalg.eigvalsh(shifted)[0]) - psd_tol
+        raise ValueError(f"{name} has negative eigenvalue {smallest:.3e}") from None
     return m
 
 

@@ -40,6 +40,28 @@ def chain_hopping_matrix_direct(sites, exchange, probe_exchange, field):
     return h
 
 
+def chain_hamiltonian_direct(sites, exchange, probe_exchange, field):
+    """Probe-plus-chain Hamiltonian as a Kronecker sum over the sites:
+    -2 J0 (XX + YY) on the probe bond, -2 J (XX + YY) on each chain bond,
+    then -2 B Z on each chain site, site 0 on the slowest index."""
+    x = np.array([[0, 1], [1, 0]], dtype=complex)
+    y = np.array([[0, -1j], [1j, 0]], dtype=complex)
+    z = np.array([[1, 0], [0, -1]], dtype=complex)
+    total = sites + 1
+
+    def embed(op, site, width):
+        left, right = np.eye(2**site), np.eye(2 ** (total - site - width))
+        return np.kron(np.kron(left, op), right)
+
+    bond = np.kron(x, x) + np.kron(y, y)
+    h = -2.0 * probe_exchange * embed(bond, 0, 2)
+    for n in range(1, sites):
+        h = h - 2.0 * exchange * embed(bond, n, 2)
+    for n in range(1, total):
+        h = h - 2.0 * field * embed(z, n, 1)
+    return h
+
+
 def chain_transfer_amplitude_direct(t, sites, exchange, probe_exchange, field):
     """|f(t)| = |<1_0| exp(-i H_1 t) |1_0>| for the probe on an XX chain,
     with H_1 the single-excitation hopping matrix. Scalar or array t.

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from backflow import linalg, states, witness
+from backflow import dephasing, linalg, states, witness
 from backflow.linalg import DENSE_DIM_CAP
 from backflow.spinchain import (
     PAULI,
@@ -14,6 +14,8 @@ from backflow.spinchain import (
 )
 from backflow.states import pure_qubit
 from backflow.witness import evolve_pair, reduced_distance
+
+from conftest import chain_hamiltonian_direct
 
 
 class TestPauliSite:
@@ -64,6 +66,20 @@ class TestHamiltonian:
         total_z = sum(pauli_site("z", n, 5) for n in range(5))
         comm = h @ total_z - total_z @ h
         assert np.max(np.abs(comm)) <= 1e-10
+
+    @pytest.mark.parametrize("sites", range(1, 8))
+    def test_equals_kronecker_sum(self, sites):
+        rng = np.random.default_rng(sites)
+        couplings = [
+            (rng.uniform(0.1, 2.0), rng.normal(), rng.normal()),
+            (rng.uniform(0.1, 2.0), 0.0, rng.normal()),
+            (rng.uniform(0.1, 2.0), rng.normal(), 0.0),
+            (rng.uniform(0.1, 2.0), rng.normal(), -abs(rng.normal())),
+        ]
+        for exchange, probe_exchange, field in couplings:
+            spec = SpinChainSpec(sites, exchange, probe_exchange, field)
+            oracle = chain_hamiltonian_direct(sites, exchange, probe_exchange, field)
+            assert np.array_equal(build_hamiltonian(spec), oracle)
 
     def test_dimension_cap(self):
         # checked on the spec alone, before any matrix is allocated
@@ -180,3 +196,27 @@ class TestChargeBlocks:
         witness.evaluate_surface(sc, [0.0, 0.5, 1.0, 1.5], [0.0, 0.7], env_label=env_label)
         assert calls["split"] == 0
         assert calls["evolve"] == [(spec.dim, spec.dim)] * 3
+
+
+def test_setup_makes_no_dense_eigensolve_and_no_kronecker_sum(monkeypatch):
+    """Positivity checks factorise instead of eigensolving; H needs no np.kron."""
+    calls = {"eigvalsh": 0, "kron": 0}
+    eigvalsh, kron = np.linalg.eigvalsh, np.kron
+
+    def recording_eigvalsh(*args, **kwargs):
+        calls["eigvalsh"] += 1
+        return eigvalsh(*args, **kwargs)
+
+    def recording_kron(*args, **kwargs):
+        calls["kron"] += 1
+        return kron(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", recording_eigvalsh)
+    monkeypatch.setattr(np, "kron", recording_kron)
+    spec = SpinChainSpec(sites=6, exchange=1.0, probe_exchange=0.9, field=0.01)
+    build_hamiltonian(spec)
+    assert calls["kron"] == 0
+    dist = dephasing.DoubleLorentzian(1.0, 1.0, 9.0, 1.0, 1.0)
+    dephasing.full_model(dephasing.discretize(dist, modes=128))
+    scenario(spec)
+    assert calls["eigvalsh"] == 0

@@ -47,6 +47,63 @@ class TestBipartiteState:
             BipartiteState(m, 2, 2)
 
 
+def _non_finite(bad, where):
+    m = np.diag([0.5, 0.5, 0.0, 0.0]).astype(complex)
+    if where == "diagonal":
+        m[0, 0] = bad
+    elif where == "off-diagonal":
+        m[0, 1] = m[1, 0] = bad
+    else:
+        m[:] = bad
+    return m
+
+
+NON_FINITE_CHECKS = {
+    "validate_density_matrix": states.validate_density_matrix,
+    "BipartiteState": lambda m: BipartiteState(m, 2, 2),
+    "trace_norm": linalg.trace_norm,
+    "hermitian_eigensystem": linalg.hermitian_eigensystem,
+}
+
+
+@pytest.mark.parametrize("check", NON_FINITE_CHECKS)
+@pytest.mark.parametrize("where", ["diagonal", "off-diagonal", "everywhere"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_entries_fail_the_hermiticity_check(check, where, bad):
+    """NaN and inf make the Hermiticity defect NaN or infinite, which must
+    fail the entry check with a plain ValueError, before any solver runs."""
+    with pytest.raises(ValueError, match="Hermitian") as info:
+        NON_FINITE_CHECKS[check](_non_finite(bad, where))
+    assert not isinstance(info.value, np.linalg.LinAlgError)
+
+
+class TestPositivity:
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(
+        n=st.integers(2, 8),
+        zeros=st.integers(0, 4),
+        factor=st.sampled_from([-10.0, -2.0, -0.5, 0.0, 1.0]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_accepted_exactly_above_minus_psd_tol(self, n, zeros, factor, seed):
+        rng = np.random.default_rng(seed)
+        q, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+        smallest = factor * linalg.PSD_TOL
+        rest = rng.uniform(0.1, 1.0, n - 1)
+        values = np.concatenate([[smallest], rest * (1.0 - smallest) / rest.sum()])
+        block = (q * values) @ q.conj().T
+        # the block sits on scattered rows among exactly zero ones
+        rows = np.sort(rng.choice(n + zeros, size=n, replace=False))
+        rho = np.zeros((n + zeros, n + zeros), dtype=complex)
+        rho[np.ix_(rows, rows)] = block
+        if smallest >= -linalg.PSD_TOL:
+            states.validate_density_matrix(rho)
+            return
+        with pytest.raises(ValueError, match="negative eigenvalue") as info:
+            states.validate_density_matrix(rho)
+        assert float(str(info.value).split()[-1]) == pytest.approx(smallest, rel=1e-3)
+
+
 class TestDecompose:
     def test_product_state_has_zero_correlation(self, rng):
         a = random_density_direct(2, rng)
