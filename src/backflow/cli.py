@@ -4,7 +4,10 @@ A run produces three files in the output directory: a surface table (one
 row per evaluated (t, t') point), a profile table (reduced distance along
 the t grid with growth-interval flags) and a summary.json with the
 measure, classification counts and the worst bound violation (zero on any
-successful run, since evaluation aborts on violations).
+successful run, since evaluation aborts on violations). Each file is
+written to a temporary name and renamed into place, and a failed run
+removes the tables of an earlier run, so the directory never pairs an
+error summary with stale or half-written tables.
 
 Exit codes: 0 success, 1 config error, 2 invariant violation. Configs are
 flat INI files whose sections mirror the run options; see the README for
@@ -16,8 +19,10 @@ from __future__ import annotations
 import argparse
 import configparser
 import csv
+import io
 import json
 import math
+import os
 import sys
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
@@ -291,29 +296,41 @@ def _surface_rows(surface: WitnessSurface) -> list[list]:
     return rows
 
 
+def _write_atomically(path: Path, text: str, newline: str | None = None) -> Path:
+    """Write ``text`` beside ``path`` under a temporary name, then rename it
+    into place, so a reader sees the old file or the new one, never a part."""
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with tmp.open("w", newline=newline) as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+    return path
+
+
 def _write_table(path: Path, columns: tuple[str, ...], rows: list[list], fmt: str) -> Path:
     """Write rows as CSV (15 significant digits) or JSON records."""
-    out = path.with_suffix(".csv" if fmt == "csv" else ".json")
     if fmt == "csv":
-        with out.open("w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(columns)
-            for row in rows:
-                writer.writerow([f"{v:.15g}" if isinstance(v, float) else v for v in row])
-    else:
-        records = [dict(zip(columns, row)) for row in rows]
-        with out.open("w") as fh:
-            json.dump(records, fh, indent=1)
-            fh.write("\n")
-    return out
+        buf = io.StringIO()
+        writer = csv.writer(buf)
+        writer.writerow(columns)
+        for row in rows:
+            writer.writerow([f"{v:.15g}" if isinstance(v, float) else v for v in row])
+        return _write_atomically(path.with_suffix(".csv"), buf.getvalue(), newline="")
+    records = [dict(zip(columns, row)) for row in rows]
+    return _write_atomically(path.with_suffix(".json"), json.dumps(records, indent=1) + "\n")
 
 
 def _write_summary(out_dir: Path, summary: dict) -> Path:
-    path = out_dir / "summary.json"
-    with path.open("w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return path
+    text = json.dumps(summary, indent=2, sort_keys=True) + "\n"
+    return _write_atomically(out_dir / "summary.json", text)
+
+
+def _remove_tables(out_dir: Path) -> None:
+    """Delete the tables of either format that an earlier run left behind."""
+    for name in ("surface.csv", "surface.json", "profile.csv", "profile.json"):
+        (out_dir / name).unlink(missing_ok=True)
 
 
 def _profile_rows(profile: MonotonicityProfile) -> list[list]:
@@ -446,6 +463,7 @@ def run(cfg: RunConfig) -> int:
         else:
             summary = _run_check_job(cfg, out_dir)
     except InvariantViolation as exc:
+        _remove_tables(out_dir)
         _write_summary(out_dir, {"scenario": cfg.preset.name, "error": str(exc)})
         print(f"invariant violation: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
@@ -543,19 +561,30 @@ def _random_scenario(rng) -> witness.ScenarioPair:
 
 def _check_spectral_reduction(rng):
     """The eigenbasis reduced state against the dense evolve-then-trace path,
-    and the time homogeneity that witness rows rely on."""
+    the time homogeneity that witness rows rely on, and the two shortcuts a
+    row takes: the environment marginal and the reduction of a product
+    given by its factors."""
     for _ in range(10):
         ds, de = int(rng.integers(2, 4)), int(rng.integers(2, 5))
         mat = linalg.random_hermitian(ds * de, rng)
         times = np.concatenate([[0.0], rng.uniform(0.0, 3.0, size=4)])
         eig = linalg.hermitian_eigensystem(linalg.random_hermitian(ds * de, rng))
+        factors = (linalg.random_hermitian(ds, rng), linalg.random_hermitian(de, rng))
         for prop in (witness.EigenPropagator(eig), DiagonalPropagator(rng.normal(size=ds * de))):
+            name = type(prop).__name__
             dense = [linalg.partial_trace(prop.evolve(mat, t), ds, de) for t in times]
             err = float(np.max(np.abs(prop.reduced(mat, times, ds, de) - dense)))
-            _require(err <= 1e-12, f"{type(prop).__name__} reduced state is {err:.3e} off")
+            _require(err <= 1e-12, f"{name} reduced state is {err:.3e} off")
             shifted = prop.reduced(prop.evolve(mat, times[1]), times, ds, de)
             err = float(np.max(np.abs(shifted - prop.reduced(mat, times[1] + times, ds, de))))
-            _require(err <= 1e-12, f"{type(prop).__name__} is {err:.3e} off time homogeneity")
+            _require(err <= 1e-12, f"{name} is {err:.3e} off time homogeneity")
+            for t in times:
+                dense = linalg.partial_trace(prop.evolve(mat, t), ds, de, "environment")
+                err = float(np.max(np.abs(prop.environment(mat, t, ds, de) - dense)))
+                _require(err <= 1e-12, f"{name} environment marginal is {err:.3e} off")
+            product = prop.reduced(linalg.tensor_product(*factors), times, ds, de)
+            err = float(np.max(np.abs(prop.reduced(factors, times, ds, de) - product)))
+            _require(err <= 1e-12, f"{name} reduction of a product pair is {err:.3e} off")
 
 
 def _check_bound_window(rng):

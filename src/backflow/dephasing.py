@@ -273,7 +273,10 @@ class DiagonalPropagator:
 
     Time-homogeneous like the eigensystem-backed propagator, but
     conjugation is an elementwise phase twist, so no dense unitary is ever
-    materialized.
+    materialized. Its marginals read only the blocks of an operator that
+    reach them: ``environment`` the system-diagonal blocks and ``reduced``
+    the environment-diagonal entries, which for a pair (system,
+    environment) it takes from the factors without forming the product.
     """
 
     def __init__(self, rates):
@@ -301,17 +304,40 @@ class DiagonalPropagator:
         p = self.phases(t)
         return mat * np.outer(p, p.conj())
 
-    def reduced(self, mat: np.ndarray, times, ds: int, de: int) -> np.ndarray:
+    def _require_factors(self, ds: int, de: int) -> None:
+        if ds * de != self.dim:
+            raise ValueError(f"factors ({ds}, {de}) do not match dimension {self.dim}")
+
+    def environment(self, mat: np.ndarray, t: float, ds: int, de: int) -> np.ndarray:
+        """Tr_S[U(t) mat U(t)^dagger] = sum_a (p_a p_a^dagger) o mat[(a, :), (a, :)]
+        for the phases p_a of system level a: O(ds * de^2) work."""
+        self._require_factors(ds, de)
+        p = self.phases(t).reshape(ds, de)
+        blocks = np.reshape(mat, (ds, de, ds, de))
+        # One pass with no de x de temporaries: at 256 modes each would be
+        # 1 MiB, and a fresh process pays page faults for every one of them.
+        return np.einsum("ae,aeaf,af->ef", p, blocks, p.conj())
+
+    def reduced(self, mat, times, ds: int, de: int) -> np.ndarray:
         """Tr_E[U(t) mat U(t)^dagger] at every t of ``times``.
 
         Only the entries mat[(a, e), (b, e)] reach the reduced state, each
-        twisted by the phases of its two levels: O(dim) work per time.
-        Returns shape ``np.shape(times) + (ds, ds)``.
+        twisted by the phases of its two levels: O(dim) work per time. For
+        a pair (system, environment) those entries are
+        system[a, b] * environment[e, e]. Returns shape
+        ``np.shape(times) + (ds, ds)``.
         """
-        if ds * de != self.dim:
-            raise ValueError(f"factors ({ds}, {de}) do not match dimension {self.dim}")
+        self._require_factors(ds, de)
         ts = np.asarray(times, dtype=float)
-        diag = np.einsum("aebe->abe", np.reshape(mat, (ds, de, ds, de)))
+        if isinstance(mat, tuple):
+            system, env = (np.asarray(m) for m in mat)
+            if system.shape != (ds, ds) or env.shape != (de, de):
+                raise ValueError(
+                    f"factor shapes {system.shape}, {env.shape} do not match ({ds}, {de})"
+                )
+            diag = np.multiply.outer(system, np.diagonal(env))
+        else:
+            diag = np.einsum("aebe->abe", np.reshape(mat, (ds, de, ds, de)))
         p = np.exp(1j * np.multiply.outer(ts, self._rates)).reshape(ts.shape + (ds, de))
         return np.einsum("...ae,abe,...be->...ab", p, diag, p.conj())
 
@@ -336,7 +362,7 @@ def full_model(
         pair = plus_minus_pair()
     amp = np.sqrt(env.probs).astype(complex)
     rho_env = np.outer(amp, amp.conj())
-    state1 = BipartiteState(linalg.tensor_product(pair[0], rho_env), 2, modes)
-    state2 = BipartiteState(linalg.tensor_product(pair[1], rho_env), 2, modes)
+    state1 = BipartiteState.product(pair[0], rho_env)
+    state2 = BipartiteState.product(pair[1], rho_env)
     rates = np.concatenate([np.zeros(modes), env.freqs])
     return ScenarioPair(state1=state1, state2=state2, propagator=DiagonalPropagator(rates))

@@ -97,17 +97,34 @@ def nonzero_block(m: np.ndarray) -> np.ndarray:
     return m if keep.all() else m[np.ix_(keep, keep)]
 
 
-def trace_norm(a, tol: float = HERMITICITY_TOL) -> float:
+def trace_norm(a, tol: float = HERMITICITY_TOL):
     """Sum of absolute eigenvalues of the Hermitian part of ``a``.
 
     The input is symmetrized before eigensolving; an anti-Hermitian defect
-    above ``tol`` is rejected rather than silently absorbed. The
-    eigensolver sees only the rows and columns that are not exactly zero.
+    above ``tol`` (or NaN) is rejected rather than silently absorbed. A
+    single matrix gives a float, and the eigensolver sees only its rows and
+    columns that are not exactly zero. A stack of shape ``(..., n, n)``
+    gives an array of shape ``(...)`` from one batched eigensolve, with
+    the Hermiticity check made per matrix.
     """
-    sym = nonzero_block(require_hermitian(a, tol))
-    if sym.size == 0:
-        return 0.0
-    return float(np.sum(np.abs(np.linalg.eigvalsh(sym))))
+    m = np.asarray(a, dtype=complex)
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
+        raise ValueError(f"expected a square matrix or a stack of them, got shape {m.shape}")
+    adjoint = np.swapaxes(m, -1, -2).conj()
+    with np.errstate(invalid="ignore"):  # inf - inf is NaN, which the check rejects
+        defect = np.abs(m - adjoint).max(axis=(-2, -1), initial=0.0)
+    bad = np.flatnonzero(~(defect <= tol))
+    if bad.size:
+        index = tuple(int(i) for i in np.unravel_index(bad[0], defect.shape))
+        where = f" {index} of the stack" if index else ""
+        raise ValueError(
+            f"matrix{where} is not Hermitian: defect {float(defect[index]):.3e} exceeds {tol:.1e}"
+        )
+    sym = (m + adjoint) / 2.0
+    if m.ndim > 2:
+        return np.abs(np.linalg.eigvalsh(sym)).sum(axis=-1)
+    sym = nonzero_block(sym)
+    return float(np.sum(np.abs(np.linalg.eigvalsh(sym)))) if sym.size else 0.0
 
 
 def trace_distance(r1, r2) -> float:

@@ -134,8 +134,8 @@ def scenario(
     de = 2**spec.sites
     env = np.zeros((de, de), dtype=complex)
     env[0, 0] = 1.0
-    state1 = BipartiteState(linalg.tensor_product(pair[0], env), 2, de)
-    state2 = BipartiteState(linalg.tensor_product(pair[1], env), 2, de)
+    state1 = BipartiteState.product(pair[0], env)
+    state2 = BipartiteState.product(pair[1], env)
     charges = excitations(spec.dim)
     allowed = allowed_charges((state1.op, state2.op), charges, excitations(2))
     prop = EigenPropagator.from_charges(build_hamiltonian(spec), charges, allowed)

@@ -68,6 +68,31 @@ class BipartiteState:
         validate_density_matrix(m, name="bipartite state")
         object.__setattr__(self, "op", m)
 
+    @classmethod
+    def product(cls, system, environment) -> BipartiteState:
+        """The product state system (x) environment, validated by its factors.
+
+        Each factor is checked as a density operator, and the product is
+        formed from their Hermitian parts. A Kronecker product of Hermitian
+        matrices is Hermitian, and its eigenvalues are the products of the
+        factors' eigenvalues, so it is positive when both factors are; only
+        its trace, the product of the two traces, is checked again, on its
+        diagonal. This skips the eigenvalue-level check of the full
+        (ds*de)-dimensional operator, which costs far more than the factors'.
+        """
+        factors = [
+            linalg.hermitian_part(validate_density_matrix(m, name=f"{name} factor"))
+            for m, name in ((system, "system"), (environment, "environment"))
+        ]
+        op = linalg.tensor_product(*factors)
+        tr = complex(np.sum(np.diagonal(op)))
+        if not abs(tr - 1.0) <= TRACE_TOL:
+            raise ValueError(f"product state has trace {tr:.12g}, expected 1")
+        state = object.__new__(cls)
+        for name, value in (("op", op), ("ds", len(factors[0])), ("de", len(factors[1]))):
+            object.__setattr__(state, name, value)
+        return state
+
     @property
     def dim(self) -> int:
         return self.ds * self.de

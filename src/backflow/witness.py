@@ -58,17 +58,22 @@ class EigenPropagator:
     InvariantViolation, because the subspace evolution would drop that part.
     Time-homogeneous: the step operator between t and t + t' is U(t').
     Reduced states are computed in the eigenbasis; the partial-trace
-    kernels they need are built on first use.
+    kernels they need are built on first use. ``reduced`` also takes a pair
+    (system, environment) for their product, which it forms before the
+    gather, so a product operator is checked like any other.
     """
 
     def __init__(self, eig: HermitianEigenSystem, support=None, dim: int | None = None):
         self._eig = eig
         s = np.arange(eig.dim) if support is None else np.asarray(support)
         dim = eig.dim if dim is None else int(dim)
-        if s.shape != (eig.dim,) or np.unique(s).size != s.size or np.any((s < 0) | (s >= dim)):
-            raise ValueError(f"support must list {eig.dim} distinct basis indices below {dim}")
+        message = f"support must list {eig.dim} distinct basis indices below {dim}"
+        if s.shape != (eig.dim,) or np.any((s < 0) | (s >= dim)):
+            raise ValueError(message)
         outside = np.ones(dim, dtype=bool)
         outside[s] = False
+        if dim - np.count_nonzero(outside) != s.size:  # a repeated index clears one entry twice
+            raise ValueError(message)
         self._support, self._dim, self._outside = s, dim, np.flatnonzero(outside)
         self._kernels: dict[tuple[int, int, int], np.ndarray] = {}
 
@@ -146,6 +151,15 @@ class EigenPropagator:
         out[..., self._support[:, None], self._support] = u @ inside @ u.conj().T
         return out
 
+    def environment(self, mat: np.ndarray, t: float, ds: int, de: int) -> np.ndarray:
+        """Tr_S[U(t) mat U(t)^dagger]; at t = 0 the marginal of ``mat`` itself,
+        after the support check that ``evolve`` makes at any other t."""
+        if t:
+            mat = self.evolve(mat, t)
+        else:
+            self._gather(mat)
+        return linalg.partial_trace(mat, ds, de, "environment")
+
     def _kernel(self, a: int, b: int, ds: int) -> np.ndarray:
         """G^{ab}_{ij} = sum_e M_{ae,i} conj(M_{be,j}) for the dim x n mode
         matrix M (the eigenvectors placed on the support rows); stored for
@@ -160,16 +174,19 @@ class EigenPropagator:
             self._kernels[key] = v[a].T @ v[b].conj()
         return self._kernels[key]
 
-    def reduced(self, mat: np.ndarray, times, ds: int, de: int) -> np.ndarray:
+    def reduced(self, mat, times, ds: int, de: int) -> np.ndarray:
         """Tr_E[U(t) mat U(t)^dagger] at every t of ``times``.
 
-        With mat~ = V^dagger mat V on the subspace and phi = exp(-i w t),
-        entry (a, b) is phi^T (mat~ o G^{ab}) conj(phi): one product over
-        the whole time grid per entry. Returns shape
+        ``mat`` is an operator or a pair (system, environment) standing for
+        their product. With mat~ = V^dagger mat V on the subspace and
+        phi = exp(-i w t), entry (a, b) is phi^T (mat~ o G^{ab}) conj(phi):
+        one product over the whole time grid per entry. Returns shape
         ``np.shape(times) + (ds, ds)``.
         """
         if ds * de != self._dim:
             raise ValueError(f"factors ({ds}, {de}) do not match dimension {self._dim}")
+        if isinstance(mat, tuple):
+            mat = linalg.tensor_product(*mat)
         v = self._eig.vectors
         x = v.conj().T @ self._gather(mat) @ v
         phi = np.exp(-1j * np.multiply.outer(np.asarray(times, dtype=float), self._eig.values))
@@ -184,9 +201,17 @@ class EigenPropagator:
 class ScenarioPair:
     """Two initial total states plus a shared propagator.
 
-    ``propagator`` is anything with ``dim``, ``evolve(mat, t)`` and
-    ``reduced(mat, times, ds, de)``; a bare HermitianEigenSystem of a total
-    Hamiltonian is wrapped automatically. It must be time-homogeneous,
+    ``propagator`` is anything with
+
+    - ``dim``, the total dimension;
+    - ``evolve(mat, t)``, U(t) mat U(t)^dagger;
+    - ``environment(mat, t, ds, de)``, Tr_S[U(t) mat U(t)^dagger];
+    - ``reduced(mat, times, ds, de)``, Tr_E[U(t) mat U(t)^dagger] at every
+      t of ``times``, where ``mat`` may also be a pair (system,
+      environment) that stands for system (x) environment.
+
+    A bare HermitianEigenSystem of a total Hamiltonian is wrapped
+    automatically. The propagator must be time-homogeneous,
     ``reduced(evolve(X, t), t', ...) == reduced(X, t + t', ...)``: witness
     rows read the state at t + t' from the initial states.
     """
@@ -205,9 +230,10 @@ class ScenarioPair:
         if isinstance(prop, HermitianEigenSystem):
             prop = EigenPropagator(prop)
             object.__setattr__(self, "propagator", prop)
-        if not all(hasattr(prop, name) for name in ("dim", "evolve", "reduced")):
+        if not all(hasattr(prop, name) for name in ("dim", "evolve", "environment", "reduced")):
             raise TypeError(
-                "propagator must expose 'dim', 'evolve(mat, t)' and 'reduced(mat, times, ds, de)'"
+                "propagator must expose 'dim', 'evolve(mat, t)', "
+                "'environment(mat, t, ds, de)' and 'reduced(mat, times, ds, de)'"
             )
         if prop.dim != self.state1.dim:
             raise ValueError(
@@ -367,60 +393,63 @@ def _evolved(sc: ScenarioPair, op: np.ndarray, t: float) -> np.ndarray:
     return op if _require_times(t) == 0 else sc.propagator.evolve(op, t)
 
 
+def _reduced_differences(sc: ScenarioPair, times: np.ndarray) -> np.ndarray:
+    """rho_S1 - rho_S2 at every t of ``times``, by linearity from the two
+    reduced states, so no total difference is formed."""
+    reduce = sc.propagator.reduced
+    return reduce(sc.state1.op, times, sc.ds, sc.de) - reduce(sc.state2.op, times, sc.ds, sc.de)
+
+
 @dataclass(frozen=True, eq=False)
 class _Row:
     """Everything the t' sweep at a fixed t needs.
 
     ``next_diffs`` are the reduced differences g of the two states at every
-    t + t' and ``x_forecast`` is (rho_S1 - rho_S2) (x) rho_E at t, with the
-    environment of the branch picked by ``env_label``. B is |g - f| / 2 for
-    the forecast's reduced image f.
+    t + t' and ``x_forecast`` is the pair (rho_S1 - rho_S2, rho_E) at t that
+    stands for their product, with the environment of the branch picked by
+    ``env_label``. B is |g - f| / 2 for the forecast's reduced image f.
     """
 
     t: float
     d_t: float
     next_diffs: np.ndarray
-    x_forecast: np.ndarray
+    x_forecast: tuple[np.ndarray, np.ndarray]
 
 
 def _build_row(sc: ScenarioPair, t: float, tprimes: np.ndarray, env_label: int = 1) -> _Row:
     if env_label not in (1, 2):
         raise ValueError(f"env_label must be 1 or 2, got {env_label}")
     times = np.concatenate([_require_times(t).reshape(1), t + tprimes])
-    diffs = sc.propagator.reduced(sc.state1.op - sc.state2.op, times, sc.ds, sc.de)
+    diffs = _reduced_differences(sc, times)
     branch = (sc.state1, sc.state2)[env_label - 1]
-    env = linalg.partial_trace(_evolved(sc, branch.op, t), sc.ds, sc.de, "environment")
+    env = sc.propagator.environment(branch.op, t, sc.ds, sc.de)
     d_t = 0.5 * linalg.trace_norm(diffs[0])
-    return _Row(t=t, d_t=d_t, next_diffs=diffs[1:], x_forecast=linalg.tensor_product(diffs[0], env))
+    return _Row(t=t, d_t=d_t, next_diffs=diffs[1:], x_forecast=(diffs[0], env))
 
 
 def _row_points(
     sc: ScenarioPair, row: _Row, tprimes: np.ndarray, eps: float = DEFAULT_CLASS_EPS
 ) -> tuple[WitnessPoint, ...]:
     """The points of one row at every t' of ``tprimes``, from one reduced-state
-    call for the forecast."""
-    forecast = sc.propagator.reduced(row.x_forecast, tprimes, sc.ds, sc.de)
+    call for the forecast and one batched trace norm of [g, f, g - f]."""
+    g = row.next_diffs
+    f = sc.propagator.reduced(row.x_forecast, tprimes, sc.ds, sc.de)
+    d_next, forecast, influence = (0.5 * linalg.trace_norm(np.stack([g, f, g - f]))).tolist()
     return tuple(
-        checked_point(
-            row.t, tp, row.d_t,
-            d_next=0.5 * linalg.trace_norm(g),
-            forecast=0.5 * linalg.trace_norm(f),
-            influence=0.5 * linalg.trace_norm(g - f),
-            eps=eps,
-        )
-        for tp, g, f in zip(tprimes.tolist(), row.next_diffs, forecast)
+        checked_point(row.t, tp, row.d_t, d, fc, b, eps=eps)
+        for tp, d, fc, b in zip(tprimes.tolist(), d_next, forecast, influence)
     )
 
 
 def reduced_distance(sc: ScenarioPair, t):
     """Trace distance between the two reduced system states at time t.
 
-    Array times give an array, from one reduced-state call.
+    Array times give an array, from one reduced-state call per state and
+    one batched trace norm.
     """
     ts = _require_times(t)
-    diffs = sc.propagator.reduced(sc.state1.op - sc.state2.op, ts, sc.ds, sc.de)
-    dist = [0.5 * linalg.trace_norm(m) for m in diffs.reshape(-1, sc.ds, sc.ds)]
-    return dist[0] if ts.ndim == 0 else np.reshape(dist, ts.shape)
+    dist = 0.5 * linalg.trace_norm(_reduced_differences(sc, ts).reshape(-1, sc.ds, sc.ds))
+    return float(dist[0]) if ts.ndim == 0 else dist.reshape(ts.shape)
 
 
 def forecast_distance(sc: ScenarioPair, tprime: float, t: float, env_label: int = 1) -> float:
@@ -494,7 +523,7 @@ def evaluate_surface(
     """Witness points over the full (t, t') product grid.
 
     Per-t quantities (the reduced differences, one environment, the
-    forecast operator) are computed once per row and reused across the t'
+    forecast's factors) are computed once per row and reused across the t'
     sweep; only one row is alive at a time.
     """
     ts = _require_grid(t_grid, "t grid")

@@ -339,6 +339,26 @@ class TestInvariantExit:
         assert "outside" in read_summary(out)["error"]
         assert "Traceback" not in capsys.readouterr().err
 
+    def test_failed_run_leaves_no_stale_tables(self, tmp_path, monkeypatch):
+        cfg = tmp_path / "chain.ini"
+        cfg.write_text(
+            "[scenario]\nmodel = spin_chain\nsites = 3\nexchange = 1.0\n"
+            "probe_exchange = 1.0\nfield = 0.0\n\n"
+            "[t_grid]\nmin = 0.0\nmax = 1.0\ncount = 2\n\n"
+            "[tprime_grid]\nmin = 0.0\nmax = 1.0\ncount = 2\n"
+        )
+        out = tmp_path / "chain"
+        assert main(["run", str(cfg), "--out", str(out)]) == EXIT_OK
+        assert main(["run", str(cfg), "--out", str(out), "--format", "json"]) == EXIT_OK
+        assert {p.name for p in out.iterdir()} == {
+            "surface.csv", "profile.csv", "surface.json", "profile.json", "summary.json"
+        }
+        # as in test_operator_outside_the_chain_subspace_exits_2
+        monkeypatch.setattr(cli.spinchain, "allowed_charges", lambda *args: {1, 2})
+        assert main(["run", str(cfg), "--out", str(out)]) == EXIT_INVARIANT
+        assert [p.name for p in out.iterdir()] == ["summary.json"]
+        assert "error" in read_summary(out)
+
 
 class TestParseConfig:
     def test_grid_spec_validation(self):

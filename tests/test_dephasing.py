@@ -306,6 +306,27 @@ class TestFullModel:
             s1, s2 = witness.evolve_pair(self.scenario, t)
             assert linalg.trace_distance(s1.environment(), s2.environment()) <= 1e-10
 
+    def test_point_forms_no_product_and_evolves_no_state(self, monkeypatch):
+        """A row reads the environment marginal and the forecast from their
+        factors: no np.kron, no np.outer, no dense evolve."""
+        calls = []
+
+        def recording(name, fn):
+            def wrapped(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+
+            return wrapped
+
+        monkeypatch.setattr(np, "kron", recording("kron", np.kron))
+        monkeypatch.setattr(np, "outer", recording("outer", np.outer))
+        monkeypatch.setattr(
+            DiagonalPropagator, "evolve", recording("evolve", DiagonalPropagator.evolve)
+        )
+        for env_label in (1, 2):
+            witness.evaluate_point(self.scenario, 0.7, 1.3, env_label=env_label)
+        assert calls == []
+
     def test_oversized_environment_rejected(self):
         # the cap counts the qubit too: 2049 modes make 4098 dimensions
         for modes in (2049, 5000):

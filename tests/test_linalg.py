@@ -123,6 +123,35 @@ class TestTraceNorm:
         m[0, 1] = 1e-12  # below the rejection tolerance
         assert linalg.trace_norm(m) == pytest.approx(2.0, abs=1e-11)
 
+    def test_stack_matches_single_calls(self, rng):
+        stack = np.stack([
+            np.stack([random_hermitian_direct(3, rng) for _ in range(4)]) for _ in range(2)
+        ])
+        stack[1, 2] = 0.0  # an all-zero member
+        got = linalg.trace_norm(stack)
+        assert got.shape == (2, 4)
+        for idx in np.ndindex(2, 4):
+            assert abs(got[idx] - linalg.trace_norm(stack[idx])) <= 1e-14
+        assert got[1, 2] == 0.0
+        assert isinstance(linalg.trace_norm(stack[0, 0]), float)
+        assert linalg.trace_norm(np.zeros((0, 2, 2))).shape == (0,)
+
+    @pytest.mark.parametrize("bad", [np.nan, "anti-Hermitian"])
+    def test_stack_rejects_one_bad_member(self, rng, bad):
+        stack = np.stack([random_hermitian_direct(2, rng) for _ in range(3)])
+        if bad == "anti-Hermitian":
+            stack[1, 0, 1] += 1e-3
+        else:
+            stack[1, 0, 0] = bad
+        with pytest.raises(ValueError, match=r"matrix \(1,\) of the stack is not Hermitian"):
+            linalg.trace_norm(stack)
+
+    def test_stack_needs_square_members(self):
+        with pytest.raises(ValueError, match="square"):
+            linalg.trace_norm(np.zeros((2, 2, 3)))
+        with pytest.raises(ValueError, match="square"):
+            linalg.trace_norm(np.zeros(4))
+
     def test_triangle_inequality(self, rng):
         for _ in range(50):
             dim = int(rng.integers(2, 10))

@@ -47,6 +47,41 @@ class TestBipartiteState:
             BipartiteState(m, 2, 2)
 
 
+class TestProductState:
+    def test_equals_the_validated_product(self, rng):
+        rho_s, rho_e = random_density_direct(2, rng), random_density_direct(3, rng)
+        s = BipartiteState.product(rho_s, rho_e)
+        assert (s.ds, s.de) == (2, 3)
+        assert np.max(np.abs(s.op - np.kron(rho_s, rho_e))) <= 1e-15
+        assert np.array_equal(s.op, s.op.conj().T)
+        assert np.max(np.abs(BipartiteState(s.op, 2, 3).op - s.op)) == 0.0
+
+    @pytest.mark.parametrize("factor", ["system", "environment"])
+    @pytest.mark.parametrize(
+        "defect, message",
+        [
+            ("negative", "negative eigenvalue"),
+            ("non-Hermitian", "not Hermitian"),
+            ("nan", "not Hermitian"),
+            ("trace", "trace"),
+        ],
+    )
+    def test_rejects_a_bad_factor_by_name(self, rng, factor, defect, message):
+        good = {"system": random_density_direct(2, rng), "environment": np.eye(3) / 3}
+        bad = good[factor].astype(complex)
+        if defect == "negative":
+            bad = np.diag([1.5, -0.5] + [0.0] * (len(bad) - 2)).astype(complex)
+        elif defect == "non-Hermitian":
+            bad[0, 1] += 0.1
+        elif defect == "nan":
+            bad[0, 0] = np.nan
+        else:
+            bad = 2.0 * bad
+        good[factor] = bad
+        with pytest.raises(ValueError, match=f"{factor} factor .*{message}"):
+            BipartiteState.product(good["system"], good["environment"])
+
+
 def _non_finite(bad, where):
     m = np.diag([0.5, 0.5, 0.0, 0.0]).astype(complex)
     if where == "diagonal":

@@ -315,6 +315,50 @@ class TestReducedStates:
         np.testing.assert_allclose(prop.reduced(mat, ts[-1], ds, de), dense[-1], rtol=0, atol=1e-12)
 
 
+class TestRowPrimitives:
+    """The environment marginal and the product-pair reduction of both
+    propagators against the dense operators they stand for."""
+
+    @pytest.mark.parametrize("diagonal", [False, True], ids=["eigen", "diagonal"])
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(
+        ds=st.integers(2, 4),
+        de=st.integers(2, 4),
+        seed=st.integers(0, 2**32 - 1),
+        times=st.lists(st.floats(0.0, 5.0), min_size=0, max_size=4),
+    )
+    def test_match_the_dense_operators(self, diagonal, ds, de, seed, times):
+        rng = np.random.default_rng(seed)
+        dim = ds * de
+        if diagonal:
+            prop = DiagonalPropagator(rng.normal(scale=3.0, size=dim))
+        else:
+            prop = EigenPropagator(linalg.hermitian_eigensystem(random_hermitian_direct(dim, rng)))
+        mat = random_hermitian_direct(dim, rng)
+        ts = np.array([0.0, *times])
+        for t in ts:
+            dense = linalg.partial_trace(prop.evolve(mat, t), ds, de, keep="environment")
+            assert np.max(np.abs(prop.environment(mat, t, ds, de) - dense)) <= 1e-12
+        a, b = random_hermitian_direct(ds, rng), random_hermitian_direct(de, rng)
+        got = prop.reduced((a, b), ts, ds, de)
+        assert got.shape == (ts.size, ds, ds)
+        assert np.max(np.abs(got - prop.reduced(np.kron(a, b), ts, ds, de))) <= 1e-12
+
+    def test_protocol_needs_an_environment_marginal(self, rng):
+        class NoMarginal:
+            dim = 4
+
+            def evolve(self, mat, t):
+                return mat
+
+            def reduced(self, mat, times, ds, de):
+                raise NotImplementedError
+
+        s = BipartiteState(random_density_direct(4, rng), 2, 2)
+        with pytest.raises(TypeError, match="environment"):
+            ScenarioPair(state1=s, state2=s, propagator=NoMarginal())
+
+
 class TestInfluenceShortcut:
     """F, B and D(t + t') of a row against the paper's definitions, built
     densely from the correlation split of the states at t."""
@@ -429,6 +473,9 @@ class TestChargeBlocks:
             prop.evolve(stray, 0.5)
         with pytest.raises(witness.InvariantViolation, match="outside"):
             prop.reduced(stray, [0.5], 2, 4)
+        for t in (0.0, 0.5):
+            with pytest.raises(witness.InvariantViolation, match="outside"):
+                prop.environment(stray, t, 2, 4)
         stray[outside, prop.support[0]] = stray[prop.support[0], outside] = 1e-13
         prop.reduced(stray, [0.5], 2, 4)  # below the tolerance: dropped
 
