@@ -273,16 +273,18 @@ class DiagonalPropagator:
 
     Time-homogeneous like the eigensystem-backed propagator, but
     conjugation is an elementwise phase twist, so no dense unitary is ever
-    materialized. Its marginals read only the blocks of an operator that
-    reach them: ``environment`` the system-diagonal blocks and ``reduced``
-    the environment-diagonal entries, which for a pair (system,
-    environment) it takes from the factors without forming the product.
+    materialized. Its reduced states read only the environment-diagonal
+    entries of an operator. Its ``forecast`` reads only the environment
+    populations of ``mat``, which do not depend on t: a diagonal U leaves
+    the diagonal of U mat U^dagger unchanged.
     """
 
     def __init__(self, rates):
         r = np.asarray(rates, dtype=float)
         if r.ndim != 1 or r.size == 0:
             raise ValueError("rates must be a nonempty 1-d array")
+        if not np.all(np.isfinite(r)):
+            raise ValueError("rates must be finite")
         self._rates = r
 
     @property
@@ -308,38 +310,41 @@ class DiagonalPropagator:
         if ds * de != self.dim:
             raise ValueError(f"factors ({ds}, {de}) do not match dimension {self.dim}")
 
-    def environment(self, mat: np.ndarray, t: float, ds: int, de: int) -> np.ndarray:
-        """Tr_S[U(t) mat U(t)^dagger] = sum_a (p_a p_a^dagger) o mat[(a, :), (a, :)]
-        for the phases p_a of system level a: O(ds * de^2) work."""
-        self._require_factors(ds, de)
-        p = self.phases(t).reshape(ds, de)
-        blocks = np.reshape(mat, (ds, de, ds, de))
-        # One pass with no de x de temporaries: at 256 modes each would be
-        # 1 MiB, and a fresh process pays page faults for every one of them.
-        return np.einsum("ae,aeaf,af->ef", p, blocks, p.conj())
+    def _twist(self, diag: np.ndarray, times, ds: int, de: int) -> np.ndarray:
+        """sum_e diag[a, b, e] p_{ae}(t) conj(p_{be}(t)) at every t of ``times``."""
+        ts = np.asarray(times, dtype=float)
+        p = np.exp(1j * np.multiply.outer(ts, self._rates)).reshape(ts.shape + (ds, de))
+        return np.einsum("...ae,abe,...be->...ab", p, diag, p.conj())
 
-    def reduced(self, mat, times, ds: int, de: int) -> np.ndarray:
+    def reduced(self, mat: np.ndarray, times, ds: int, de: int) -> np.ndarray:
         """Tr_E[U(t) mat U(t)^dagger] at every t of ``times``.
 
         Only the entries mat[(a, e), (b, e)] reach the reduced state, each
-        twisted by the phases of its two levels: O(dim) work per time. For
-        a pair (system, environment) those entries are
-        system[a, b] * environment[e, e]. Returns shape
-        ``np.shape(times) + (ds, ds)``.
+        twisted by the phases of its two levels: O(dim) work per time.
+        Returns shape ``np.shape(times) + (ds, ds)``.
         """
         self._require_factors(ds, de)
-        ts = np.asarray(times, dtype=float)
-        if isinstance(mat, tuple):
-            system, env = (np.asarray(m) for m in mat)
-            if system.shape != (ds, ds) or env.shape != (de, de):
-                raise ValueError(
-                    f"factor shapes {system.shape}, {env.shape} do not match ({ds}, {de})"
-                )
-            diag = np.multiply.outer(system, np.diagonal(env))
-        else:
-            diag = np.einsum("aebe->abe", np.reshape(mat, (ds, de, ds, de)))
-        p = np.exp(1j * np.multiply.outer(ts, self._rates)).reshape(ts.shape + (ds, de))
-        return np.einsum("...ae,abe,...be->...ab", p, diag, p.conj())
+        diag = np.einsum("aebe->abe", np.reshape(mat, (ds, de, ds, de)))
+        return self._twist(diag, times, ds, de)
+
+    def forecast(self, system: np.ndarray, mat: np.ndarray, t: float, tprimes, ds: int, de: int):
+        """Tr_E[U(t') (system (x) Tr_S[U(t) mat U(t)^dagger]) U(t')^dagger] at
+        every t' of ``tprimes``, with shape ``np.shape(tprimes) + (ds, ds)``.
+
+        Only the environment populations pop[e] = sum_a mat[(a, e), (a, e)]
+        reach it, and they are the same at every t, so ``t`` is not read:
+        entry (a, b) is sum_e system[a, b] pop[e] twisted by the t' phases,
+        O(ds * de) work per t'.
+        """
+        self._require_factors(ds, de)
+        system = np.asarray(system)
+        if system.shape != (ds, ds) or np.shape(mat) != (self.dim, self.dim):
+            raise ValueError(
+                f"system shape {system.shape} and operator shape {np.shape(mat)} "
+                f"do not match factors ({ds}, {de})"
+            )
+        pop = np.diagonal(mat).reshape(ds, de).sum(axis=0)
+        return self._twist(np.multiply.outer(system, pop), tprimes, ds, de)
 
 
 def full_model(

@@ -16,6 +16,10 @@ below D - F rules one out; in between nothing can be concluded.
 A row of fixed t needs no correlation split: the reduced images of the
 total difference at t are the reduced differences g at t + t', the forecast
 f is the reduced image of (rho_S1 - rho_S2) (x) rho_E, and B = |g - f| / 2.
+The propagator gives both: ``reduced`` the reduced states at every t + t',
+and ``forecast`` the image f directly, so no row forms the product or an
+environment marginal it reads only in part. D(t), g, f and g - f then take
+one batched trace norm per row.
 """
 
 from __future__ import annotations
@@ -58,9 +62,10 @@ class EigenPropagator:
     InvariantViolation, because the subspace evolution would drop that part.
     Time-homogeneous: the step operator between t and t + t' is U(t').
     Reduced states are computed in the eigenbasis; the partial-trace
-    kernels they need are built on first use. ``reduced`` also takes a pair
-    (system, environment) for their product, which it forms before the
-    gather, so a product operator is checked like any other.
+    kernels they need are built on first use. ``forecast`` evolves the
+    operator once, takes its environment marginal and reduces the product
+    through the same gather, so a product operator is checked like any
+    other.
     """
 
     def __init__(self, eig: HermitianEigenSystem, support=None, dim: int | None = None):
@@ -151,15 +156,6 @@ class EigenPropagator:
         out[..., self._support[:, None], self._support] = u @ inside @ u.conj().T
         return out
 
-    def environment(self, mat: np.ndarray, t: float, ds: int, de: int) -> np.ndarray:
-        """Tr_S[U(t) mat U(t)^dagger]; at t = 0 the marginal of ``mat`` itself,
-        after the support check that ``evolve`` makes at any other t."""
-        if t:
-            mat = self.evolve(mat, t)
-        else:
-            self._gather(mat)
-        return linalg.partial_trace(mat, ds, de, "environment")
-
     def _kernel(self, a: int, b: int, ds: int) -> np.ndarray:
         """G^{ab}_{ij} = sum_e M_{ae,i} conj(M_{be,j}) for the dim x n mode
         matrix M (the eigenvectors placed on the support rows); stored for
@@ -174,19 +170,15 @@ class EigenPropagator:
             self._kernels[key] = v[a].T @ v[b].conj()
         return self._kernels[key]
 
-    def reduced(self, mat, times, ds: int, de: int) -> np.ndarray:
+    def reduced(self, mat: np.ndarray, times, ds: int, de: int) -> np.ndarray:
         """Tr_E[U(t) mat U(t)^dagger] at every t of ``times``.
 
-        ``mat`` is an operator or a pair (system, environment) standing for
-        their product. With mat~ = V^dagger mat V on the subspace and
-        phi = exp(-i w t), entry (a, b) is phi^T (mat~ o G^{ab}) conj(phi):
-        one product over the whole time grid per entry. Returns shape
-        ``np.shape(times) + (ds, ds)``.
+        With mat~ = V^dagger mat V on the subspace and phi = exp(-i w t),
+        entry (a, b) is phi^T (mat~ o G^{ab}) conj(phi): one product over the
+        whole time grid per entry. Returns shape ``np.shape(times) + (ds, ds)``.
         """
         if ds * de != self._dim:
             raise ValueError(f"factors ({ds}, {de}) do not match dimension {self._dim}")
-        if isinstance(mat, tuple):
-            mat = linalg.tensor_product(*mat)
         v = self._eig.vectors
         x = v.conj().T @ self._gather(mat) @ v
         phi = np.exp(-1j * np.multiply.outer(np.asarray(times, dtype=float), self._eig.values))
@@ -195,6 +187,25 @@ class EigenPropagator:
             for b in range(ds):
                 out[..., a, b] = np.sum((phi @ (x * self._kernel(a, b, ds))) * phi.conj(), -1)
         return out
+
+    def forecast(self, system: np.ndarray, mat: np.ndarray, t: float, tprimes, ds: int, de: int):
+        """Tr_E[U(t') (system (x) Tr_S[U(t) mat U(t)^dagger]) U(t')^dagger] at
+        every t' of ``tprimes``, with shape ``np.shape(tprimes) + (ds, ds)``.
+
+        ``mat`` is evolved once for a nonzero t; at t = 0 it gets only the
+        support check that ``evolve`` makes. The product goes through the
+        gather of ``reduced``, so its support is checked like any other.
+        """
+        if t:
+            mat = self.evolve(mat, t)
+        else:
+            self._gather(mat)
+        env = linalg.partial_trace(mat, ds, de, "environment")
+        # Free the evolved operator before the product is formed: with two
+        # D x D arrays alive at once, malloc returns the row's memory to the
+        # system after every row and page-faults it back in on the next.
+        del mat
+        return self.reduced(linalg.tensor_product(system, env), tprimes, ds, de)
 
 
 @dataclass(frozen=True, eq=False)
@@ -205,10 +216,11 @@ class ScenarioPair:
 
     - ``dim``, the total dimension;
     - ``evolve(mat, t)``, U(t) mat U(t)^dagger;
-    - ``environment(mat, t, ds, de)``, Tr_S[U(t) mat U(t)^dagger];
     - ``reduced(mat, times, ds, de)``, Tr_E[U(t) mat U(t)^dagger] at every
-      t of ``times``, where ``mat`` may also be a pair (system,
-      environment) that stands for system (x) environment.
+      t of ``times``, with shape ``np.shape(times) + (ds, ds)``;
+    - ``forecast(system, mat, t, tprimes, ds, de)``,
+      Tr_E[U(t') (system (x) Tr_S[U(t) mat U(t)^dagger]) U(t')^dagger] at
+      every t' of ``tprimes``, with shape ``np.shape(tprimes) + (ds, ds)``.
 
     A bare HermitianEigenSystem of a total Hamiltonian is wrapped
     automatically. The propagator must be time-homogeneous,
@@ -230,10 +242,10 @@ class ScenarioPair:
         if isinstance(prop, HermitianEigenSystem):
             prop = EigenPropagator(prop)
             object.__setattr__(self, "propagator", prop)
-        if not all(hasattr(prop, name) for name in ("dim", "evolve", "environment", "reduced")):
+        if not all(hasattr(prop, name) for name in ("dim", "evolve", "reduced", "forecast")):
             raise TypeError(
-                "propagator must expose 'dim', 'evolve(mat, t)', "
-                "'environment(mat, t, ds, de)' and 'reduced(mat, times, ds, de)'"
+                "propagator must expose 'dim', 'evolve(mat, t)', 'reduced(mat, times, ds, de)' "
+                "and 'forecast(system, mat, t, tprimes, ds, de)'"
             )
         if prop.dim != self.state1.dim:
             raise ValueError(
@@ -400,43 +412,31 @@ def _reduced_differences(sc: ScenarioPair, times: np.ndarray) -> np.ndarray:
     return reduce(sc.state1.op, times, sc.ds, sc.de) - reduce(sc.state2.op, times, sc.ds, sc.de)
 
 
-@dataclass(frozen=True, eq=False)
-class _Row:
-    """Everything the t' sweep at a fixed t needs.
+def _row_points(
+    sc: ScenarioPair,
+    t: float,
+    tprimes: np.ndarray,
+    diffs: np.ndarray,
+    eps: float = DEFAULT_CLASS_EPS,
+    env_label: int = 1,
+) -> tuple[WitnessPoint, ...]:
+    """The points of the row at t for every t' of ``tprimes``.
 
-    ``next_diffs`` are the reduced differences g of the two states at every
-    t + t' and ``x_forecast`` is the pair (rho_S1 - rho_S2, rho_E) at t that
-    stands for their product, with the environment of the branch picked by
-    ``env_label``. B is |g - f| / 2 for the forecast's reduced image f.
+    ``diffs`` are the reduced differences at t and at every t + t'. The
+    forecast images f, with the environment of the branch picked by
+    ``env_label``, take one propagator call, and D(t), g, f and g - f one
+    batched trace norm.
     """
-
-    t: float
-    d_t: float
-    next_diffs: np.ndarray
-    x_forecast: tuple[np.ndarray, np.ndarray]
-
-
-def _build_row(sc: ScenarioPair, t: float, tprimes: np.ndarray, env_label: int = 1) -> _Row:
     if env_label not in (1, 2):
         raise ValueError(f"env_label must be 1 or 2, got {env_label}")
-    times = np.concatenate([_require_times(t).reshape(1), t + tprimes])
-    diffs = _reduced_differences(sc, times)
     branch = (sc.state1, sc.state2)[env_label - 1]
-    env = sc.propagator.environment(branch.op, t, sc.ds, sc.de)
-    d_t = 0.5 * linalg.trace_norm(diffs[0])
-    return _Row(t=t, d_t=d_t, next_diffs=diffs[1:], x_forecast=(diffs[0], env))
-
-
-def _row_points(
-    sc: ScenarioPair, row: _Row, tprimes: np.ndarray, eps: float = DEFAULT_CLASS_EPS
-) -> tuple[WitnessPoint, ...]:
-    """The points of one row at every t' of ``tprimes``, from one reduced-state
-    call for the forecast and one batched trace norm of [g, f, g - f]."""
-    g = row.next_diffs
-    f = sc.propagator.reduced(row.x_forecast, tprimes, sc.ds, sc.de)
-    d_next, forecast, influence = (0.5 * linalg.trace_norm(np.stack([g, f, g - f]))).tolist()
+    g = diffs[1:]
+    f = sc.propagator.forecast(diffs[0], branch.op, t, tprimes, sc.ds, sc.de)
+    norms = 0.5 * linalg.trace_norm(np.concatenate([diffs[:1], g, f, g - f]))
+    d_t = float(norms[0])
+    d_next, forecast, influence = norms[1:].reshape(3, -1).tolist()
     return tuple(
-        checked_point(row.t, tp, row.d_t, d, fc, b, eps=eps)
+        checked_point(t, tp, d_t, d, fc, b, eps=eps)
         for tp, d, fc, b in zip(tprimes.tolist(), d_next, forecast, influence)
     )
 
@@ -500,7 +500,8 @@ def evaluate_point(
 ) -> WitnessPoint:
     """All witnesses at one (t, t'), with bounds checked and classified."""
     tps = _require_times(tprime, "time step").reshape(1)
-    return _row_points(sc, _build_row(sc, t, tps, env_label), tps, eps)[0]
+    diffs = _reduced_differences(sc, np.concatenate([_require_times(t).reshape(1), t + tps]))
+    return _row_points(sc, t, tps, diffs, eps, env_label)[0]
 
 
 def _require_grid(grid, name: str) -> np.ndarray:
@@ -522,11 +523,12 @@ def evaluate_surface(
 ) -> WitnessSurface:
     """Witness points over the full (t, t') product grid.
 
-    Per-t quantities (the reduced differences, one environment, the
-    forecast's factors) are computed once per row and reused across the t'
-    sweep; only one row is alive at a time.
+    One reduced-state call per initial state covers every row, at the
+    times [t, t + t'...]; each row then makes one forecast call and one
+    batched trace norm for its whole t' sweep.
     """
     ts = _require_grid(t_grid, "t grid")
     tps = _require_grid(tprime_grid, "t' grid")
-    points = tuple(_row_points(sc, _build_row(sc, t, tps, env_label), tps, eps) for t in ts)
+    diffs = _reduced_differences(sc, np.concatenate([ts[:, None], ts[:, None] + tps], axis=1))
+    points = tuple(_row_points(sc, t, tps, d, eps, env_label) for t, d in zip(ts, diffs))
     return WitnessSurface(t_grid=ts, tprime_grid=tps, points=points)

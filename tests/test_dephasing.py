@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -278,6 +280,21 @@ class TestDiagonalPropagator:
             prop.unitary(np.pi / 4), np.diag([1.0, np.exp(1j * np.pi / 2)]), atol=1e-15
         )
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rates_rejected(self, bad):
+        with pytest.raises(ValueError, match="rates must be finite"):
+            DiagonalPropagator(np.array([0.0, 1.0, bad, 2.0]))
+
+    def test_forecast_rejects_mismatched_factors(self, rng):
+        prop = DiagonalPropagator(rng.normal(size=6))
+        mat = np.eye(6, dtype=complex) / 6
+        with pytest.raises(ValueError, match="factors"):
+            prop.forecast(np.eye(3), mat, 0.5, [0.1], 2, 3)
+        with pytest.raises(ValueError, match="factors"):
+            prop.forecast(np.eye(2), np.eye(4), 0.5, [0.1], 2, 3)
+        with pytest.raises(ValueError, match="factors"):
+            prop.forecast(np.eye(2), mat, 0.5, [0.1], 2, 2)
+
 
 class TestFullModel:
     def setup_method(self):
@@ -326,6 +343,19 @@ class TestFullModel:
         for env_label in (1, 2):
             witness.evaluate_point(self.scenario, 0.7, 1.3, env_label=env_label)
         assert calls == []
+
+    def test_point_allocates_less_than_one_environment_array(self):
+        """A 256-mode point reads only the environment populations: its peak
+        allocation stays below one 256 x 256 complex array (1 MiB)."""
+        sc = full_model(discretize(SPLIT_CENTERS, modes=256, window=40.0))
+        witness.evaluate_point(sc, 0.7, 1.3)  # warm-up
+        tracemalloc.start()
+        try:
+            witness.evaluate_point(sc, 0.7, 1.3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 256 * 256 * 16
 
     def test_oversized_environment_rejected(self):
         # the cap counts the qubit too: 2049 modes make 4098 dimensions

@@ -316,8 +316,8 @@ class TestReducedStates:
 
 
 class TestRowPrimitives:
-    """The environment marginal and the product-pair reduction of both
-    propagators against the dense operators they stand for."""
+    """The forecast of both propagators against the reduction of the dense
+    product it stands for."""
 
     @pytest.mark.parametrize("diagonal", [False, True], ids=["eigen", "diagonal"])
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -325,27 +325,28 @@ class TestRowPrimitives:
         ds=st.integers(2, 4),
         de=st.integers(2, 4),
         seed=st.integers(0, 2**32 - 1),
-        times=st.lists(st.floats(0.0, 5.0), min_size=0, max_size=4),
+        times=st.lists(st.floats(0.0, 5.0), min_size=0, max_size=3),
+        tprimes=st.lists(st.floats(0.0, 5.0), min_size=0, max_size=3),
     )
-    def test_match_the_dense_operators(self, diagonal, ds, de, seed, times):
+    def test_forecast_matches_the_dense_product(self, diagonal, ds, de, seed, times, tprimes):
         rng = np.random.default_rng(seed)
         dim = ds * de
         if diagonal:
             prop = DiagonalPropagator(rng.normal(scale=3.0, size=dim))
         else:
             prop = EigenPropagator(linalg.hermitian_eigensystem(random_hermitian_direct(dim, rng)))
-        mat = random_hermitian_direct(dim, rng)
-        ts = np.array([0.0, *times])
-        for t in ts:
-            dense = linalg.partial_trace(prop.evolve(mat, t), ds, de, keep="environment")
-            assert np.max(np.abs(prop.environment(mat, t, ds, de) - dense)) <= 1e-12
-        a, b = random_hermitian_direct(ds, rng), random_hermitian_direct(de, rng)
-        got = prop.reduced((a, b), ts, ds, de)
-        assert got.shape == (ts.size, ds, ds)
-        assert np.max(np.abs(got - prop.reduced(np.kron(a, b), ts, ds, de))) <= 1e-12
+        mat = random_hermitian_direct(dim, rng)  # correlated: not a product
+        system = random_hermitian_direct(ds, rng)
+        tps = np.array([0.0, *tprimes])
+        for t in [0.0, *times]:
+            env = linalg.partial_trace(prop.evolve(mat, t), ds, de, keep="environment")
+            want = prop.reduced(np.kron(system, env), tps, ds, de)
+            got = prop.forecast(system, mat, t, tps, ds, de)
+            assert got.shape == (tps.size, ds, ds)
+            assert np.max(np.abs(got - want)) <= 1e-12
 
-    def test_protocol_needs_an_environment_marginal(self, rng):
-        class NoMarginal:
+    def test_protocol_needs_a_forecast(self, rng):
+        class NoForecast:
             dim = 4
 
             def evolve(self, mat, t):
@@ -355,8 +356,8 @@ class TestRowPrimitives:
                 raise NotImplementedError
 
         s = BipartiteState(random_density_direct(4, rng), 2, 2)
-        with pytest.raises(TypeError, match="environment"):
-            ScenarioPair(state1=s, state2=s, propagator=NoMarginal())
+        with pytest.raises(TypeError, match="forecast"):
+            ScenarioPair(state1=s, state2=s, propagator=NoForecast())
 
 
 class TestInfluenceShortcut:
@@ -475,7 +476,7 @@ class TestChargeBlocks:
             prop.reduced(stray, [0.5], 2, 4)
         for t in (0.0, 0.5):
             with pytest.raises(witness.InvariantViolation, match="outside"):
-                prop.environment(stray, t, 2, 4)
+                prop.forecast(np.eye(2), stray, t, [0.5], 2, 4)
         stray[outside, prop.support[0]] = stray[prop.support[0], outside] = 1e-13
         prop.reduced(stray, [0.5], 2, 4)  # below the tolerance: dropped
 
