@@ -276,7 +276,9 @@ class DiagonalPropagator:
     materialized. Its reduced states read only the environment-diagonal
     entries of an operator. Its ``forecast`` reads only the environment
     populations of ``mat``, which do not depend on t: a diagonal U leaves
-    the diagonal of U mat U^dagger unchanged.
+    the diagonal of U mat U^dagger unchanged. A product given as its
+    (system, environment) pair is read as the system factor and the
+    diagonal of the environment factor.
     """
 
     def __init__(self, rates):
@@ -306,9 +308,18 @@ class DiagonalPropagator:
         p = self.phases(t)
         return mat * np.outer(p, p.conj())
 
-    def _require_factors(self, ds: int, de: int) -> None:
+    def _level_blocks(self, mat, ds: int, de: int) -> np.ndarray:
+        """The entries mat[(a, e), (b, e)] as an array [a, b, e]; ``mat`` may
+        be a (system, environment) product pair."""
         if ds * de != self.dim:
             raise ValueError(f"factors ({ds}, {de}) do not match dimension {self.dim}")
+        if isinstance(mat, tuple):
+            system, env = (np.asarray(f) for f in mat)
+            if system.shape == (ds, ds) and env.shape == (de, de):
+                return np.multiply.outer(system, np.diagonal(env))
+        elif np.shape(mat) == (self.dim, self.dim):
+            return np.einsum("aebe->abe", np.reshape(mat, (ds, de, ds, de)))
+        raise ValueError(f"operator shapes do not match factors ({ds}, {de})")
 
     def _twist(self, diag: np.ndarray, times, ds: int, de: int) -> np.ndarray:
         """sum_e diag[a, b, e] p_{ae}(t) conj(p_{be}(t)) at every t of ``times``."""
@@ -316,18 +327,16 @@ class DiagonalPropagator:
         p = np.exp(1j * np.multiply.outer(ts, self._rates)).reshape(ts.shape + (ds, de))
         return np.einsum("...ae,abe,...be->...ab", p, diag, p.conj())
 
-    def reduced(self, mat: np.ndarray, times, ds: int, de: int) -> np.ndarray:
+    def reduced(self, mat, times, ds: int, de: int) -> np.ndarray:
         """Tr_E[U(t) mat U(t)^dagger] at every t of ``times``.
 
         Only the entries mat[(a, e), (b, e)] reach the reduced state, each
         twisted by the phases of its two levels: O(dim) work per time.
         Returns shape ``np.shape(times) + (ds, ds)``.
         """
-        self._require_factors(ds, de)
-        diag = np.einsum("aebe->abe", np.reshape(mat, (ds, de, ds, de)))
-        return self._twist(diag, times, ds, de)
+        return self._twist(self._level_blocks(mat, ds, de), times, ds, de)
 
-    def forecast(self, system: np.ndarray, mat: np.ndarray, t: float, tprimes, ds: int, de: int):
+    def forecast(self, system: np.ndarray, mat, t: float, tprimes, ds: int, de: int):
         """Tr_E[U(t') (system (x) Tr_S[U(t) mat U(t)^dagger]) U(t')^dagger] at
         every t' of ``tprimes``, with shape ``np.shape(tprimes) + (ds, ds)``.
 
@@ -336,14 +345,10 @@ class DiagonalPropagator:
         entry (a, b) is sum_e system[a, b] pop[e] twisted by the t' phases,
         O(ds * de) work per t'.
         """
-        self._require_factors(ds, de)
+        pop = np.einsum("aae->e", self._level_blocks(mat, ds, de))
         system = np.asarray(system)
-        if system.shape != (ds, ds) or np.shape(mat) != (self.dim, self.dim):
-            raise ValueError(
-                f"system shape {system.shape} and operator shape {np.shape(mat)} "
-                f"do not match factors ({ds}, {de})"
-            )
-        pop = np.diagonal(mat).reshape(ds, de).sum(axis=0)
+        if system.shape != (ds, ds):
+            raise ValueError(f"system shape {system.shape} does not match factors ({ds}, {de})")
         return self._twist(np.multiply.outer(system, pop), tprimes, ds, de)
 
 

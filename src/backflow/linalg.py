@@ -2,7 +2,8 @@
 
 Everything operates on plain complex numpy arrays. Bipartite spaces use a
 fixed basis order: the system factor is always the first (slow) tensor
-index, so an index pair (a, e) maps to the flat row a * dE + e. All
+index, so an index pair (a, e) maps to the flat row a * dE + e. A product
+A (x) B is passed as the pair (A, B) where a function says so. All
 functions are pure; arrays passed in are never mutated.
 """
 
@@ -87,6 +88,17 @@ def partial_trace(
     raise ValueError(f"keep must be 'system' or 'environment', got {keep!r}")
 
 
+def magnitude_maxima(m) -> tuple[np.ndarray, np.ndarray]:
+    """Largest entry magnitude of each row and of each column of ``m``, or of
+    each matrix of a stack. A product passed as its factor pair is read from
+    the factors: the maxima of a Kronecker product are products of theirs."""
+    if isinstance(m, tuple):
+        rows, cols = zip(*(magnitude_maxima(f) for f in m))
+        return np.multiply.outer(*rows).ravel(), np.multiply.outer(*cols).ravel()
+    mag = np.abs(m)
+    return mag.max(-1), mag.max(-2)
+
+
 def nonzero_block(m: np.ndarray) -> np.ndarray:
     """The block of indices i whose row i or column i is not exactly zero.
 
@@ -102,14 +114,17 @@ def trace_norm(a, tol: float = HERMITICITY_TOL):
 
     The input is symmetrized before eigensolving; an anti-Hermitian defect
     above ``tol`` (or NaN) is rejected rather than silently absorbed. A
-    single matrix gives a float, and the eigensolver sees only its rows and
-    columns that are not exactly zero. A stack of shape ``(..., n, n)``
-    gives an array of shape ``(...)`` from one batched eigensolve, with
-    the Hermiticity check made per matrix.
+    single matrix gives a float; its Hermiticity check, symmetrization and
+    eigensolve see only its rows and columns that are not exactly zero, as a
+    dropped index, zero in row and column, adds no defect and a zero eigenvalue.
+    A stack of shape ``(..., n, n)`` gives an array of shape ``(...)`` from
+    one batched eigensolve, with the Hermiticity check made per matrix.
     """
     m = np.asarray(a, dtype=complex)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise ValueError(f"expected a square matrix or a stack of them, got shape {m.shape}")
+    if m.ndim == 2:
+        m = nonzero_block(m)
     adjoint = np.swapaxes(m, -1, -2).conj()
     with np.errstate(invalid="ignore"):  # inf - inf is NaN, which the check rejects
         defect = np.abs(m - adjoint).max(axis=(-2, -1), initial=0.0)
@@ -123,7 +138,6 @@ def trace_norm(a, tol: float = HERMITICITY_TOL):
     sym = (m + adjoint) / 2.0
     if m.ndim > 2:
         return np.abs(np.linalg.eigvalsh(sym)).sum(axis=-1)
-    sym = nonzero_block(sym)
     return float(np.sum(np.abs(np.linalg.eigvalsh(sym)))) if sym.size else 0.0
 
 

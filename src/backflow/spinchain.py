@@ -17,7 +17,7 @@ import numpy as np
 
 from . import linalg
 from .states import BipartiteState, plus_minus_pair
-from .witness import SUPPORT_TOL, EigenPropagator, ScenarioPair
+from .witness import SUPPORT_TOL, EigenPropagator, InvariantViolation, ScenarioPair
 
 PAULI = {
     "x": np.array([[0, 1], [1, 0]], dtype=complex),
@@ -70,48 +70,69 @@ def pauli_site(axis: str, site: int, total: int) -> np.ndarray:
     return np.kron(np.kron(left, PAULI[axis]), right)
 
 
-def _occupations(count: int) -> np.ndarray:
-    """Bit table: [i, n] is 1 when site n of basis state i is excited; site 0 is the top bit."""
-    shifts = np.arange(max(count - 1, 0).bit_length())[::-1]
-    return (np.arange(count)[:, None] >> shifts) & 1
+def _occupations(index, width: int) -> np.ndarray:
+    """Bit table: [i, n] is 1 when site n of basis state index[i] is excited;
+    site 0 is the top of ``width`` bits."""
+    return (np.asarray(index)[:, None] >> np.arange(width)[::-1]) & 1
 
 
-def build_hamiltonian(spec: SpinChainSpec) -> np.ndarray:
-    """Dense Hamiltonian of the probe-plus-chain system.
+def hamiltonian_block(spec: SpinChainSpec, basis) -> np.ndarray:
+    """H restricted to the basis states ``basis``, rows and columns in that order.
 
     -2*J0 on the probe bond, -2*J on each chain bond, -2*B sigma_z on each
     environment site (the probe feels no field). Written from the hopping
     rule: sigma_x sigma_x + sigma_y sigma_y links the basis states whose
-    bits n and n+1 differ, with amplitude 2, by flipping both bits.
+    bits n and n+1 differ, with amplitude 2, by flipping both bits. A hop
+    from a listed state to an unlisted one raises InvariantViolation: the
+    block would not be closed under H, and its evolution would lose weight.
     """
     total, dim = spec.sites + 1, spec.dim
-    bits, index = _occupations(dim), np.arange(dim)
-    h = np.zeros((dim, dim), dtype=complex)
+    basis = np.asarray(basis)
+    distinct = basis.ndim == 1 and np.unique(basis).size == basis.size
+    if not distinct or np.any((basis < 0) | (basis >= dim)):
+        raise ValueError(f"basis must list distinct indices below {dim}")
+    position = np.full(dim, -1)
+    position[basis] = np.arange(basis.size)
+    bits = _occupations(basis, total)
+    h = np.zeros((basis.size, basis.size), dtype=complex)
     for n in range(spec.sites):
-        hop = index[bits[:, n] != bits[:, n + 1]]
-        h[hop, hop ^ (3 << (total - 2 - n))] = -4.0 * (spec.exchange if n else spec.probe_exchange)
-    for n in range(1, total):
-        h[index, index] -= 2.0 * spec.field * (1 - 2 * bits[:, n])
+        amplitude = -4.0 * (spec.exchange if n else spec.probe_exchange)
+        if not amplitude:
+            continue
+        hop = np.flatnonzero(bits[:, n] != bits[:, n + 1])
+        partner = position[basis[hop] ^ (3 << (total - 2 - n))]
+        if np.any(partner < 0):
+            raise InvariantViolation(f"bond {n} hops out of the {basis.size}-state block")
+        h[hop, partner] = amplitude
+    zeeman = (-2.0 * spec.field * (1 - 2 * bits[:, n]) for n in range(1, total))
+    h[np.diag_indices(basis.size)] = sum(zeeman)
     return h
+
+
+def build_hamiltonian(spec: SpinChainSpec) -> np.ndarray:
+    """Dense Hamiltonian of the probe-plus-chain system: the full-space case
+    of ``hamiltonian_block``."""
+    return hamiltonian_block(spec, np.arange(spec.dim))
 
 
 def excitations(count: int) -> np.ndarray:
     """Number of excited spins (|1> factors) in each of ``count`` basis states."""
-    return _occupations(count).sum(axis=1)
+    return _occupations(np.arange(count), max(count - 1, 0).bit_length()).sum(axis=1)
 
 
 def allowed_charges(initial, charges, system_charges) -> set[int]:
     """Charges that witness operators can reach from the states ``initial``.
 
     ``charges`` holds the charge of every basis vector of the total space
-    and ``system_charges`` those of the system's basis. The charge is
+    and ``system_charges`` those of the system's basis. A product state may
+    be given as its (system, environment) factor pair. The charge is
     additive, Q = q_S + q_E. The states at t stay in the charges q of the
     initial support, and a row operator such as Delta_S (x) rho_E pairs an
     environment charge q - q_s with any system charge q_s', so every
     operator lies in {q + q_s' - q_s}, cut to the charges that exist.
     """
     charges = np.asarray(charges)
-    weight = np.max([np.abs(op) for op in initial], axis=(0, 2))
+    weight = np.max([linalg.magnitude_maxima(op)[0] for op in initial], axis=0)
     present = set(charges[weight > SUPPORT_TOL * weight.max()].tolist())
     steps = {int(b - a) for a in system_charges for b in system_charges}
     return {q + step for q in present for step in steps} & set(charges.tolist())
@@ -128,6 +149,8 @@ def scenario(
     excitation blocks that ``allowed_charges`` finds for the pair, one
     eigensystem per block, shared across the whole time grid: for the +/-
     pair that is 0, 1 and 2 excitations, 46 of 512 dimensions on 8 sites.
+    Each block of H is written straight from the hopping rule, and the
+    states stay factor pairs, so no total operator is formed.
     """
     if pair is None:
         pair = plus_minus_pair()
@@ -137,6 +160,7 @@ def scenario(
     state1 = BipartiteState.product(pair[0], env)
     state2 = BipartiteState.product(pair[1], env)
     charges = excitations(spec.dim)
-    allowed = allowed_charges((state1.op, state2.op), charges, excitations(2))
-    prop = EigenPropagator.from_charges(build_hamiltonian(spec), charges, allowed)
+    allowed = allowed_charges((state1.factors, state2.factors), charges, excitations(2))
+    blocks = [np.flatnonzero(charges == q) for q in sorted(allowed)]
+    prop = EigenPropagator.from_blocks([(b, hamiltonian_block(spec, b)) for b in blocks], spec.dim)
     return ScenarioPair(state1=state1, state2=state2, propagator=prop)

@@ -48,59 +48,65 @@ def validate_density_matrix(
     return m
 
 
-@dataclass(frozen=True, eq=False)
 class BipartiteState:
-    """A total density operator tagged with its factor dimensions."""
+    """A total density operator tagged with its factor dimensions.
 
-    op: np.ndarray
-    ds: int
-    de: int
+    A product state keeps its two validated factors as ``factors`` and forms
+    ``op`` only on first access; for any other state ``factors`` is None.
+    """
 
-    def __post_init__(self):
-        if self.ds < 1 or self.de < 1:
-            raise ValueError(f"factor dimensions must be positive, got ({self.ds}, {self.de})")
-        m = linalg.as_complex_matrix(self.op)
-        dim = self.ds * self.de
-        if m.shape != (dim, dim):
-            raise ValueError(
-                f"operator shape {m.shape} does not match factors ({self.ds}, {self.de})"
-            )
+    def __init__(self, op, ds: int, de: int):
+        if ds < 1 or de < 1:
+            raise ValueError(f"factor dimensions must be positive, got ({ds}, {de})")
+        m = linalg.as_complex_matrix(op)
+        if m.shape != (ds * de, ds * de):
+            raise ValueError(f"operator shape {m.shape} does not match factors ({ds}, {de})")
         validate_density_matrix(m, name="bipartite state")
-        object.__setattr__(self, "op", m)
+        self._op, self.ds, self.de, self.factors = m, ds, de, None
 
     @classmethod
     def product(cls, system, environment) -> BipartiteState:
         """The product state system (x) environment, validated by its factors.
 
-        Each factor is checked as a density operator, and the product is
-        formed from their Hermitian parts. A Kronecker product of Hermitian
-        matrices is Hermitian, and its eigenvalues are the products of the
-        factors' eigenvalues, so it is positive when both factors are; only
-        its trace, the product of the two traces, is checked again, on its
-        diagonal. This skips the eigenvalue-level check of the full
-        (ds*de)-dimensional operator, which costs far more than the factors'.
+        Each factor is checked as a density operator and kept, read-only, as
+        its Hermitian part. A Kronecker product of Hermitian matrices is
+        Hermitian, and its eigenvalues are the products of the factors'
+        eigenvalues, so it is positive when both factors are; only its
+        trace, the product of the two traces, is checked again. No
+        (ds*de)-dimensional operator is formed or checked.
         """
-        factors = [
+        factors = tuple(
             linalg.hermitian_part(validate_density_matrix(m, name=f"{name} factor"))
             for m, name in ((system, "system"), (environment, "environment"))
-        ]
-        op = linalg.tensor_product(*factors)
-        tr = complex(np.sum(np.diagonal(op)))
+        )
+        tr = complex(np.trace(factors[0]) * np.trace(factors[1]))
         if not abs(tr - 1.0) <= TRACE_TOL:
             raise ValueError(f"product state has trace {tr:.12g}, expected 1")
+        for f in factors:
+            f.flags.writeable = False
         state = object.__new__(cls)
-        for name, value in (("op", op), ("ds", len(factors[0])), ("de", len(factors[1]))):
-            object.__setattr__(state, name, value)
+        state._op, state.factors = None, factors
+        state.ds, state.de = len(factors[0]), len(factors[1])
         return state
+
+    @property
+    def op(self) -> np.ndarray:
+        if self._op is None:
+            self._op = linalg.tensor_product(*self.factors)
+        return self._op
 
     @property
     def dim(self) -> int:
         return self.ds * self.de
 
     def system(self) -> np.ndarray:
+        if self.factors:
+            return self.factors[0]
         return linalg.partial_trace(self.op, self.ds, self.de, "system")
 
     def environment(self) -> np.ndarray:
+        if self.factors:
+            return self.factors[1]
         return linalg.partial_trace(self.op, self.ds, self.de, "environment")
 
 

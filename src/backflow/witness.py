@@ -18,8 +18,9 @@ total difference at t are the reduced differences g at t + t', the forecast
 f is the reduced image of (rho_S1 - rho_S2) (x) rho_E, and B = |g - f| / 2.
 The propagator gives both: ``reduced`` the reduced states at every t + t',
 and ``forecast`` the image f directly, so no row forms the product or an
-environment marginal it reads only in part. D(t), g, f and g - f then take
-one batched trace norm per row.
+environment marginal it reads only in part; a product initial state
+reaches both as its factor pair. D(t), g, f and g - f then take one
+batched trace norm per row.
 """
 
 from __future__ import annotations
@@ -60,12 +61,13 @@ class EigenPropagator:
     is the one-block case: the support is the whole space. Operators enter
     by an index gather onto the support; one with weight outside it raises
     InvariantViolation, because the subspace evolution would drop that part.
+    A product given as its (system, environment) pair is gathered and
+    checked from the factors alone.
     Time-homogeneous: the step operator between t and t + t' is U(t').
     Reduced states are computed in the eigenbasis; the partial-trace
     kernels they need are built on first use. ``forecast`` evolves the
-    operator once, takes its environment marginal and reduces the product
-    through the same gather, so a product operator is checked like any
-    other.
+    support block once and reduces the product with its environment
+    marginal through the same gather, so that product is checked too.
     """
 
     def __init__(self, eig: HermitianEigenSystem, support=None, dim: int | None = None):
@@ -101,8 +103,14 @@ class EigenPropagator:
         if not kept:
             raise ValueError(f"no basis vector carries an allowed charge of {sorted(allowed)}")
         blocks = [np.flatnonzero(q == c) for c in kept]
-        eigs = [linalg.hermitian_eigensystem(h[np.ix_(b, b)]) for b in blocks]
-        support = np.concatenate(blocks)
+        return cls.from_blocks([(b, h[np.ix_(b, b)]) for b in blocks], h.shape[0])
+
+    @classmethod
+    def from_blocks(cls, blocks, dim: int) -> EigenPropagator:
+        """Propagator on H-invariant blocks of a ``dim``-dimensional space,
+        each a pair (basis indices, H restricted to them), one eigensystem each."""
+        eigs = [linalg.hermitian_eigensystem(h) for _, h in blocks]
+        support = np.concatenate([b for b, _ in blocks])
         vectors = np.zeros((support.size, support.size), dtype=complex)
         start = 0
         for e in eigs:
@@ -111,7 +119,7 @@ class EigenPropagator:
         values = np.concatenate([e.values for e in eigs])
         order = np.argsort(values, kind="stable")
         eig = HermitianEigenSystem(values=values[order], vectors=vectors[:, order])
-        return cls(eig, support, h.shape[0])
+        return cls(eig, support, dim)
 
     @property
     def dim(self) -> int:
@@ -131,15 +139,25 @@ class EigenPropagator:
         """U(t) on the subspace, in the basis ``support``."""
         return linalg.unitary_at(self._eig, t)
 
-    def _gather(self, mat: np.ndarray) -> np.ndarray:
-        """The support rows and columns of ``mat`` (or of each matrix of a stack)."""
-        mat = np.asarray(mat)
-        if mat.shape[-2:] != (self._dim, self._dim):
-            raise ValueError(f"operator shape {mat.shape} does not match dimension {self._dim}")
-        inside = mat[..., self._support[:, None], self._support]
+    def _gather(self, mat) -> np.ndarray:
+        """The support rows and columns of ``mat``, of each matrix of a stack,
+        or of the product of a (system, environment) pair: entry (i, j) is
+        then system[a_i, a_j] * environment[e_i, e_j], (a_i, e_i) the
+        factor indices of support_i."""
+        s = self._support
+        if isinstance(mat, tuple):
+            system, env = (linalg.as_complex_matrix(f) for f in mat)
+            if len(system) * len(env) != self._dim:
+                raise ValueError(f"factor shapes do not match dimension {self._dim}")
+            a, e = np.divmod(s, len(env))
+            inside = system[a[:, None], a] * env[e[:, None], e]
+        else:
+            mat = np.asarray(mat)
+            if mat.shape[-2:] != (self._dim, self._dim):
+                raise ValueError(f"operator shape {mat.shape} does not match dimension {self._dim}")
+            inside = mat[..., s[:, None], s]
         if self._outside.size:
-            mag = np.abs(mat)
-            rows, cols = mag.max(-1), mag.max(-2)  # largest entry of each row, column
+            rows, cols = linalg.magnitude_maxima(mat)
             out = np.maximum(rows[..., self._outside].max(-1), cols[..., self._outside].max(-1))
             if np.any(out > SUPPORT_TOL * rows.max(-1)):
                 raise InvariantViolation(
@@ -170,8 +188,9 @@ class EigenPropagator:
             self._kernels[key] = v[a].T @ v[b].conj()
         return self._kernels[key]
 
-    def reduced(self, mat: np.ndarray, times, ds: int, de: int) -> np.ndarray:
-        """Tr_E[U(t) mat U(t)^dagger] at every t of ``times``.
+    def reduced(self, mat, times, ds: int, de: int) -> np.ndarray:
+        """Tr_E[U(t) mat U(t)^dagger] at every t of ``times``; ``mat`` may be
+        a (system, environment) product pair.
 
         With mat~ = V^dagger mat V on the subspace and phi = exp(-i w t),
         entry (a, b) is phi^T (mat~ o G^{ab}) conj(phi): one product over the
@@ -188,24 +207,27 @@ class EigenPropagator:
                 out[..., a, b] = np.sum((phi @ (x * self._kernel(a, b, ds))) * phi.conj(), -1)
         return out
 
-    def forecast(self, system: np.ndarray, mat: np.ndarray, t: float, tprimes, ds: int, de: int):
+    def forecast(self, system: np.ndarray, mat, t: float, tprimes, ds: int, de: int):
         """Tr_E[U(t') (system (x) Tr_S[U(t) mat U(t)^dagger]) U(t')^dagger] at
-        every t' of ``tprimes``, with shape ``np.shape(tprimes) + (ds, ds)``.
+        every t' of ``tprimes``, with shape ``np.shape(tprimes) + (ds, ds)``;
+        ``mat`` may be a (system, environment) product pair.
 
-        ``mat`` is evolved once for a nonzero t; at t = 0 it gets only the
-        support check that ``evolve`` makes. The product goes through the
-        gather of ``reduced``, so its support is checked like any other.
+        Only the support block of ``mat`` is evolved, by U(t) on the
+        subspace. Its environment marginal adds, for each system level a,
+        the block entries whose rows and columns both lie on level a. The
+        pair (system, marginal) then goes through the gather of ``reduced``,
+        so the product's support is checked like any other.
         """
+        inside = self._gather(mat)
         if t:
-            mat = self.evolve(mat, t)
-        else:
-            self._gather(mat)
-        env = linalg.partial_trace(mat, ds, de, "environment")
-        # Free the evolved operator before the product is formed: with two
-        # D x D arrays alive at once, malloc returns the row's memory to the
-        # system after every row and page-faults it back in on the next.
-        del mat
-        return self.reduced(linalg.tensor_product(system, env), tprimes, ds, de)
+            u = self.unitary(t)
+            inside = u @ inside @ u.conj().T
+        a, e = np.divmod(self._support, de)
+        env = np.zeros((de, de), dtype=complex)
+        for level in range(ds):
+            i = np.flatnonzero(a == level)
+            env[e[i, None], e[i]] += inside[i[:, None], i]
+        return self.reduced((system, env), tprimes, ds, de)
 
 
 @dataclass(frozen=True, eq=False)
@@ -221,6 +243,10 @@ class ScenarioPair:
     - ``forecast(system, mat, t, tprimes, ds, de)``,
       Tr_E[U(t') (system (x) Tr_S[U(t) mat U(t)^dagger]) U(t')^dagger] at
       every t' of ``tprimes``, with shape ``np.shape(tprimes) + (ds, ds)``.
+
+    ``reduced`` and ``forecast`` take a product state as its factor pair:
+    ``mat`` is then the tuple (system, environment), and stands for their
+    Kronecker product.
 
     A bare HermitianEigenSystem of a total Hamiltonian is wrapped
     automatically. The propagator must be time-homogeneous,
@@ -405,11 +431,17 @@ def _evolved(sc: ScenarioPair, op: np.ndarray, t: float) -> np.ndarray:
     return op if _require_times(t) == 0 else sc.propagator.evolve(op, t)
 
 
+def _operand(state: BipartiteState):
+    """What a propagator reads of a state: a product as its factor pair."""
+    return state.factors or state.op
+
+
 def _reduced_differences(sc: ScenarioPair, times: np.ndarray) -> np.ndarray:
     """rho_S1 - rho_S2 at every t of ``times``, by linearity from the two
     reduced states, so no total difference is formed."""
     reduce = sc.propagator.reduced
-    return reduce(sc.state1.op, times, sc.ds, sc.de) - reduce(sc.state2.op, times, sc.ds, sc.de)
+    r1, r2 = (reduce(_operand(s), times, sc.ds, sc.de) for s in (sc.state1, sc.state2))
+    return r1 - r2
 
 
 def _row_points(
@@ -431,7 +463,7 @@ def _row_points(
         raise ValueError(f"env_label must be 1 or 2, got {env_label}")
     branch = (sc.state1, sc.state2)[env_label - 1]
     g = diffs[1:]
-    f = sc.propagator.forecast(diffs[0], branch.op, t, tprimes, sc.ds, sc.de)
+    f = sc.propagator.forecast(diffs[0], _operand(branch), t, tprimes, sc.ds, sc.de)
     norms = 0.5 * linalg.trace_norm(np.concatenate([diffs[:1], g, f, g - f]))
     d_t = float(norms[0])
     d_next, forecast, influence = norms[1:].reshape(3, -1).tolist()

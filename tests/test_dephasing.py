@@ -357,6 +357,19 @@ class TestFullModel:
             tracemalloc.stop()
         assert peak < 256 * 256 * 16
 
+    def test_model_allocates_only_its_environment_factor(self):
+        """At 1,024 modes the states stay factor pairs: set-up keeps the
+        1024 x 1024 environment factor (16 MiB) and its validation, and
+        forms no 2048 x 2048 state (64 MiB each)."""
+        env = discretize(SPLIT_CENTERS, modes=1024, window=40.0)
+        tracemalloc.start()
+        try:
+            full_model(env)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 96 * 2**20
+
     def test_oversized_environment_rejected(self):
         # the cap counts the qubit too: 2049 modes make 4098 dimensions
         for modes in (2049, 5000):

@@ -87,6 +87,15 @@ class TestPartialTrace:
             linalg.partial_trace(np.eye(4), 2, 2, keep="both")
 
 
+class TestMagnitudeMaxima:
+    def test_product_pair_matches_the_dense_product(self, rng):
+        a = rng.normal(size=(2, 3)) + 1j * rng.normal(size=(2, 3))
+        b = rng.normal(size=(4, 5)) + 1j * rng.normal(size=(4, 5))
+        dense = np.abs(np.kron(a, b))
+        for got, want in zip(linalg.magnitude_maxima((a, b)), (dense.max(1), dense.max(0))):
+            np.testing.assert_allclose(got, want, rtol=1e-15, atol=0)
+
+
 class TestTraceNorm:
     def test_zero(self):
         assert linalg.trace_norm(np.zeros((3, 3))) == 0.0
@@ -110,6 +119,29 @@ class TestTraceNorm:
             padded[np.ix_(where, where)] = a
             assert abs(linalg.trace_norm(padded) - linalg.trace_norm(a)) <= 1e-15
         assert linalg.trace_norm(np.zeros((9, 9), dtype=complex)) == 0.0
+
+    def test_nonzero_block_first_equals_the_dense_eigenvalue_sum(self, rng):
+        for _ in range(20):
+            dim = int(rng.integers(1, 7))
+            where = np.sort(rng.choice(dim + 9, size=dim, replace=False))
+            padded = np.zeros((dim + 9, dim + 9), dtype=complex)
+            padded[np.ix_(where, where)] = random_hermitian_direct(dim, rng)
+            padded[where[0], where[-1]] += 1e-12  # dust below the tolerance
+            dense = np.sum(np.abs(np.linalg.eigvalsh((padded + padded.conj().T) / 2)))
+            assert abs(linalg.trace_norm(padded) - dense) <= 1e-12
+
+    @pytest.mark.parametrize("bad", [np.nan, "anti-Hermitian"])
+    @pytest.mark.parametrize("inside", [True, False], ids=["in-block", "in-zero-rows"])
+    def test_padded_matrix_still_rejects(self, rng, bad, inside):
+        padded = np.zeros((8, 8), dtype=complex)
+        padded[np.ix_([1, 4], [1, 4])] = random_hermitian_direct(2, rng)
+        i, j = (1, 4) if inside else (6, 2)
+        if bad == "anti-Hermitian":
+            padded[i, j] += 1e-3
+        else:
+            padded[i, j] = bad
+        with pytest.raises(ValueError, match="Hermitian"):
+            linalg.trace_norm(padded)
 
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValueError, match="Hermitian"):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from backflow.spinchain import (
     allowed_charges,
     build_hamiltonian,
     excitations,
+    hamiltonian_block,
     pauli_site,
     scenario,
 )
@@ -176,26 +179,106 @@ class TestChargeBlocks:
         assert sizes["unitary"] == [46, 46]
 
     @pytest.mark.parametrize("env_label", [1, 2])
-    def test_row_cost_shape(self, monkeypatch, env_label):
-        """No correlation split, and one evolve of one D x D state per nonzero t."""
+    def test_row_makes_no_evolve_and_no_dense_product(self, monkeypatch, env_label):
+        """No correlation split, no evolve of a total operator and no
+        D x D Kronecker product: rows read the states as factor pairs."""
         spec = SpinChainSpec(sites=4, exchange=1.0, probe_exchange=0.8, field=0.05)
         sc = scenario(spec)
-        calls = {"split": 0, "evolve": []}
-        split, evolve = states.correlation_split, sc.propagator.evolve
+        calls = {"split": 0, "evolve": 0, "products": []}
+        split, evolve, tensor_product = (
+            states.correlation_split, sc.propagator.evolve, linalg.tensor_product
+        )
 
         def recording_split(*args):
             calls["split"] += 1
             return split(*args)
 
         def recording_evolve(mat, t):
-            calls["evolve"].append(np.shape(mat))
+            calls["evolve"] += 1
             return evolve(mat, t)
+
+        def recording_product(a, b):
+            out = tensor_product(a, b)
+            calls["products"].append(out.shape)
+            return out
 
         monkeypatch.setattr(states, "correlation_split", recording_split)
         monkeypatch.setattr(sc.propagator, "evolve", recording_evolve)
+        monkeypatch.setattr(linalg, "tensor_product", recording_product)
         witness.evaluate_surface(sc, [0.0, 0.5, 1.0, 1.5], [0.0, 0.7], env_label=env_label)
-        assert calls["split"] == 0
-        assert calls["evolve"] == [(spec.dim, spec.dim)] * 3
+        assert calls == {"split": 0, "evolve": 0, "products": []}
+
+
+class TestHamiltonianBlocks:
+    @pytest.mark.parametrize("sites", range(1, 9))
+    def test_every_charge_block_equals_the_dense_block(self, sites):
+        rng = np.random.default_rng(100 + sites)
+        for _ in range(3):
+            spec = SpinChainSpec(sites, rng.uniform(0.1, 2.0), rng.normal(), rng.normal())
+            h = build_hamiltonian(spec)
+            charges = excitations(spec.dim)
+            for q in range(sites + 2):
+                b = np.flatnonzero(charges == q)
+                assert np.array_equal(hamiltonian_block(spec, b), h[np.ix_(b, b)])
+            perm = rng.permutation(spec.dim)
+            assert np.array_equal(hamiltonian_block(spec, perm), h[np.ix_(perm, perm)])
+
+    def test_block_not_closed_under_hopping_raises(self):
+        spec = SpinChainSpec(sites=3, exchange=1.0, probe_exchange=0.5, field=0.1)
+        one_excitation = np.flatnonzero(excitations(spec.dim) == 1)
+        with pytest.raises(witness.InvariantViolation, match="hops out"):
+            hamiltonian_block(spec, one_excitation[:-1])
+        # without the probe bond the probe's own states form closed blocks
+        decoupled = SpinChainSpec(sites=3, exchange=1.0, probe_exchange=0.0, field=0.1)
+        h = build_hamiltonian(decoupled)
+        probe_up = one_excitation[one_excitation >= 8]
+        assert np.array_equal(hamiltonian_block(decoupled, probe_up), h[np.ix_(probe_up, probe_up)])
+
+    @pytest.mark.parametrize("basis", [[0, 0], [0, 16], [-1, 2], [[0, 1]]])
+    def test_bad_basis_rejected(self, basis):
+        with pytest.raises(ValueError, match="basis"):
+            hamiltonian_block(SpinChainSpec(sites=3), basis)
+
+    def test_scenario_matches_the_dense_charge_blocks(self):
+        spec = SpinChainSpec(sites=6, exchange=1.0, probe_exchange=0.7, field=0.03)
+        sc = scenario(spec)
+        charges = excitations(spec.dim)
+        dense = witness.EigenPropagator.from_charges(build_hamiltonian(spec), charges, {0, 1, 2})
+        np.testing.assert_array_equal(sc.propagator.support, dense.support)
+        np.testing.assert_array_equal(sc.propagator.eigensystem.values, dense.eigensystem.values)
+        np.testing.assert_array_equal(
+            sc.propagator.eigensystem.vectors, dense.eigensystem.vectors
+        )
+
+
+def _peak_bytes(fn):
+    """Peak traced allocation of one call, after a warm-up call."""
+    fn()
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+FIG3_SPEC = SpinChainSpec(sites=8, exchange=1.0, probe_exchange=1.0, field=0.01)
+DENSE_ARRAY_BYTES = 512 * 512 * 16  # one 512 x 512 complex array, 4 MiB
+
+
+def test_fig3_scenario_allocates_no_dense_array():
+    """States stay factor pairs and H is built per charge block: set-up
+    peaks well below the 512 x 512 arrays it used to form."""
+    assert _peak_bytes(lambda: scenario(FIG3_SPEC)) < 6 * 2**20
+
+
+def test_fig3_row_allocates_less_than_one_dense_array():
+    """A 40-point fig3 row forms no total operator: its peak stays below
+    one 512 x 512 complex array."""
+    sc = scenario(FIG3_SPEC)
+    tps = np.linspace(0.0, 3.0, 40)  # the fig3 preset's t' grid
+    peak = _peak_bytes(lambda: witness.evaluate_surface(sc, [1.5], tps))
+    assert peak < DENSE_ARRAY_BYTES
 
 
 def test_setup_makes_no_dense_eigensolve_and_no_kronecker_sum(monkeypatch):

@@ -56,6 +56,31 @@ class TestProductState:
         assert np.array_equal(s.op, s.op.conj().T)
         assert np.max(np.abs(BipartiteState(s.op, 2, 3).op - s.op)) == 0.0
 
+    def test_op_is_the_kronecker_product_of_the_factors(self, rng):
+        rho_s, rho_e = random_density_direct(3, rng), random_density_direct(4, rng)
+        s = BipartiteState.product(rho_s, rho_e)
+        assert np.array_equal(s.op, np.kron(*s.factors))
+        assert s.op is s.op  # formed once, on first access
+
+    def test_marginals_are_the_factors_without_forming_op(self, rng, monkeypatch):
+        rho_s, rho_e = random_density_direct(2, rng), random_density_direct(5, rng)
+        s = BipartiteState.product(rho_s, rho_e)
+
+        def refuse(*args):
+            raise AssertionError("the product was formed")
+
+        monkeypatch.setattr(linalg, "tensor_product", refuse)
+        assert s.system() is s.factors[0] and s.environment() is s.factors[1]
+        np.testing.assert_allclose(s.system(), rho_s, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(s.environment(), rho_e, rtol=0, atol=1e-15)
+        assert s.dim == 10
+        with pytest.raises(ValueError, match="read-only"):
+            s.system()[0, 0] = 1.0
+
+    def test_a_general_state_has_no_factors(self, rng):
+        s = BipartiteState(random_density_direct(6, rng), 2, 3)
+        assert s.factors is None
+
     @pytest.mark.parametrize("factor", ["system", "environment"])
     @pytest.mark.parametrize(
         "defect, message",

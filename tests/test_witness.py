@@ -345,6 +345,40 @@ class TestRowPrimitives:
             assert got.shape == (tps.size, ds, ds)
             assert np.max(np.abs(got - want)) <= 1e-12
 
+    @pytest.mark.parametrize("diagonal", [False, True], ids=["eigen", "diagonal"])
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(
+        ds=st.integers(2, 4),
+        de=st.integers(2, 4),
+        seed=st.integers(0, 2**32 - 1),
+        times=st.lists(st.floats(0.0, 5.0), min_size=0, max_size=3),
+    )
+    def test_product_pair_matches_its_kronecker_product(self, diagonal, ds, de, seed, times):
+        rng = np.random.default_rng(seed)
+        dim = ds * de
+        if diagonal:
+            prop = DiagonalPropagator(rng.normal(scale=3.0, size=dim))
+        else:
+            prop = EigenPropagator(linalg.hermitian_eigensystem(random_hermitian_direct(dim, rng)))
+        pair = (random_hermitian_direct(ds, rng), random_hermitian_direct(de, rng))
+        dense = np.kron(*pair)
+        ts = np.array([0.0, *times])
+        got = prop.reduced(pair, ts, ds, de)
+        assert np.max(np.abs(got - prop.reduced(dense, ts, ds, de))) <= 1e-12
+        system = random_hermitian_direct(ds, rng)
+        for t in ts:
+            got = prop.forecast(system, pair, t, ts, ds, de)
+            assert np.max(np.abs(got - prop.forecast(system, dense, t, ts, ds, de))) <= 1e-12
+
+    @pytest.mark.parametrize("diagonal", [False, True], ids=["eigen", "diagonal"])
+    def test_product_pair_rejects_mismatched_factors(self, rng, diagonal):
+        prop = (
+            DiagonalPropagator(rng.normal(size=6)) if diagonal
+            else EigenPropagator(linalg.hermitian_eigensystem(random_hermitian_direct(6, rng)))
+        )
+        with pytest.raises(ValueError, match="match"):
+            prop.reduced((np.eye(2), np.eye(2)), [0.5], 2, 3)
+
     def test_protocol_needs_a_forecast(self, rng):
         class NoForecast:
             dim = 4
@@ -479,6 +513,28 @@ class TestChargeBlocks:
                 prop.forecast(np.eye(2), stray, t, [0.5], 2, 4)
         stray[outside, prop.support[0]] = stray[prop.support[0], outside] = 1e-13
         prop.reduced(stray, [0.5], 2, 4)  # below the tolerance: dropped
+
+    def test_product_pair_is_checked_by_its_factors(self, rng):
+        """The block of system level 0 holds |0><0| (x) rho_E; any coherence
+        of the system factor reaches outside it."""
+        ds, de = 2, 3
+        charges = np.arange(ds * de) // de
+        h = random_hermitian_direct(ds * de, rng) * (charges[:, None] == charges)
+        prop = EigenPropagator.from_charges(h, charges, {0})
+        env = random_density_direct(de, rng)
+        inside = (np.diag([1.0, 0.0]).astype(complex), env)
+        got = prop.reduced(inside, [0.0, 0.8], ds, de)
+        assert np.max(np.abs(got - prop.reduced(np.kron(*inside), [0.0, 0.8], ds, de))) <= 1e-15
+        for coherence, accepted in ((1e-9, False), (1e-13, True)):
+            system = np.array([[1.0, coherence], [coherence, 0.0]], dtype=complex)
+            if accepted:
+                prop.reduced((system, env), [0.8], ds, de)
+                prop.forecast(inside[0], (system, env), 0.8, [0.8], ds, de)
+                continue
+            with pytest.raises(witness.InvariantViolation, match="outside"):
+                prop.reduced((system, env), [0.8], ds, de)
+            with pytest.raises(witness.InvariantViolation, match="outside"):
+                prop.forecast(inside[0], (system, env), 0.8, [0.8], ds, de)
 
     def test_charge_mixing_hamiltonian_rejected(self, rng):
         h, charges = self.blocked_hamiltonian(rng, 6, 2)
