@@ -57,12 +57,16 @@ def increasing_intervals(times, values, rise_tol: float = DEFAULT_RISE_TOL) -> M
 
     A step counts as an increase only when it exceeds ``rise_tol``, so
     numerical jitter cannot fabricate growth. Consecutive rising steps
-    merge into one interval.
+    merge into one interval. Non-finite times or values are rejected: a NaN
+    compares false both ways, so it would pass the ascending check or hide
+    a rise.
     """
     ts = np.asarray(times, dtype=float)
     vs = np.asarray(values, dtype=float)
     if ts.ndim != 1 or vs.shape != ts.shape:
         raise ValueError(f"times and values must match, got {ts.shape} vs {vs.shape}")
+    if not (np.all(np.isfinite(ts)) and np.all(np.isfinite(vs))):
+        raise ValueError("times and values must be finite")
     if ts.size > 1 and np.any(np.diff(ts) <= 0):
         raise ValueError("times must be strictly ascending")
     rising = np.diff(vs) > rise_tol if ts.size > 1 else np.zeros(0, dtype=bool)

@@ -361,7 +361,8 @@ def full_model(
     The environment starts in the pure superposition with amplitudes
     sqrt(p_m); the joint evolution only phases level 1 of the qubit
     (rates 0 on level 0, omega_m on level 1), reproducing the channel with
-    the discrete k. Default initial pair: the +/- states.
+    the discrete k. Default initial pair: the +/- states. Both states share
+    one environment factor, validated once.
     """
     modes = int(env.freqs.size)
     if 2 * modes > linalg.DENSE_DIM_CAP:
@@ -372,7 +373,6 @@ def full_model(
         pair = plus_minus_pair()
     amp = np.sqrt(env.probs).astype(complex)
     rho_env = np.outer(amp, amp.conj())
-    state1 = BipartiteState.product(pair[0], rho_env)
-    state2 = BipartiteState.product(pair[1], rho_env)
+    state1, state2 = BipartiteState.products(pair, rho_env)
     rates = np.concatenate([np.zeros(modes), env.freqs])
     return ScenarioPair(state1=state1, state2=state2, propagator=DiagonalPropagator(rates))

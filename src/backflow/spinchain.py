@@ -10,7 +10,9 @@ eigenstate of sigma_z.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,6 +38,10 @@ class SpinChainSpec:
     field: float = 0.0
 
     def __post_init__(self):
+        try:
+            object.__setattr__(self, "sites", operator.index(self.sites))
+        except TypeError:
+            raise ValueError(f"sites must be an integer, got {self.sites!r}") from None
         if not self.sites >= 1:
             raise ValueError(f"need at least one environment site, got {self.sites}")
         if not 0 < self.exchange < math.inf:
@@ -151,16 +157,36 @@ def scenario(
     pair that is 0, 1 and 2 excitations, 46 of 512 dimensions on 8 sites.
     Each block of H is written straight from the hopping rule, and the
     states stay factor pairs, so no total operator is formed.
+
+    A call pays only for its pair: the two system factors, one validation
+    of the shared environment and ``allowed_charges``. The block
+    propagator depends on the chain and those charges alone, so scenarios
+    on equal specs reaching the same charges share one, read-only object.
     """
     if pair is None:
         pair = plus_minus_pair()
     de = 2**spec.sites
     env = np.zeros((de, de), dtype=complex)
     env[0, 0] = 1.0
-    state1 = BipartiteState.product(pair[0], env)
-    state2 = BipartiteState.product(pair[1], env)
+    state1, state2 = BipartiteState.products(pair, env)
     charges = excitations(spec.dim)
     allowed = allowed_charges((state1.factors, state2.factors), charges, excitations(2))
-    blocks = [np.flatnonzero(charges == q) for q in sorted(allowed)]
-    prop = EigenPropagator.from_blocks([(b, hamiltonian_block(spec, b)) for b in blocks], spec.dim)
+    prop = _block_propagator(spec, tuple(sorted(allowed)))
     return ScenarioPair(state1=state1, state2=state2, propagator=prop)
+
+
+@functools.lru_cache(maxsize=8)
+def _block_propagator(spec: SpinChainSpec, charges: tuple[int, ...]) -> EigenPropagator:
+    """Propagator of the chain on its blocks of the given charges.
+
+    Memoised, so its eigensystems and the kernels that ``reduced`` fills in
+    are computed once per chain and charge set. The eigensystem, the
+    support and its complement are made read-only here and each kernel
+    when it is stored, so no caller can corrupt a later scenario.
+    """
+    q = excitations(spec.dim)
+    blocks = [np.flatnonzero(q == c) for c in charges]
+    prop = EigenPropagator.from_blocks([(b, hamiltonian_block(spec, b)) for b in blocks], spec.dim)
+    for a in (prop.eigensystem.values, prop.eigensystem.vectors, prop.support, prop._outside):
+        a.flags.writeable = False
+    return prop

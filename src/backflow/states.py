@@ -25,20 +25,24 @@ def validate_density_matrix(
 ) -> np.ndarray:
     """Check Hermiticity, unit trace and positivity; return the input array.
 
-    Non-finite entries fail. Positive means the Hermitian part of the nonzero
-    rows and columns plus ``psd_tol`` on the diagonal has a Cholesky factor;
-    only a rejected state is eigensolved, to report its negative eigenvalue.
+    Only the nonzero rows and columns are read past the trace: a dropped
+    index has a zero row and column, so it adds no Hermiticity defect and a
+    zero eigenvalue, while NaN and inf count as nonzero and fail the defect.
+    Positive means the Hermitian part of that block plus ``psd_tol`` on the
+    diagonal has a Cholesky factor; only a rejected state is eigensolved, to
+    report its negative eigenvalue.
     """
     m = linalg.as_complex_matrix(rho)
     if m.shape[0] != m.shape[1]:
         raise ValueError(f"{name} must be square, got shape {m.shape}")
-    defect = linalg.hermiticity_defect(m)
+    block = linalg.nonzero_block(m)
+    defect = linalg.hermiticity_defect(block)
     if not defect <= hermiticity_tol:
         raise ValueError(f"{name} is not Hermitian: defect {defect:.3e}")
     tr = complex(np.trace(m))
     if not abs(tr - 1.0) <= trace_tol:
         raise ValueError(f"{name} has trace {tr:.12g}, expected 1")
-    shifted = linalg.hermitian_part(linalg.nonzero_block(m))
+    shifted = linalg.hermitian_part(block)
     shifted.flat[:: len(shifted) + 1] += psd_tol
     try:
         np.linalg.cholesky(shifted)
@@ -66,28 +70,37 @@ class BipartiteState:
 
     @classmethod
     def product(cls, system, environment) -> BipartiteState:
-        """The product state system (x) environment, validated by its factors.
+        """The product state system (x) environment: the one-state case of
+        ``products``."""
+        return cls.products([system], environment)[0]
+
+    @classmethod
+    def products(cls, systems, environment) -> list[BipartiteState]:
+        """One product state s (x) environment per system factor s, each
+        validated by its factors, all sharing one environment factor.
 
         Each factor is checked as a density operator and kept, read-only, as
-        its Hermitian part. A Kronecker product of Hermitian matrices is
-        Hermitian, and its eigenvalues are the products of the factors'
-        eigenvalues, so it is positive when both factors are; only its
-        trace, the product of the two traces, is checked again. No
+        its Hermitian part; the environment is checked and symmetrized once,
+        however many states share it. A Kronecker product of Hermitian
+        matrices is Hermitian, and its eigenvalues are the products of the
+        factors' eigenvalues, so it is positive when both factors are; only
+        its trace, the product of the two traces, is checked again. No
         (ds*de)-dimensional operator is formed or checked.
         """
-        factors = tuple(
-            linalg.hermitian_part(validate_density_matrix(m, name=f"{name} factor"))
-            for m, name in ((system, "system"), (environment, "environment"))
-        )
-        tr = complex(np.trace(factors[0]) * np.trace(factors[1]))
-        if not abs(tr - 1.0) <= TRACE_TOL:
-            raise ValueError(f"product state has trace {tr:.12g}, expected 1")
-        for f in factors:
-            f.flags.writeable = False
-        state = object.__new__(cls)
-        state._op, state.factors = None, factors
-        state.ds, state.de = len(factors[0]), len(factors[1])
-        return state
+        env = linalg.hermitian_part(validate_density_matrix(environment, "environment factor"))
+        env.flags.writeable = False
+        out = []
+        for system in systems:
+            factor = linalg.hermitian_part(validate_density_matrix(system, "system factor"))
+            factor.flags.writeable = False
+            tr = complex(np.trace(factor) * np.trace(env))
+            if not abs(tr - 1.0) <= TRACE_TOL:
+                raise ValueError(f"product state has trace {tr:.12g}, expected 1")
+            state = object.__new__(cls)
+            state._op, state.factors = None, (factor, env)
+            state.ds, state.de = len(factor), len(env)
+            out.append(state)
+        return out
 
     @property
     def op(self) -> np.ndarray:

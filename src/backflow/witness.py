@@ -185,7 +185,9 @@ class EigenPropagator:
             modes = np.zeros((self._dim, self._eig.dim), dtype=complex)
             modes[self._support] = self._eig.vectors
             v = modes.reshape(ds, -1, self._eig.dim)
-            self._kernels[key] = v[a].T @ v[b].conj()
+            kernel = v[a].T @ v[b].conj()
+            kernel.flags.writeable = False  # shared by every later call
+            self._kernels[key] = kernel
         return self._kernels[key]
 
     def reduced(self, mat, times, ds: int, de: int) -> np.ndarray:

@@ -1,6 +1,15 @@
 import numpy as np
 import pytest
 
+from backflow import spinchain
+
+
+@pytest.fixture(autouse=True)
+def cold_block_propagator():
+    """The chain's block propagator is memoised for the whole process; every
+    test starts without it, so none depends on the order the tests run in."""
+    spinchain._block_propagator.cache_clear()
+
 
 @pytest.fixture
 def rng():

@@ -61,6 +61,16 @@ class TestIncreasingIntervals:
         with pytest.raises(ValueError, match="ascending"):
             increasing_intervals([0.0, 0.0, 1.0], [1.0, 2.0, 3.0])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_times_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            increasing_intervals([0.0, bad, 2.0], [0.1, 0.2, 0.3])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_values_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            increasing_intervals([0.0, 1.0, 2.0], [0.1, bad, 0.3])
+
     def test_split_centers_coherence_revives(self):
         ts = np.linspace(0.0, 3.0, 100)
         profile = increasing_intervals(ts, np.abs(dephasing_function(SPLIT_CENTERS, ts)))

@@ -370,6 +370,22 @@ class TestFullModel:
             tracemalloc.stop()
         assert peak < 96 * 2**20
 
+    def test_environment_validated_once_and_shared(self, monkeypatch):
+        """Both states hold one environment factor, so its positivity check
+        factorises the modes x modes matrix once, not once per state."""
+        modes = 16
+        sizes = []
+        cholesky = np.linalg.cholesky
+
+        def recording_cholesky(a, *args, **kwargs):
+            sizes.append(a.shape[-1])
+            return cholesky(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "cholesky", recording_cholesky)
+        sc = full_model(discretize(SPLIT_CENTERS, modes=modes, window=20.0))
+        assert sizes.count(modes) == 1
+        assert sc.state1.factors[1] is sc.state2.factors[1]
+
     def test_oversized_environment_rejected(self):
         # the cap counts the qubit too: 2049 modes make 4098 dimensions
         for modes in (2049, 5000):

@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from backflow import dephasing, linalg, states, witness
+from backflow import dephasing, linalg, spinchain, states, witness
 from backflow.linalg import DENSE_DIM_CAP
 from backflow.spinchain import (
     PAULI,
@@ -90,6 +90,15 @@ class TestHamiltonian:
         for sites in (12, 10**9):
             with pytest.raises(ValueError, match="cap"):
                 SpinChainSpec(sites=sites)
+
+    @pytest.mark.parametrize("sites", [8.0, 2.5, "3", None])
+    def test_non_integer_sites_rejected(self, sites):
+        with pytest.raises(ValueError, match="integer"):
+            SpinChainSpec(sites=sites)
+
+    def test_integer_like_sites_become_int(self):
+        spec = SpinChainSpec(sites=np.int64(3))
+        assert type(spec.sites) is int and spec.dim == 16
 
     def test_invalid_couplings(self):
         with pytest.raises(ValueError):
@@ -209,6 +218,57 @@ class TestChargeBlocks:
         assert calls == {"split": 0, "evolve": 0, "products": []}
 
 
+class TestSharedPropagator:
+    """Scenarios on one chain share their block propagator; only the pair is
+    computed per call."""
+
+    SPEC = dict(sites=5, exchange=1.0, probe_exchange=0.8, field=0.02)
+
+    def test_equal_specs_share_one_propagator_and_solve_once(self, monkeypatch):
+        first = scenario(SpinChainSpec(**self.SPEC))
+        calls = []
+        eigh = np.linalg.eigh
+
+        def recording_eigh(a, *args, **kwargs):
+            calls.append(a.shape[-1])
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
+        pair = (pure_qubit(0.4, 1.0), pure_qubit(np.pi - 0.4, 1.0 + np.pi))
+        second = scenario(SpinChainSpec(**self.SPEC), pair)
+        assert second.propagator is first.propagator
+        assert calls == []
+
+    def test_a_rebuilt_propagator_gives_identical_distances(self):
+        times = np.linspace(0.0, 3.0, 25)
+        shared = scenario(SpinChainSpec(**self.SPEC))
+        before = reduced_distance(shared, times)
+        spinchain._block_propagator.cache_clear()
+        rebuilt = scenario(SpinChainSpec(**self.SPEC))
+        assert rebuilt.propagator is not shared.propagator
+        np.testing.assert_array_equal(reduced_distance(rebuilt, times), before)
+
+    def test_other_chains_and_charges_get_their_own(self):
+        shared = scenario(SpinChainSpec(**self.SPEC)).propagator
+        other_field = scenario(SpinChainSpec(**{**self.SPEC, "field": 0.03})).propagator
+        ground = np.diag([1.0, 0.0])
+        ground_pair = scenario(SpinChainSpec(**self.SPEC), (ground, ground)).propagator
+        assert other_field is not shared and ground_pair is not shared
+        # charges {0, 1}: the vacuum and one excitation on any of the sites + 1 spins
+        assert ground_pair.support.size == 1 + (self.SPEC["sites"] + 1)
+
+    def test_shared_arrays_are_read_only(self):
+        sc = scenario(SpinChainSpec(**self.SPEC))
+        reduced_distance(sc, np.linspace(0.0, 1.0, 3))  # fills the kernels
+        prop = sc.propagator
+        kernels = list(prop._kernels.values())
+        assert kernels
+        for array in (prop.eigensystem.values, prop.eigensystem.vectors, prop.support,
+                      prop._outside, *kernels):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0
+
+
 class TestHamiltonianBlocks:
     @pytest.mark.parametrize("sites", range(1, 9))
     def test_every_charge_block_equals_the_dense_block(self, sites):
@@ -268,8 +328,14 @@ DENSE_ARRAY_BYTES = 512 * 512 * 16  # one 512 x 512 complex array, 4 MiB
 
 def test_fig3_scenario_allocates_no_dense_array():
     """States stay factor pairs and H is built per charge block: set-up
-    peaks well below the 512 x 512 arrays it used to form."""
-    assert _peak_bytes(lambda: scenario(FIG3_SPEC)) < 6 * 2**20
+    peaks well below the 512 x 512 arrays it used to form. The memo is
+    cleared inside the measured call, so the block build is counted."""
+
+    def cold_scenario():
+        spinchain._block_propagator.cache_clear()
+        return scenario(FIG3_SPEC)
+
+    assert _peak_bytes(cold_scenario) < 6 * 2**20
 
 
 def test_fig3_row_allocates_less_than_one_dense_array():

@@ -77,6 +77,31 @@ class TestProductState:
         with pytest.raises(ValueError, match="read-only"):
             s.system()[0, 0] = 1.0
 
+    def test_products_share_one_environment_factor(self, rng, monkeypatch):
+        systems = [random_density_direct(2, rng) for _ in range(3)]
+        rho_e = random_density_direct(4, rng)
+        names = []
+        validate = states.validate_density_matrix
+
+        def recording_validate(m, name="state", *args, **kwargs):
+            names.append(name)
+            return validate(m, name, *args, **kwargs)
+
+        monkeypatch.setattr(states, "validate_density_matrix", recording_validate)
+        made = BipartiteState.products(systems, rho_e)
+        assert names.count("environment factor") == 1
+        assert all(s.factors[1] is made[0].factors[1] for s in made)
+        for s, rho_s in zip(made, systems):
+            single = BipartiteState.product(rho_s, rho_e)
+            assert np.array_equal(s.factors[0], single.factors[0])
+            assert np.array_equal(s.factors[1], single.factors[1])
+        with pytest.raises(ValueError, match="read-only"):
+            made[0].factors[1][0, 0] = 1.0
+
+    def test_products_reject_a_bad_system_factor(self, rng):
+        with pytest.raises(ValueError, match="system factor .*trace"):
+            BipartiteState.products([np.eye(2) / 2, np.eye(2)], np.eye(3) / 3)
+
     def test_a_general_state_has_no_factors(self, rng):
         s = BipartiteState(random_density_direct(6, rng), 2, 3)
         assert s.factors is None
@@ -135,6 +160,27 @@ def test_non_finite_entries_fail_the_hermiticity_check(check, where, bad):
     with pytest.raises(ValueError, match="Hermitian") as info:
         NON_FINITE_CHECKS[check](_non_finite(bad, where))
     assert not isinstance(info.value, np.linalg.LinAlgError)
+
+
+def test_validation_reads_only_the_nonzero_block(monkeypatch):
+    """A polarized environment is checked on its one nonzero entry, and a
+    NaN in a row that is otherwise zero still fails the Hermiticity check."""
+    shapes = []
+    defect = linalg.hermiticity_defect
+
+    def recording_defect(m):
+        shapes.append(np.shape(m))
+        return defect(m)
+
+    monkeypatch.setattr(linalg, "hermiticity_defect", recording_defect)
+    polarized = np.zeros((128, 128), dtype=complex)
+    polarized[0, 0] = 1.0
+    states.validate_density_matrix(polarized)
+    assert shapes == [(1, 1)]
+    padded = np.diag([0.5, 0.5, 0.0, 0.0]).astype(complex)
+    padded[3, 2] = np.nan
+    with pytest.raises(ValueError, match="Hermitian"):
+        states.validate_density_matrix(padded)
 
 
 class TestPositivity:
