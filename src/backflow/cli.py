@@ -42,7 +42,7 @@ from .dephasing import (
     tcl_coefficients,
 )
 from .spinchain import SpinChainSpec
-from .witness import InvariantViolation, WitnessSurface
+from .witness import InvariantViolation, check_window
 
 EXIT_OK = 0
 EXIT_CONFIG_ERROR = 1
@@ -51,6 +51,7 @@ EXIT_INVARIANT = 2
 SURFACE_COLUMNS = ("t", "tprime", "D_t", "D_tplus", "F", "B", "deltaD", "lower", "upper", "class")
 PROFILE_COLUMNS = ("t", "D", "interval_flag")
 SWEEP_COLUMNS = ("t", "r", "B", "upper")
+_INCREASE = witness.Classification.GUARANTEED_INCREASE.value
 
 
 class ConfigError(ValueError):
@@ -286,16 +287,6 @@ def parse_config(path: str | Path) -> RunConfig:
 # --------------------------------------------------------------------------
 
 
-def _surface_rows(surface: WitnessSurface) -> list[list]:
-    rows = []
-    for p in surface.iter_points():
-        rows.append([
-            p.t, p.tprime, p.d_t, p.d_next, p.forecast, p.influence,
-            p.delta_d, p.lower, p.upper, p.label.value,
-        ])
-    return rows
-
-
 def _write_atomically(path: Path, text: str, newline: str | None = None) -> Path:
     """Write ``text`` beside ``path`` under a temporary name, then rename it
     into place, so a reader sees the old file or the new one, never a part."""
@@ -309,16 +300,18 @@ def _write_atomically(path: Path, text: str, newline: str | None = None) -> Path
     return path
 
 
-def _write_table(path: Path, columns: tuple[str, ...], rows: list[list], fmt: str) -> Path:
-    """Write rows as CSV (15 significant digits) or JSON records."""
+def _write_table(path: Path, names: tuple[str, ...], columns, fmt: str) -> Path:
+    """Write columns of one shape, one row per entry in C order, as CSV (15
+    significant digits) or JSON records."""
+    rows = zip(*(np.ravel(c).tolist() for c in columns))
     if fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf)
-        writer.writerow(columns)
+        writer.writerow(names)
         for row in rows:
             writer.writerow([f"{v:.15g}" if isinstance(v, float) else v for v in row])
         return _write_atomically(path.with_suffix(".csv"), buf.getvalue(), newline="")
-    records = [dict(zip(columns, row)) for row in rows]
+    records = [dict(zip(names, row)) for row in rows]
     return _write_atomically(path.with_suffix(".json"), json.dumps(records, indent=1) + "\n")
 
 
@@ -333,12 +326,8 @@ def _remove_tables(out_dir: Path) -> None:
         (out_dir / name).unlink(missing_ok=True)
 
 
-def _profile_rows(profile: MonotonicityProfile) -> list[list]:
-    flags = profile.flags()
-    return [
-        [float(t), float(v), int(f)]
-        for t, v, f in zip(profile.times, profile.values, flags)
-    ]
+def _profile_columns(profile: MonotonicityProfile) -> tuple:
+    return profile.times, profile.values, profile.flags().astype(int)
 
 
 # --------------------------------------------------------------------------
@@ -355,10 +344,14 @@ def _run_surface_job(cfg: RunConfig, out_dir: Path) -> dict:
         surface = witness.evaluate_surface(scenario, ts, tps, eps=cfg.class_eps)
     else:
         surface = analytic_surface(preset.model, ts, tps, eps=cfg.class_eps)
-    profile = increasing_intervals(ts, surface.row_distances(), cfg.rise_tol)
+    profile = increasing_intervals(ts, surface.d_t, cfg.rise_tol)
 
-    _write_table(out_dir / "surface", SURFACE_COLUMNS, _surface_rows(surface), cfg.fmt)
-    _write_table(out_dir / "profile", PROFILE_COLUMNS, _profile_rows(profile), cfg.fmt)
+    t, tprime = np.meshgrid(ts, tps, indexing="ij")
+    d_t = np.broadcast_to(surface.d_t[:, None], t.shape)
+    columns = (t, tprime, d_t, surface.d_next, surface.forecast, surface.influence,
+               surface.delta_d, surface.lower, surface.upper, surface.labels)
+    _write_table(out_dir / "surface", SURFACE_COLUMNS, columns, cfg.fmt)
+    _write_table(out_dir / "profile", PROFILE_COLUMNS, _profile_columns(profile), cfg.fmt)
     return {
         "scenario": preset.name,
         "parameters": asdict(preset.model),
@@ -375,28 +368,32 @@ def _run_surface_job(cfg: RunConfig, out_dir: Path) -> dict:
 
 
 def _run_sweep_job(cfg: RunConfig, out_dir: Path) -> dict:
-    """Influence versus the upper threshold while the component ratio ramps up."""
+    """Influence versus the upper threshold while the component ratio ramps up;
+    every point's window is checked, and the GuaranteedIncrease labels are
+    counted per ratio."""
     preset = cfg.preset
     ts = preset.t_grid.points()
     tprime = SWEEP_TPRIME
-    rows: list[list] = []
+    columns: list[tuple] = []
     per_ratio: list[dict] = []
     for r in SWEEP_RATIOS:
-        d_t, forecast, influence, _ = analytic_witnesses(replace(preset.model, r=r), tprime, ts)
+        dist = replace(preset.model, r=r)
+        d_t, forecast, influence, delta_d = analytic_witnesses(dist, tprime, ts)
+        d_next = d_t + delta_d
+        *_, labels = check_window(ts, tprime, d_t, d_next, forecast, influence, cfg.class_eps)
         upper = d_t + forecast
-        rows.extend(
-            [t, r, b, u] for t, b, u in zip(ts.tolist(), influence.tolist(), upper.tolist())
-        )
+        columns.append((ts, np.full_like(ts, r), influence, upper))
         per_ratio.append({
             "r": r, "max_influence": float(influence.max()),
             "max_excess_over_upper": float((influence - upper).max()),
-            "points_above_upper": int(np.count_nonzero(influence > upper + cfg.class_eps)),
+            "points_above_upper": int(np.count_nonzero(labels == _INCREASE)),
         })
-    _write_table(out_dir / "surface", SWEEP_COLUMNS, rows, cfg.fmt)
+    # one row per (r, t), r-major
+    _write_table(out_dir / "surface", SWEEP_COLUMNS, np.concatenate(columns, axis=1), cfg.fmt)
 
     # Profile along t for the final ratio, where the transition is fully developed.
     profile = increasing_intervals(ts, d_t, cfg.rise_tol)
-    _write_table(out_dir / "profile", PROFILE_COLUMNS, _profile_rows(profile), cfg.fmt)
+    _write_table(out_dir / "profile", PROFILE_COLUMNS, _profile_columns(profile), cfg.fmt)
     parameters = asdict(preset.model)
     del parameters["r"]
     return {
@@ -593,7 +590,6 @@ def _check_bound_window(rng):
             t = float(rng.uniform(0.0, 2.0))
             tp = float(rng.uniform(0.0, 2.0))
             p = witness.evaluate_point(sc, tp, t)  # raises on a window escape
-            _require(p.lower - 1e-9 <= p.delta_d <= p.upper + 1e-9, "change outside its window")
             _require(p.d_t - p.forecast >= -1e-9, "forecast exceeded current distance")
             _require(0.0 <= p.influence <= 2.0 + 1e-12, "influence outside [0, 2]")
 
@@ -602,15 +598,15 @@ def _check_exponential_reference(rng):
     dist = SingleLorentzian(omega0=1.0, delta=1.0)
     ts = np.linspace(0.0, 3.0, 25)
     surface = analytic_surface(dist, ts, ts)
-    worst_b = max(p.influence for p in surface.iter_points())
+    worst_b = float(np.max(surface.influence))
     _require(worst_b <= 1e-12, f"influence should vanish, got {worst_b}")
-    d_err = float(np.max(np.abs(surface.row_distances() - np.exp(-ts))))
+    d_err = float(np.max(np.abs(surface.d_t - np.exp(-ts))))
     _require(d_err <= 1e-12, f"distance should decay exponentially, error {d_err}")
     for t in (0.1, 1.0, 2.5):
         eps_t, gamma_t = tcl_coefficients(dist, t)
         rate_err = max(abs(eps_t - 0.5), abs(gamma_t - 0.5))
         _require(rate_err <= 1e-12, f"rates ({eps_t}, {gamma_t}) should both be 0.5")
-    profile = increasing_intervals(ts, surface.row_distances())
+    profile = increasing_intervals(ts, surface.d_t)
     _require(profile.total_increase() == 0.0, "measure should vanish")
 
 

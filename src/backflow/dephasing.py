@@ -210,13 +210,7 @@ def analytic_surface(
     ts = witness._require_grid(t_grid, "t grid")
     tps = witness._require_grid(tprime_grid, "t' grid")
     d_t, forecast, influence, delta_d = analytic_witnesses(dist, tps[None, :], ts[:, None])
-    columns = np.broadcast_arrays(d_t, d_t + delta_d, forecast, influence)
-    values = np.stack(columns, axis=-1).tolist()
-    rows = tuple(
-        tuple(witness.checked_point(t, tp, *v, eps=eps) for tp, v in zip(tps.tolist(), row))
-        for t, row in zip(ts.tolist(), values)
-    )
-    return WitnessSurface(t_grid=ts, tprime_grid=tps, points=rows)
+    return WitnessSurface(ts, tps, d_t[:, 0], d_t + delta_d, forecast, influence, eps)
 
 
 def frequency_density(dist: FrequencyDistribution, omega):
@@ -305,6 +299,9 @@ class DiagonalPropagator:
 
     def evolve(self, mat: np.ndarray, t: float) -> np.ndarray:
         """U(t) mat U(t)^dagger; a stack of matrices is evolved in one call."""
+        mat = np.asarray(mat)
+        if mat.shape[-2:] != (self.dim, self.dim):
+            raise ValueError(f"operator shape {mat.shape} does not match dimension {self.dim}")
         p = self.phases(t)
         return mat * np.outer(p, p.conj())
 

@@ -25,9 +25,8 @@ batched trace norm per row.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass, field, fields
 from enum import Enum
-from typing import Iterator
 
 import numpy as np
 
@@ -315,93 +314,107 @@ class WitnessPoint:
 
 @dataclass(frozen=True, eq=False)
 class WitnessSurface:
-    """Witness points on a (t, t') product grid, t-major."""
+    """Read-only witness columns on a (t, t') product grid: ``d_t`` of shape
+    (T,), the others (T, T'). It is built from the four distances, and
+    check_window derives ``delta_d``, the window and the ``labels``
+    (Classification values), so no surface holds a cell outside its window.
+    """
 
     t_grid: np.ndarray
     tprime_grid: np.ndarray
-    points: tuple[tuple[WitnessPoint, ...], ...]
+    d_t: np.ndarray
+    d_next: np.ndarray
+    forecast: np.ndarray
+    influence: np.ndarray
+    eps: InitVar[float] = DEFAULT_CLASS_EPS
+    delta_d: np.ndarray = field(init=False)
+    lower: np.ndarray = field(init=False)
+    upper: np.ndarray = field(init=False)
+    labels: np.ndarray = field(init=False)
 
-    def __post_init__(self):
-        if len(self.points) != len(self.t_grid):
-            raise ValueError("row count does not match t grid")
-        if any(len(row) != len(self.tprime_grid) for row in self.points):
-            raise ValueError("column count does not match t' grid")
+    def __post_init__(self, eps: float):
+        given = (getattr(self, f.name) for f in fields(self) if f.init)
+        ts, tps, d_t, *cells = (np.array(column, dtype=float) for column in given)
+        if d_t.shape != ts.shape or any(c.shape != ts.shape + tps.shape for c in cells):
+            raise ValueError("columns do not match the (t, t') grid")
+        window = check_window(ts[:, None], tps, d_t[:, None], *cells, eps)
+        for f, column in zip(fields(self), (ts, tps, d_t, *cells, *window)):
+            column.flags.writeable = False
+            object.__setattr__(self, f.name, column)
 
-    def iter_points(self) -> Iterator[WitnessPoint]:
-        for row in self.points:
-            yield from row
+    def point(self, i: int, j: int) -> WitnessPoint:
+        """The cell at t_grid[i], tprime_grid[j]."""
+        cells = (self.d_next, self.forecast, self.influence, self.delta_d, self.lower, self.upper)
+        return WitnessPoint(float(self.t_grid[i]), float(self.tprime_grid[j]), float(self.d_t[i]),
+                            *(float(c[i, j]) for c in cells), Classification(self.labels[i, j]))
 
     def classification_counts(self) -> dict[str, int]:
-        counts = {c.value: 0 for c in Classification}
-        for p in self.iter_points():
-            counts[p.label.value] += 1
-        return counts
-
-    def row_distances(self) -> np.ndarray:
-        """D(t) per t-grid row."""
-        return np.array([row[0].d_t for row in self.points])
+        return {c.value: int(np.count_nonzero(self.labels == c.value)) for c in Classification}
 
     def max_bound_violation(self, tol: float = BOUND_TOL) -> float:
         """Largest excess of delta_d beyond its window, after tolerance.
 
-        Zero on any surface that evaluated successfully, since point
+        Zero on any surface that evaluated successfully, since its
         construction aborts on a violation.
         """
-        worst = 0.0
-        for p in self.iter_points():
-            worst = max(worst, p.lower - tol - p.delta_d, p.delta_d - p.upper - tol)
-        return max(worst, 0.0)
+        excess = np.maximum(self.lower - tol - self.delta_d, self.delta_d - self.upper - tol)
+        return float(np.max(excess, initial=0.0))
 
 
-def classify_values(
-    influence: float, d_t: float, forecast: float, eps: float = DEFAULT_CLASS_EPS
-) -> Classification:
+# Labels by the code classify_values computes.
+_LABELS = (Classification.INCONCLUSIVE, Classification.GUARANTEED_INCREASE,
+           Classification.INCREASE_IMPOSSIBLE)
+_LABEL_VALUES = np.array([c.value for c in _LABELS])
+
+
+def classify_values(influence, d_t, forecast, eps: float = DEFAULT_CLASS_EPS):
     """Place B against the thresholds D -+ F with margin ``eps``.
 
     The fully degenerate case B = D = F = 0 (identical states) sits on the
     lower boundary and is classified IncreaseImpossible by convention.
+    Scalars give a Classification; arrays give an array of Classification
+    values, cell by cell the same as for scalars.
     """
-    if influence < d_t - forecast - eps:
-        return Classification.INCREASE_IMPOSSIBLE
-    if influence > d_t + forecast + eps:
-        return Classification.GUARANTEED_INCREASE
-    if influence <= eps and d_t <= eps and forecast <= eps:
-        return Classification.INCREASE_IMPOSSIBLE
-    return Classification.INCONCLUSIVE
+    impossible = influence < d_t - forecast - eps
+    increase = influence > d_t + forecast + eps
+    degenerate = (influence <= eps) & (d_t <= eps) & (forecast <= eps)
+    # ``a > b`` is "a and not b" for Python bools and boolean arrays alike:
+    # the lower threshold wins over the upper one, both over the degenerate case.
+    code = (increase > impossible) + 2 * (impossible | (degenerate > increase))
+    return _LABEL_VALUES[code] if isinstance(code, np.ndarray) else _LABELS[code]
 
 
 def classify(point: WitnessPoint, eps: float = DEFAULT_CLASS_EPS) -> Classification:
     return classify_values(point.influence, point.d_t, point.forecast, eps)
 
 
-def checked_point(
-    t: float,
-    tprime: float,
-    d_t: float,
-    d_next: float,
-    forecast: float,
-    influence: float,
-    eps: float = DEFAULT_CLASS_EPS,
-) -> WitnessPoint:
-    """Assemble a point from its distances, enforcing the bound window.
-
-    Written so that a non-finite value fails the check as well: NaN
-    compares false against both edges.
-    """
+def check_window(t, tprime, d_t, d_next, forecast, influence, eps: float = DEFAULT_CLASS_EPS):
+    """delta_d, the window [lower, upper] and the label, from the distances:
+    floats give floats, broadcasting arrays give columns. A delta_d outside
+    its window raises InvariantViolation naming the first such (t, t'); NaN
+    compares false against both edges, so a non-finite value fails too."""
     delta_d = d_next - d_t
     lower = influence - forecast - d_t
     upper = influence + forecast - d_t
-    if not (lower - BOUND_TOL <= delta_d <= upper + BOUND_TOL):
+    # np.asarray: np.all costs twice as much on the Python bool that floats give
+    inside = np.asarray((lower - BOUND_TOL <= delta_d) & (delta_d <= upper + BOUND_TOL))
+    if not inside.all():
+        cell = np.unravel_index(np.argmin(inside), inside.shape)
+        at = [np.broadcast_to(x, inside.shape)[cell] for x in (t, tprime, delta_d, lower, upper)]
         raise InvariantViolation(
-            f"bound violated at t={t:.12g}, t'={tprime:.12g}: "
-            f"delta_d={delta_d:.6e} outside [{lower:.6e}, {upper:.6e}]"
+            "bound violated at t={:.12g}, t'={:.12g}: delta_d={:.6e} outside [{:.6e}, {:.6e}]"
+            .format(*at)
         )
-    return WitnessPoint(
-        t=float(t), tprime=float(tprime), d_t=d_t, d_next=d_next,
-        forecast=forecast, influence=influence, delta_d=delta_d,
-        lower=lower, upper=upper,
-        label=classify_values(influence, d_t, forecast, eps),
-    )
+    return delta_d, lower, upper, classify_values(influence, d_t, forecast, eps)
+
+
+def checked_point(
+    t: float, tprime: float, d_t: float, d_next: float, forecast: float, influence: float,
+    eps: float = DEFAULT_CLASS_EPS,
+) -> WitnessPoint:
+    """Assemble a point from its distances, enforcing the bound window."""
+    window = check_window(t, tprime, d_t, d_next, forecast, influence, eps)
+    return WitnessPoint(float(t), float(tprime), d_t, d_next, forecast, influence, *window)
 
 
 def evolve_pair(sc: ScenarioPair, t: float) -> tuple[BipartiteState, BipartiteState]:
@@ -446,15 +459,11 @@ def _reduced_differences(sc: ScenarioPair, times: np.ndarray) -> np.ndarray:
     return r1 - r2
 
 
-def _row_points(
-    sc: ScenarioPair,
-    t: float,
-    tprimes: np.ndarray,
-    diffs: np.ndarray,
-    eps: float = DEFAULT_CLASS_EPS,
-    env_label: int = 1,
-) -> tuple[WitnessPoint, ...]:
-    """The points of the row at t for every t' of ``tprimes``.
+def _row_norms(
+    sc: ScenarioPair, t: float, tprimes: np.ndarray, diffs: np.ndarray, env_label: int = 1
+) -> np.ndarray:
+    """Half trace norms of the row at t: D(t), then d_next, forecast and
+    influence for every t' of ``tprimes``, in one array of 1 + 3 T' values.
 
     ``diffs`` are the reduced differences at t and at every t + t'. The
     forecast images f, with the environment of the branch picked by
@@ -466,13 +475,7 @@ def _row_points(
     branch = (sc.state1, sc.state2)[env_label - 1]
     g = diffs[1:]
     f = sc.propagator.forecast(diffs[0], _operand(branch), t, tprimes, sc.ds, sc.de)
-    norms = 0.5 * linalg.trace_norm(np.concatenate([diffs[:1], g, f, g - f]))
-    d_t = float(norms[0])
-    d_next, forecast, influence = norms[1:].reshape(3, -1).tolist()
-    return tuple(
-        checked_point(t, tp, d_t, d, fc, b, eps=eps)
-        for tp, d, fc, b in zip(tprimes.tolist(), d_next, forecast, influence)
-    )
+    return 0.5 * linalg.trace_norm(np.concatenate([diffs[:1], g, f, g - f]))
 
 
 def reduced_distance(sc: ScenarioPair, t):
@@ -535,7 +538,9 @@ def evaluate_point(
     """All witnesses at one (t, t'), with bounds checked and classified."""
     tps = _require_times(tprime, "time step").reshape(1)
     diffs = _reduced_differences(sc, np.concatenate([_require_times(t).reshape(1), t + tps]))
-    return _row_points(sc, t, tps, diffs, eps, env_label)[0]
+    # Python floats: the window check costs less on them than on 1-element arrays
+    d_t, d_next, forecast, influence = _row_norms(sc, t, tps, diffs, env_label).tolist()
+    return checked_point(t, tps[0], d_t, d_next, forecast, influence, eps)
 
 
 def _require_grid(grid, name: str) -> np.ndarray:
@@ -555,7 +560,7 @@ def evaluate_surface(
     eps: float = DEFAULT_CLASS_EPS,
     env_label: int = 1,
 ) -> WitnessSurface:
-    """Witness points over the full (t, t') product grid.
+    """Witness columns over the full (t, t') product grid.
 
     One reduced-state call per initial state covers every row, at the
     times [t, t + t'...]; each row then makes one forecast call and one
@@ -564,5 +569,6 @@ def evaluate_surface(
     ts = _require_grid(t_grid, "t grid")
     tps = _require_grid(tprime_grid, "t' grid")
     diffs = _reduced_differences(sc, np.concatenate([ts[:, None], ts[:, None] + tps], axis=1))
-    points = tuple(_row_points(sc, t, tps, d, eps, env_label) for t, d in zip(ts, diffs))
-    return WitnessSurface(t_grid=ts, tprime_grid=tps, points=points)
+    norms = np.array([_row_norms(sc, t, tps, d, env_label) for t, d in zip(ts, diffs)])
+    d_next, forecast, influence = norms[:, 1:].reshape(ts.size, 3, tps.size).transpose(1, 0, 2)
+    return WitnessSurface(ts, tps, norms[:, 0], d_next, forecast, influence, eps)

@@ -211,7 +211,7 @@ class TestAnalyticWitnesses:
     def test_semigroup_surface_classifications(self):
         ts = np.linspace(0.0, 3.0, 20)
         surf = analytic_surface(SINGLE, ts, ts)
-        for point in surf.iter_points():
+        for point in (surf.point(i, j) for i in range(ts.size) for j in range(ts.size)):
             if point.tprime > 0:
                 assert point.label is Classification.INCREASE_IMPOSSIBLE
             else:

@@ -1,3 +1,6 @@
+import re
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -171,6 +174,52 @@ class TestClassify:
         p = evaluate_point(sc, 0.5, 0.5)
         assert classify(p) is p.label
 
+    @staticmethod
+    def rule(influence, d_t, forecast, eps):
+        """The classification rule as scalar if-statements."""
+        if influence < d_t - forecast - eps:
+            return Classification.INCREASE_IMPOSSIBLE
+        if influence > d_t + forecast + eps:
+            return Classification.GUARANTEED_INCREASE
+        if influence <= eps and d_t <= eps and forecast <= eps:
+            return Classification.INCREASE_IMPOSSIBLE
+        return Classification.INCONCLUSIVE
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(
+        cells=st.lists(
+            st.tuples(
+                st.floats(-0.5, 2.5),
+                st.floats(-0.5, 2.5),
+                st.floats(-0.5, 2.5),
+                st.sampled_from(["free", "lower", "upper", "zero"]),
+            ),
+            min_size=1,
+            max_size=12,
+        ),
+        eps=st.sampled_from([0.0, 1e-12, witness.DEFAULT_CLASS_EPS, 0.1]),
+    )
+    def test_array_labels_match_scalar_calls(self, cells, eps):
+        """Columns are labelled cell by cell as scalars are, also with B
+        exactly at D - F - eps or D + F + eps and on the all-zero cell."""
+        values = []
+        for b, d, f, kind in cells:
+            if kind == "zero":
+                b = d = f = 0.0
+            elif kind == "lower":
+                b = d - f - eps
+            elif kind == "upper":
+                b = d + f + eps
+            values.append((b, d, f))
+        influence, d_t, forecast = np.array(values).T
+        labels = classify_values(influence, d_t, forecast, eps)
+        assert labels.shape == (len(cells),)
+        for label, (b, d, f) in zip(labels.tolist(), values):
+            scalar = classify_values(b, d, f, eps)
+            assert isinstance(scalar, Classification)
+            assert scalar is self.rule(b, d, f, eps)
+            assert label == scalar.value
+
 
 class TestDegeneratePair:
     def test_identical_states_all_zero(self, rng):
@@ -220,19 +269,59 @@ class TestSurface:
     def test_single_point_grid(self, rng):
         sc = random_scenario(rng)
         surf = evaluate_surface(sc, [0.7], [0.3])
-        assert surf.points[0][0] == evaluate_point(sc, 0.3, 0.7)
-        assert surf.classification_counts()[surf.points[0][0].label.value] == 1
+        assert surf.point(0, 0) == evaluate_point(sc, 0.3, 0.7)
+        assert surf.classification_counts()[surf.point(0, 0).label.value] == 1
 
     def test_grid_shape_and_rows(self, rng):
         sc = random_scenario(rng)
         ts = np.linspace(0, 1, 4)
         tps = np.linspace(0, 1, 3)
         surf = evaluate_surface(sc, ts, tps)
-        assert len(surf.points) == 4 and all(len(r) == 3 for r in surf.points)
-        np.testing.assert_allclose(
-            surf.row_distances(), [reduced_distance(sc, t) for t in ts], atol=1e-12
-        )
+        assert surf.d_t.shape == (4,) and surf.labels.shape == (4, 3)
+        np.testing.assert_allclose(surf.d_t, [reduced_distance(sc, t) for t in ts], atol=1e-12)
         assert surf.max_bound_violation() == 0.0
+
+    def test_points_match_evaluate_point(self, rng):
+        """Every cell against its own evaluation. A row's batched products
+        may round differently from a one-point batch, so values agree to
+        1e-14; t, t' and the label exactly."""
+        sc = random_scenario(rng)
+        ts = np.linspace(0.1, 1.3, 3)
+        tps = np.linspace(0.0, 0.9, 4)
+        surf = evaluate_surface(sc, ts, tps)
+        for i, t in enumerate(ts):
+            for j, tp in enumerate(tps):
+                got = asdict(surf.point(i, j))
+                want = asdict(evaluate_point(sc, float(tp), float(t)))
+                assert got.pop("label") is want.pop("label")
+                assert (got.pop("t"), got.pop("tprime")) == (want.pop("t"), want.pop("tprime"))
+                assert got == pytest.approx(want, rel=0, abs=1e-14)
+
+    @staticmethod
+    def window_columns(rng):
+        """Columns of a 3 x 4 grid whose changes sit inside their windows."""
+        d_t = rng.uniform(0.2, 1.0, size=3)
+        forecast = rng.uniform(0.0, 1.0, size=(3, 4)) * d_t[:, None]
+        influence = rng.uniform(0.0, 1.0, size=(3, 4))
+        d_next = d_t[:, None] + influence - d_t[:, None]  # delta_d = B - D, mid-window
+        return np.linspace(0, 1, 3), np.linspace(0, 2, 4), d_t, d_next, forecast, influence
+
+    @pytest.mark.parametrize("spoil", [5.0, np.nan], ids=["outside", "nan"])
+    def test_column_check_names_the_failing_cell(self, rng, spoil):
+        ts, tps, d_t, d_next, forecast, influence = self.window_columns(rng)
+        witness.WitnessSurface(ts, tps, d_t, d_next, forecast, influence)
+        d_next[1, 2] += spoil
+        message = f"bound violated at t={ts[1]:.12g}, t'={tps[2]:.12g}: delta_d="
+        with pytest.raises(witness.InvariantViolation, match=re.escape(message)):
+            witness.WitnessSurface(ts, tps, d_t, d_next, forecast, influence)
+
+    def test_columns_are_read_only(self, rng):
+        surf = witness.WitnessSurface(*self.window_columns(rng))
+        for name in ("t_grid", "tprime_grid", "d_t", "d_next", "forecast", "influence",
+                     "delta_d", "lower", "upper", "labels"):
+            column = getattr(surf, name)
+            with pytest.raises(ValueError, match="read-only"):
+                column[(0,) * column.ndim] = column[(0,) * column.ndim]
 
     def test_rejects_bad_grids(self, rng):
         sc = random_scenario(rng)
@@ -281,6 +370,21 @@ class TestEigenPropagator:
         stacked = prop.evolve(np.stack([a, b]), 0.7)
         np.testing.assert_allclose(stacked[0], prop.evolve(a, 0.7), rtol=0, atol=1e-15)
         np.testing.assert_allclose(stacked[1], prop.evolve(b, 0.7), rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("diagonal", [False, True], ids=["eigen", "diagonal"])
+    def test_evolve_rejects_wrong_operator_shapes(self, rng, diagonal):
+        if diagonal:
+            prop = DiagonalPropagator(np.arange(4.0))
+        else:
+            prop = EigenPropagator(linalg.hermitian_eigensystem(random_hermitian_direct(4, rng)))
+        for shape in [(1, 4), (4,), (4, 5), (5, 5), (2, 4, 3)]:
+            with pytest.raises(ValueError, match=re.escape(f"operator shape {shape} does not")):
+                prop.evolve(np.ones(shape), 0.3)
+        stack = np.stack([random_density_direct(4, rng) for _ in range(3)])
+        evolved = prop.evolve(stack, 0.3)
+        assert evolved.shape == (3, 4, 4)
+        for got, mat in zip(evolved, stack):
+            np.testing.assert_allclose(got, prop.evolve(mat, 0.3), rtol=0, atol=1e-15)
 
     def test_factor_mismatch_rejected(self, rng):
         prop = EigenPropagator(linalg.hermitian_eigensystem(random_hermitian_direct(6, rng)))
