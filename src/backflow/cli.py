@@ -412,7 +412,9 @@ def _run_sweep_job(cfg: RunConfig, out_dir: Path) -> dict:
 
 def _run_check_job(cfg: RunConfig, out_dir: Path) -> dict:
     """Correlation-split oracle: exact values on the maximally entangled pair,
-    norm identity on random joint states."""
+    norm identity on random joint states. It writes no tables, so an
+    earlier run's are removed."""
+    _remove_tables(out_dir)
     bell_vec = np.zeros(4, dtype=complex)
     bell_vec[0] = bell_vec[3] = 1.0 / np.sqrt(2.0)
     bell = states.BipartiteState(np.outer(bell_vec, bell_vec.conj()), 2, 2)

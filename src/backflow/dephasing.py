@@ -145,9 +145,12 @@ def tcl_coefficients(dist: FrequencyDistribution, t: float) -> tuple[float, floa
     coherence evolving as d/dt ln k. A single Lorentzian gives the constant
     pair (omega0/2, delta/2); a negative gamma anywhere signals coherence
     revival. Times where |k| < 1e-12 are rejected as singular instead of
-    returning huge rates.
+    returning huge rates, and so are non-finite times.
     """
-    logd = _log_derivative(dist, float(t))
+    t = float(t)
+    if not math.isfinite(t):
+        raise ValueError(f"time must be finite, got {t}")
+    logd = _log_derivative(dist, t)
     return 0.5 * logd.imag, -0.5 * logd.real
 
 
@@ -175,10 +178,11 @@ def analytic_witnesses(
 
     All four reduce to moduli of k: D = |k(t)|, F = |k(t)k(t')|,
     B = |k(t+t') - k(t)k(t')| and delta_d = |k(t+t')| - |k(t)|. Array
-    times broadcast against each other and give arrays.
+    times broadcast against each other and give arrays. Negative or
+    non-finite times raise ValueError.
     """
-    if np.any(np.asarray(t) < 0) or np.any(np.asarray(tprime) < 0):
-        raise ValueError("times must be nonnegative")
+    witness._require_times(t, "t")
+    witness._require_times(tprime, "t'")
     kt = dephasing_function(dist, t)
     ktp = dephasing_function(dist, tprime)
     knext = dephasing_function(dist, t + tprime)

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import linalg
 from .states import BipartiteState, plus_minus_pair
-from .witness import SUPPORT_TOL, EigenPropagator, InvariantViolation, ScenarioPair
+from .witness import EigenPropagator, InvariantViolation, ScenarioPair
 
 PAULI = {
     "x": np.array([[0, 1], [1, 0]], dtype=complex),
@@ -126,24 +126,6 @@ def excitations(count: int) -> np.ndarray:
     return _occupations(np.arange(count), max(count - 1, 0).bit_length()).sum(axis=1)
 
 
-def allowed_charges(initial, charges, system_charges) -> set[int]:
-    """Charges that witness operators can reach from the states ``initial``.
-
-    ``charges`` holds the charge of every basis vector of the total space
-    and ``system_charges`` those of the system's basis. A product state may
-    be given as its (system, environment) factor pair. The charge is
-    additive, Q = q_S + q_E. The states at t stay in the charges q of the
-    initial support, and a row operator such as Delta_S (x) rho_E pairs an
-    environment charge q - q_s with any system charge q_s', so every
-    operator lies in {q + q_s' - q_s}, cut to the charges that exist.
-    """
-    charges = np.asarray(charges)
-    weight = np.max([linalg.magnitude_maxima(op)[0] for op in initial], axis=0)
-    present = set(charges[weight > SUPPORT_TOL * weight.max()].tolist())
-    steps = {int(b - a) for a in system_charges for b in system_charges}
-    return {q + step for q in present for step in steps} & set(charges.tolist())
-
-
 def scenario(
     spec: SpinChainSpec, pair: tuple[np.ndarray, np.ndarray] | None = None
 ) -> ScenarioPair:
@@ -151,17 +133,16 @@ def scenario(
 
     Both branches start as products with every environment spin in |0>, so
     all correlations seen later are built by the interaction. The chain
-    conserves the number of excitations, so the propagator works on the
-    excitation blocks that ``allowed_charges`` finds for the pair, one
-    eigensystem per block, shared across the whole time grid: for the +/-
-    pair that is 0, 1 and 2 excitations, 46 of 512 dimensions on 8 sites.
-    Each block of H is written straight from the hopping rule, and the
-    states stay factor pairs, so no total operator is formed.
+    conserves the number of excitations, and the propagator works on the
+    blocks of 0, 1 and 2 excitations (46 of 512 dimensions on 8 sites),
+    one eigensystem per block, shared across the whole time grid. Each
+    block of H is written straight from the hopping rule, and the states
+    stay factor pairs, so no total operator is formed.
 
-    A call pays only for its pair: the two system factors, one validation
-    of the shared environment and ``allowed_charges``. The block
-    propagator depends on the chain and those charges alone, so scenarios
-    on equal specs reaching the same charges share one, read-only object.
+    A call pays only for its pair: the two system factors and one
+    validation of the shared environment. The block propagator depends on
+    the chain alone, so scenarios on equal specs share one, read-only
+    object.
     """
     if pair is None:
         pair = plus_minus_pair()
@@ -169,24 +150,21 @@ def scenario(
     env = np.zeros((de, de), dtype=complex)
     env[0, 0] = 1.0
     state1, state2 = BipartiteState.products(pair, env)
-    charges = excitations(spec.dim)
-    allowed = allowed_charges((state1.factors, state2.factors), charges, excitations(2))
-    prop = _block_propagator(spec, tuple(sorted(allowed)))
-    return ScenarioPair(state1=state1, state2=state2, propagator=prop)
+    return ScenarioPair(state1=state1, state2=state2, propagator=_block_propagator(spec))
 
 
 @functools.lru_cache(maxsize=8)
-def _block_propagator(spec: SpinChainSpec, charges: tuple[int, ...]) -> EigenPropagator:
-    """Propagator of the chain on its blocks of the given charges.
+def _block_propagator(spec: SpinChainSpec) -> EigenPropagator:
+    """Propagator of the chain on its blocks of 0, 1 and 2 excitations.
 
-    Memoised, so its eigensystems and the kernels that ``reduced`` fills in
-    are computed once per chain and charge set. The eigensystem, the
-    support and its complement are made read-only here and each kernel
-    when it is stored, so no caller can corrupt a later scenario.
+    The polarized environment carries no excitation and a probe state adds
+    at most one, so the states stay in charges 0 and 1; a row operator
+    Delta_S (x) rho_E(t) pairs an environment marginal of at most one
+    excitation with a probe operator that adds at most one more. Whatever
+    falls outside is rejected when a propagator call gathers it.
+    Memoised, so the eigensystems and the kernels that ``reduced`` fills
+    in are computed once per chain.
     """
     q = excitations(spec.dim)
-    blocks = [np.flatnonzero(q == c) for c in charges]
-    prop = EigenPropagator.from_blocks([(b, hamiltonian_block(spec, b)) for b in blocks], spec.dim)
-    for a in (prop.eigensystem.values, prop.eigensystem.vectors, prop.support, prop._outside):
-        a.flags.writeable = False
-    return prop
+    blocks = [np.flatnonzero(q == c) for c in (0, 1, 2)]
+    return EigenPropagator.from_blocks([(b, hamiltonian_block(spec, b)) for b in blocks], spec.dim)

@@ -84,30 +84,12 @@ class EigenPropagator:
         self._kernels: dict[tuple[int, int, int], np.ndarray] = {}
 
     @classmethod
-    def from_charges(cls, h, charges, allowed) -> EigenPropagator:
-        """Propagator of H on the blocks of the charges in ``allowed``.
-
-        ``charges`` gives the conserved charge of every basis vector; H must
-        have no weight between different charges. Each allowed block gets
-        its own eigensystem, so no eigensolver sees the full matrix.
-        """
-        h = linalg.as_complex_matrix(h)
-        q = np.asarray(charges)
-        if q.shape != (h.shape[0],):
-            raise ValueError(f"need one charge per basis vector, got shape {q.shape}")
-        mixing = float(np.max(np.abs(h[q[:, None] != q]), initial=0.0))
-        if mixing > SUPPORT_TOL * float(np.max(np.abs(h))):
-            raise InvariantViolation(f"Hamiltonian couples different charges: weight {mixing:.3e}")
-        kept = sorted(set(allowed) & set(q.tolist()))
-        if not kept:
-            raise ValueError(f"no basis vector carries an allowed charge of {sorted(allowed)}")
-        blocks = [np.flatnonzero(q == c) for c in kept]
-        return cls.from_blocks([(b, h[np.ix_(b, b)]) for b in blocks], h.shape[0])
-
-    @classmethod
     def from_blocks(cls, blocks, dim: int) -> EigenPropagator:
         """Propagator on H-invariant blocks of a ``dim``-dimensional space,
-        each a pair (basis indices, H restricted to them), one eigensystem each."""
+        each a pair (basis indices, H restricted to them), one eigensystem each.
+
+        Its eigensystem, support and complement are read-only, so a shared
+        propagator cannot be corrupted by a caller."""
         eigs = [linalg.hermitian_eigensystem(h) for _, h in blocks]
         support = np.concatenate([b for b, _ in blocks])
         vectors = np.zeros((support.size, support.size), dtype=complex)
@@ -118,7 +100,10 @@ class EigenPropagator:
         values = np.concatenate([e.values for e in eigs])
         order = np.argsort(values, kind="stable")
         eig = HermitianEigenSystem(values=values[order], vectors=vectors[:, order])
-        return cls(eig, support, dim)
+        prop = cls(eig, support, dim)
+        for a in (eig.values, eig.vectors, prop._support, prop._outside):
+            a.flags.writeable = False
+        return prop
 
     @property
     def dim(self) -> int:

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import backflow
-from backflow import cli
+from backflow import cli, spinchain
 from backflow.cli import (
     EXIT_CONFIG_ERROR,
     EXIT_INVARIANT,
@@ -21,7 +21,7 @@ from backflow.cli import (
     parse_config,
     run,
 )
-from backflow.witness import InvariantViolation
+from backflow.witness import EigenPropagator, InvariantViolation
 
 
 def read_csv(path):
@@ -84,6 +84,14 @@ class TestPresetRuns:
         summary = read_summary(out)
         assert summary["pass"] is True
         assert summary["bell_norm_error"] <= 1e-12
+
+    def test_bell_check_removes_an_earlier_runs_tables(self, tmp_path):
+        out = tmp_path / "shared"
+        assert main(["run", "--preset", "semigroup", "--out", str(out)]) == EXIT_OK
+        assert (out / "surface.csv").exists() and (out / "profile.csv").exists()
+        assert main(["run", "--preset", "bell-check", "--out", str(out)]) == EXIT_OK
+        assert [p.name for p in out.iterdir()] == ["summary.json"]
+        assert read_summary(out)["scenario"] == "bell-check"
 
     def test_json_format(self, tmp_path):
         out = tmp_path / "j"
@@ -302,6 +310,16 @@ class TestConfigErrors:
         assert not (out / "summary.json").exists()
 
 
+def _propagator_without_the_vacuum(spec):
+    """The chain's propagator on charges 1 and 2 only: the polarised initial
+    pair has weight outside it."""
+    q = spinchain.excitations(spec.dim)
+    blocks = [np.flatnonzero(q == c) for c in (1, 2)]
+    return EigenPropagator.from_blocks(
+        [(b, spinchain.hamiltonian_block(spec, b)) for b in blocks], spec.dim
+    )
+
+
 class TestInvariantExit:
     def test_violation_maps_to_exit_2(self, tmp_path, monkeypatch):
         def boom(*args, **kwargs):
@@ -325,8 +343,7 @@ class TestInvariantExit:
         assert "Traceback" not in capsys.readouterr().err
 
     def test_operator_outside_the_chain_subspace_exits_2(self, tmp_path, monkeypatch, capsys):
-        # a subspace without the vacuum cannot hold the polarised initial pair
-        monkeypatch.setattr(cli.spinchain, "allowed_charges", lambda *args: {1, 2})
+        monkeypatch.setattr(spinchain, "_block_propagator", _propagator_without_the_vacuum)
         cfg = tmp_path / "chain.ini"
         cfg.write_text(
             "[scenario]\nmodel = spin_chain\nsites = 3\nexchange = 1.0\n"
@@ -354,7 +371,7 @@ class TestInvariantExit:
             "surface.csv", "profile.csv", "surface.json", "profile.json", "summary.json"
         }
         # as in test_operator_outside_the_chain_subspace_exits_2
-        monkeypatch.setattr(cli.spinchain, "allowed_charges", lambda *args: {1, 2})
+        monkeypatch.setattr(spinchain, "_block_propagator", _propagator_without_the_vacuum)
         assert main(["run", str(cfg), "--out", str(out)]) == EXIT_INVARIANT
         assert [p.name for p in out.iterdir()] == ["summary.json"]
         assert "error" in read_summary(out)

@@ -394,10 +394,15 @@ class TestFullModel:
                 full_model(big)
 
     def test_non_finite_point_raises(self):
-        # an infinite time turns k(t) into NaN, which must fail the window check
+        # a non-finite time is bad input, rejected where it enters
         env = Discrete(freqs=np.array([1.0]), probs=np.array([1.0]))
-        with np.errstate(invalid="ignore"), pytest.raises(witness.InvariantViolation):
-            analytic_point(env, 0.1, np.inf)
+        for dist, tprime, t in ((env, 0.1, np.inf), (SPLIT_CENTERS, 0.1, np.inf),
+                                (SPLIT_CENTERS, np.inf, 0.1), (SPLIT_CENTERS, 0.1, np.nan)):
+            with pytest.raises(ValueError, match="finite"):
+                analytic_point(dist, tprime, t)
+        for t in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="finite"):
+                tcl_coefficients(SPLIT_CENTERS, t)
 
 
 @pytest.mark.parametrize(

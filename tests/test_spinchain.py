@@ -8,7 +8,6 @@ from backflow.linalg import DENSE_DIM_CAP
 from backflow.spinchain import (
     PAULI,
     SpinChainSpec,
-    allowed_charges,
     build_hamiltonian,
     excitations,
     hamiltonian_block,
@@ -18,7 +17,7 @@ from backflow.spinchain import (
 from backflow.states import pure_qubit
 from backflow.witness import evolve_pair, reduced_distance
 
-from conftest import chain_hamiltonian_direct
+from conftest import chain_hamiltonian_direct, random_density_direct
 
 
 class TestPauliSite:
@@ -152,20 +151,12 @@ class TestScenario:
 class TestChargeBlocks:
     def test_fig3_pair_reaches_two_excitations(self):
         sc = scenario(SpinChainSpec(sites=8, exchange=1.0, probe_exchange=1.0, field=0.01))
-        assert allowed_charges((sc.state1.op, sc.state2.op), excitations(512), [0, 1]) == {0, 1, 2}
         assert sc.propagator.support.size == 1 + 9 + 36
 
     def test_seven_site_chain_with_a_bloch_pair(self):
         spec = SpinChainSpec(sites=7, exchange=1.0, probe_exchange=1.0, field=0.01)
         sc = scenario(spec, pair=(pure_qubit(0.4, 1.0), pure_qubit(np.pi - 0.4, 1.0 + np.pi)))
-        assert allowed_charges((sc.state1.op, sc.state2.op), excitations(256), [0, 1]) == {0, 1, 2}
         assert sc.propagator.support.size == 1 + 8 + 28
-
-    def test_rule_follows_the_initial_charges(self):
-        ground, excited = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
-        env = np.diag([0.0, 1.0] + [0.0] * 6)  # one chain excitation
-        assert allowed_charges((np.kron(ground, env),) * 2, excitations(16), [0, 1]) == {0, 1, 2}
-        assert allowed_charges((np.kron(excited, env),) * 2, excitations(16), [0, 1]) == {1, 2, 3}
 
     def test_no_full_eigensolve_and_no_full_unitary(self, monkeypatch):
         spec = SpinChainSpec(sites=8, exchange=1.0, probe_exchange=1.0, field=0.01)
@@ -249,13 +240,15 @@ class TestSharedPropagator:
         np.testing.assert_array_equal(reduced_distance(rebuilt, times), before)
 
     def test_other_chains_and_charges_get_their_own(self):
+        """Another chain gets its own propagator; the charges are fixed by
+        the chain, so a pair reaching fewer of them shares it."""
         shared = scenario(SpinChainSpec(**self.SPEC)).propagator
         other_field = scenario(SpinChainSpec(**{**self.SPEC, "field": 0.03})).propagator
         ground = np.diag([1.0, 0.0])
         ground_pair = scenario(SpinChainSpec(**self.SPEC), (ground, ground)).propagator
-        assert other_field is not shared and ground_pair is not shared
-        # charges {0, 1}: the vacuum and one excitation on any of the sites + 1 spins
-        assert ground_pair.support.size == 1 + (self.SPEC["sites"] + 1)
+        assert other_field is not shared and ground_pair is shared
+        n = self.SPEC["sites"] + 1
+        assert other_field.support.size == 1 + n + n * (n - 1) // 2
 
     def test_shared_arrays_are_read_only(self):
         sc = scenario(SpinChainSpec(**self.SPEC))
@@ -267,6 +260,49 @@ class TestSharedPropagator:
                       prop._outside, *kernels):
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 0
+
+
+class TestFixedCharges:
+    """The chain's propagator on charges 0, 1 and 2 against the full-space
+    propagator of the dense H, for pairs reaching all or fewer of them."""
+
+    TIMES = np.linspace(0.0, 3.0, 13)
+    T_GRID, TPRIME_GRID = [0.0, 0.6, 1.7], [0.0, 0.4, 1.1]
+    COLUMNS = ("d_t", "d_next", "forecast", "influence", "delta_d", "lower", "upper")
+
+    @staticmethod
+    def pairs(rng):
+        def pure():
+            return pure_qubit(rng.uniform(0.0, np.pi), rng.uniform(0.0, 2 * np.pi))
+
+        ground = np.diag([1.0, 0.0])
+        return [
+            (pure(), pure()),
+            (pure(), pure()),
+            (random_density_direct(2, rng), random_density_direct(2, rng)),
+            (random_density_direct(2, rng), random_density_direct(2, rng)),
+            (ground, ground),
+        ]
+
+    @pytest.mark.parametrize("sites", [3, 4])
+    def test_matches_the_full_space_propagator(self, sites):
+        rng = np.random.default_rng(300 + sites)
+        spec = SpinChainSpec(sites, exchange=1.0, probe_exchange=0.8, field=0.05)
+        full = witness.EigenPropagator(linalg.hermitian_eigensystem(build_hamiltonian(spec)))
+        shared = scenario(spec).propagator
+        for pair in self.pairs(rng):
+            sc = scenario(spec, pair)
+            assert sc.propagator is shared
+            ref = witness.ScenarioPair(sc.state1, sc.state2, full)
+            got = reduced_distance(sc, self.TIMES)
+            np.testing.assert_allclose(got, reduced_distance(ref, self.TIMES), rtol=0, atol=1e-12)
+            surface = witness.evaluate_surface(sc, self.T_GRID, self.TPRIME_GRID)
+            expected = witness.evaluate_surface(ref, self.T_GRID, self.TPRIME_GRID)
+            for name in self.COLUMNS:
+                np.testing.assert_allclose(
+                    getattr(surface, name), getattr(expected, name), rtol=0, atol=1e-12
+                )
+        assert shared.support.size < spec.dim
 
 
 class TestHamiltonianBlocks:
@@ -302,8 +338,9 @@ class TestHamiltonianBlocks:
     def test_scenario_matches_the_dense_charge_blocks(self):
         spec = SpinChainSpec(sites=6, exchange=1.0, probe_exchange=0.7, field=0.03)
         sc = scenario(spec)
-        charges = excitations(spec.dim)
-        dense = witness.EigenPropagator.from_charges(build_hamiltonian(spec), charges, {0, 1, 2})
+        h, charges = build_hamiltonian(spec), excitations(spec.dim)
+        blocks = [np.flatnonzero(charges == q) for q in (0, 1, 2)]
+        dense = witness.EigenPropagator.from_blocks([(b, h[np.ix_(b, b)]) for b in blocks], spec.dim)
         np.testing.assert_array_equal(sc.propagator.support, dense.support)
         np.testing.assert_array_equal(sc.propagator.eigensystem.values, dense.eigensystem.values)
         np.testing.assert_array_equal(

@@ -575,6 +575,12 @@ class TestChargeBlocks:
         h = random_hermitian_direct(dim, rng) * (charges[:, None] == charges[None, :])
         return h, charges
 
+    @staticmethod
+    def block_propagator(h, charges, allowed):
+        """Propagator of H on its blocks of the charges in ``allowed``."""
+        blocks = [np.flatnonzero(charges == c) for c in sorted(allowed)]
+        return EigenPropagator.from_blocks([(b, h[np.ix_(b, b)]) for b in blocks], len(h))
+
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
     @given(
         ds=st.integers(2, 3),
@@ -588,7 +594,7 @@ class TestChargeBlocks:
         dim = ds * de
         h, charges = self.blocked_hamiltonian(rng, dim, n_charges)
         allowed = set(rng.choice(n_charges, size=rng.integers(1, n_charges + 1), replace=False))
-        blocks = EigenPropagator.from_charges(h, charges, allowed)
+        blocks = self.block_propagator(h, charges, allowed)
         full = EigenPropagator(linalg.hermitian_eigensystem(h))
         inside = np.isin(charges, list(allowed))
         assert sorted(blocks.support) == list(np.flatnonzero(inside))
@@ -603,7 +609,7 @@ class TestChargeBlocks:
     def test_weight_outside_the_subspace_raises(self, rng):
         h, charges = self.blocked_hamiltonian(rng, 8, 3)
         allowed = {int(charges[0])}
-        prop = EigenPropagator.from_charges(h, charges, allowed)
+        prop = self.block_propagator(h, charges, allowed)
         stray = np.zeros((8, 8), dtype=complex)
         stray[prop.support[0], prop.support[0]] = 1.0
         outside = int(np.flatnonzero(charges != charges[0])[0])
@@ -624,7 +630,7 @@ class TestChargeBlocks:
         ds, de = 2, 3
         charges = np.arange(ds * de) // de
         h = random_hermitian_direct(ds * de, rng) * (charges[:, None] == charges)
-        prop = EigenPropagator.from_charges(h, charges, {0})
+        prop = self.block_propagator(h, charges, {0})
         env = random_density_direct(de, rng)
         inside = (np.diag([1.0, 0.0]).astype(complex), env)
         got = prop.reduced(inside, [0.0, 0.8], ds, de)
@@ -639,13 +645,6 @@ class TestChargeBlocks:
                 prop.reduced((system, env), [0.8], ds, de)
             with pytest.raises(witness.InvariantViolation, match="outside"):
                 prop.forecast(inside[0], (system, env), 0.8, [0.8], ds, de)
-
-    def test_charge_mixing_hamiltonian_rejected(self, rng):
-        h, charges = self.blocked_hamiltonian(rng, 6, 2)
-        i, j = np.flatnonzero(charges == 0)[0], np.flatnonzero(charges == 1)[0]
-        h[i, j] = h[j, i] = 0.1
-        with pytest.raises(witness.InvariantViolation, match="couples"):
-            EigenPropagator.from_charges(h, charges, {0, 1})
 
     @pytest.mark.parametrize("support", [[0, 0], [0, 6], [-1, 2], [0, 1, 2]])
     def test_rejects_bad_support(self, rng, support):
