@@ -4,10 +4,10 @@ A run produces three files in the output directory: a surface table (one
 row per evaluated (t, t') point), a profile table (reduced distance along
 the t grid with growth-interval flags) and a summary.json with the
 measure, classification counts and the worst bound violation (zero on any
-successful run, since evaluation aborts on violations). Each file is
-written to a temporary name and renamed into place, and a failed run
-removes the tables of an earlier run, so the directory never pairs an
-error summary with stale or half-written tables.
+successful run, since evaluation aborts on violations). A run first
+removes the tables of either format that an earlier run left, and writes
+each file to a temporary name and renames it into place, so the directory
+never pairs a summary with stale or half-written tables.
 
 Exit codes: 0 success, 1 config error, 2 invariant violation. Configs are
 flat INI files whose sections mirror the run options; see the README for
@@ -71,6 +71,8 @@ class GridSpec:
             raise ConfigError(f"grid minimum must be nonnegative and finite, got {self.lo}")
         if not self.lo <= self.hi < math.inf:
             raise ConfigError(f"grid maximum {self.hi} is below minimum {self.lo} or not finite")
+        if self.count > 1 and self.hi == self.lo:
+            raise ConfigError(f"a grid of {self.count} points needs a maximum above {self.lo}")
 
     def points(self) -> np.ndarray:
         return np.linspace(self.lo, self.hi, self.count)
@@ -412,9 +414,7 @@ def _run_sweep_job(cfg: RunConfig, out_dir: Path) -> dict:
 
 def _run_check_job(cfg: RunConfig, out_dir: Path) -> dict:
     """Correlation-split oracle: exact values on the maximally entangled pair,
-    norm identity on random joint states. It writes no tables, so an
-    earlier run's are removed."""
-    _remove_tables(out_dir)
+    norm identity on random joint states. It writes no tables."""
     bell_vec = np.zeros(4, dtype=complex)
     bell_vec[0] = bell_vec[3] = 1.0 / np.sqrt(2.0)
     bell = states.BipartiteState(np.outer(bell_vec, bell_vec.conj()), 2, 2)
@@ -454,6 +454,7 @@ def run(cfg: RunConfig) -> int:
     """Execute a run; returns the process exit status."""
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    _remove_tables(out_dir)
     try:
         if cfg.preset.kind == "surface":
             summary = _run_surface_job(cfg, out_dir)
@@ -462,7 +463,6 @@ def run(cfg: RunConfig) -> int:
         else:
             summary = _run_check_job(cfg, out_dir)
     except InvariantViolation as exc:
-        _remove_tables(out_dir)
         _write_summary(out_dir, {"scenario": cfg.preset.name, "error": str(exc)})
         print(f"invariant violation: {exc}", file=sys.stderr)
         return EXIT_INVARIANT

@@ -295,18 +295,12 @@ class DiagonalPropagator:
     def rates(self) -> np.ndarray:
         return self._rates
 
-    def phases(self, t: float) -> np.ndarray:
-        return np.exp(1j * self._rates * float(t))
-
-    def unitary(self, t: float) -> np.ndarray:
-        return np.diag(self.phases(t))
-
     def evolve(self, mat: np.ndarray, t: float) -> np.ndarray:
         """U(t) mat U(t)^dagger; a stack of matrices is evolved in one call."""
         mat = np.asarray(mat)
         if mat.shape[-2:] != (self.dim, self.dim):
             raise ValueError(f"operator shape {mat.shape} does not match dimension {self.dim}")
-        p = self.phases(t)
+        p = np.exp(1j * self._rates * float(t))
         return mat * np.outer(p, p.conj())
 
     def _level_blocks(self, mat, ds: int, de: int) -> np.ndarray:

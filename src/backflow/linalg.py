@@ -14,8 +14,9 @@ from typing import Literal
 
 import numpy as np
 
-# Anti-Hermitian drift below HERMITICITY_TOL is absorbed silently; above it
-# the input is rejected so that eigensolvers never see garbage.
+# Tolerances are constants, not parameters a call may override.
+# require_hermitian absorbs anti-Hermitian drift up to HERMITICITY_TOL and
+# rejects more, so that eigensolvers never see garbage.
 HERMITICITY_TOL = 1e-10
 PSD_TOL = 1e-9
 TRACE_TOL = 1e-9
@@ -40,23 +41,29 @@ def hermitian_part(a) -> np.ndarray:
     return (m + m.conj().T) / 2.0
 
 
-def hermiticity_defect(a) -> float:
-    """Largest entrywise magnitude of A - A^dagger; not finite if A is not."""
-    m = as_complex_matrix(a)
-    if m.shape[0] != m.shape[1]:
-        raise ValueError(f"matrix must be square, got shape {m.shape}")
-    if m.size == 0:
-        return 0.0
-    with np.errstate(invalid="ignore"):  # inf - inf is NaN, the intended result
-        return float(np.max(np.abs(m - m.conj().T)))
+def require_hermitian(a, name: str = "matrix") -> np.ndarray:
+    """(A + A^dagger) / 2 of a square matrix, or of each matrix of a stack of
+    shape ``(..., n, n)``: the one check that an input is Hermitian enough
+    to eigensolve.
 
-
-def require_hermitian(a, tol: float = HERMITICITY_TOL, name: str = "matrix") -> np.ndarray:
-    """Return the Hermitian part of ``a``, rejecting defects above ``tol`` or NaN."""
-    defect = hermiticity_defect(a)
-    if not defect <= tol:
-        raise ValueError(f"{name} is not Hermitian: defect {defect:.3e} exceeds {tol:.1e}")
-    return hermitian_part(a)
+    A defect max|A - A^dagger| above HERMITICITY_TOL, or NaN, is rejected
+    with a ValueError that names the failing member of a stack.
+    """
+    m = np.asarray(a, dtype=complex)
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
+        raise ValueError(f"expected a square matrix or a stack of them, got shape {m.shape}")
+    adjoint = np.swapaxes(m, -1, -2).conj()
+    with np.errstate(invalid="ignore"):  # inf - inf is NaN, which the check rejects
+        defect = np.abs(m - adjoint).max(axis=(-2, -1), initial=0.0)
+    bad = np.flatnonzero(~(defect <= HERMITICITY_TOL))
+    if bad.size:
+        index = tuple(int(i) for i in np.unravel_index(bad[0], defect.shape))
+        where = f" {index} of the stack" if index else ""
+        raise ValueError(
+            f"{name}{where} is not Hermitian: defect {float(defect[index]):.3e} "
+            f"exceeds {HERMITICITY_TOL:.1e}"
+        )
+    return (m + adjoint) / 2.0
 
 
 def tensor_product(a, b) -> np.ndarray:
@@ -109,33 +116,22 @@ def nonzero_block(m: np.ndarray) -> np.ndarray:
     return m if keep.all() else m[np.ix_(keep, keep)]
 
 
-def trace_norm(a, tol: float = HERMITICITY_TOL):
+def trace_norm(a):
     """Sum of absolute eigenvalues of the Hermitian part of ``a``.
 
-    The input is symmetrized before eigensolving; an anti-Hermitian defect
-    above ``tol`` (or NaN) is rejected rather than silently absorbed. A
-    single matrix gives a float; its Hermiticity check, symmetrization and
-    eigensolve see only its rows and columns that are not exactly zero, as a
-    dropped index, zero in row and column, adds no defect and a zero eigenvalue.
-    A stack of shape ``(..., n, n)`` gives an array of shape ``(...)`` from
-    one batched eigensolve, with the Hermiticity check made per matrix.
+    The input passes ``require_hermitian`` before eigensolving. A single
+    matrix gives a float; its check and eigensolve see only its rows and
+    columns that are not exactly zero, as a dropped index, zero in row and
+    column, adds no defect and a zero eigenvalue. A stack of shape
+    ``(..., n, n)`` gives an array of shape ``(...)`` from one batched
+    eigensolve, with the check made per matrix.
     """
     m = np.asarray(a, dtype=complex)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise ValueError(f"expected a square matrix or a stack of them, got shape {m.shape}")
     if m.ndim == 2:
         m = nonzero_block(m)
-    adjoint = np.swapaxes(m, -1, -2).conj()
-    with np.errstate(invalid="ignore"):  # inf - inf is NaN, which the check rejects
-        defect = np.abs(m - adjoint).max(axis=(-2, -1), initial=0.0)
-    bad = np.flatnonzero(~(defect <= tol))
-    if bad.size:
-        index = tuple(int(i) for i in np.unravel_index(bad[0], defect.shape))
-        where = f" {index} of the stack" if index else ""
-        raise ValueError(
-            f"matrix{where} is not Hermitian: defect {float(defect[index]):.3e} exceeds {tol:.1e}"
-        )
-    sym = (m + adjoint) / 2.0
+    sym = require_hermitian(m)
     if m.ndim > 2:
         return np.abs(np.linalg.eigvalsh(sym)).sum(axis=-1)
     return float(np.sum(np.abs(np.linalg.eigvalsh(sym)))) if sym.size else 0.0
@@ -165,13 +161,13 @@ class HermitianEigenSystem:
         return (self.vectors * self.values) @ self.vectors.conj().T
 
 
-def hermitian_eigensystem(a, tol: float = HERMITICITY_TOL) -> HermitianEigenSystem:
+def hermitian_eigensystem(a) -> HermitianEigenSystem:
     """Eigendecompose a Hermitian matrix, verifying the reconstruction.
 
     Raises ValueError if the solver does not converge or if the
     reconstruction residual exceeds EIG_RESIDUAL_TOL * max|A|.
     """
-    sym = require_hermitian(a, tol)
+    sym = require_hermitian(as_complex_matrix(a))
     try:
         values, vectors = np.linalg.eigh(sym)
     except np.linalg.LinAlgError as exc:

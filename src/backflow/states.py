@@ -13,41 +13,31 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .linalg import HERMITICITY_TOL, PSD_TOL, TRACE_TOL
+from .linalg import PSD_TOL, TRACE_TOL
 
 
-def validate_density_matrix(
-    rho,
-    name: str = "state",
-    hermiticity_tol: float = HERMITICITY_TOL,
-    trace_tol: float = TRACE_TOL,
-    psd_tol: float = PSD_TOL,
-) -> np.ndarray:
+def validate_density_matrix(rho, name: str = "state") -> np.ndarray:
     """Check Hermiticity, unit trace and positivity; return the input array.
 
     Only the nonzero rows and columns are read past the trace: a dropped
     index has a zero row and column, so it adds no Hermiticity defect and a
-    zero eigenvalue, while NaN and inf count as nonzero and fail the defect.
-    Positive means the Hermitian part of that block plus ``psd_tol`` on the
-    diagonal has a Cholesky factor; only a rejected state is eigensolved, to
-    report its negative eigenvalue.
+    zero eigenvalue, while NaN and inf count as nonzero and fail
+    ``linalg.require_hermitian``. Positive means the Hermitian part of that
+    block plus PSD_TOL on the diagonal has a Cholesky factor; only a
+    rejected state is eigensolved, to report its negative eigenvalue.
     """
     m = linalg.as_complex_matrix(rho)
     if m.shape[0] != m.shape[1]:
         raise ValueError(f"{name} must be square, got shape {m.shape}")
-    block = linalg.nonzero_block(m)
-    defect = linalg.hermiticity_defect(block)
-    if not defect <= hermiticity_tol:
-        raise ValueError(f"{name} is not Hermitian: defect {defect:.3e}")
+    shifted = linalg.require_hermitian(linalg.nonzero_block(m), name)
     tr = complex(np.trace(m))
-    if not abs(tr - 1.0) <= trace_tol:
+    if not abs(tr - 1.0) <= TRACE_TOL:
         raise ValueError(f"{name} has trace {tr:.12g}, expected 1")
-    shifted = linalg.hermitian_part(block)
-    shifted.flat[:: len(shifted) + 1] += psd_tol
+    shifted.flat[:: len(shifted) + 1] += PSD_TOL
     try:
         np.linalg.cholesky(shifted)
     except np.linalg.LinAlgError:
-        smallest = float(np.linalg.eigvalsh(shifted)[0]) - psd_tol
+        smallest = float(np.linalg.eigvalsh(shifted)[0]) - PSD_TOL
         raise ValueError(f"{name} has negative eigenvalue {smallest:.3e}") from None
     return m
 

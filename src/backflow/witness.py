@@ -336,13 +336,14 @@ class WitnessSurface:
     def classification_counts(self) -> dict[str, int]:
         return {c.value: int(np.count_nonzero(self.labels == c.value)) for c in Classification}
 
-    def max_bound_violation(self, tol: float = BOUND_TOL) -> float:
-        """Largest excess of delta_d beyond its window, after tolerance.
+    def max_bound_violation(self) -> float:
+        """Largest excess of delta_d beyond its window, after BOUND_TOL.
 
         Zero on any surface that evaluated successfully, since its
         construction aborts on a violation.
         """
-        excess = np.maximum(self.lower - tol - self.delta_d, self.delta_d - self.upper - tol)
+        excess = np.maximum(self.lower - BOUND_TOL - self.delta_d,
+                            self.delta_d - self.upper - BOUND_TOL)
         return float(np.max(excess, initial=0.0))
 
 
@@ -421,16 +422,6 @@ def _require_times(times, name: str = "time") -> np.ndarray:
     return ts
 
 
-def _evolved(sc: ScenarioPair, op: np.ndarray, t: float) -> np.ndarray:
-    """One total operator at time t, without density re-validation.
-
-    Conjugation by a unitary cannot break Hermiticity, trace or positivity
-    beyond floating-point dust, so internal sweeps skip the eigenvalue
-    check that BipartiteState construction would repeat at every time.
-    """
-    return op if _require_times(t) == 0 else sc.propagator.evolve(op, t)
-
-
 def _operand(state: BipartiteState):
     """What a propagator reads of a state: a product as its factor pair."""
     return state.factors or state.op
@@ -505,8 +496,7 @@ def weak_upper_bound(sc: ScenarioPair, t: float) -> float:
     distance between the environmental states; dominates delta_d for every
     t'. Equals half the correlation norms plus the environment distance.
     """
-    split1 = states.correlation_split(_evolved(sc, sc.state1.op, t), sc.ds, sc.de)
-    split2 = states.correlation_split(_evolved(sc, sc.state2.op, t), sc.ds, sc.de)
+    split1, split2 = (states.decompose(s) for s in evolve_pair(sc, t))
     term1 = 0.5 * linalg.trace_norm(split1.correlation)
     term2 = 0.5 * linalg.trace_norm(split2.correlation)
     term3 = linalg.trace_distance(split1.environment, split2.environment)

@@ -93,6 +93,12 @@ class TestPresetRuns:
         assert [p.name for p in out.iterdir()] == ["summary.json"]
         assert read_summary(out)["scenario"] == "bell-check"
 
+    def test_a_run_removes_the_other_formats_tables(self, tmp_path):
+        out = tmp_path / "shared"
+        assert main(["run", "--preset", "fig2a", "--out", str(out), "--format", "json"]) == EXIT_OK
+        assert main(["run", "--preset", "fig2a", "--out", str(out)]) == EXIT_OK
+        assert {p.name for p in out.iterdir()} == {"surface.csv", "profile.csv", "summary.json"}
+
     def test_json_format(self, tmp_path):
         out = tmp_path / "j"
         code = main(["run", "--preset", "semigroup", "--out", str(out), "--format", "json"])
@@ -238,6 +244,18 @@ class TestConfigErrors:
         cfg.write_text("[scenario]\npreset = fig2a\n\n[t_grid]\nmin = 1.0\nmax = 0.0\ncount = 5\n")
         assert main(["run", str(cfg)]) == EXIT_CONFIG_ERROR
 
+    @pytest.mark.parametrize("preset", ["fig2b", "fig2c"])
+    def test_grid_of_one_repeated_time_rejected(self, tmp_path, capsys, preset):
+        cfg = tmp_path / "flat.ini"
+        cfg.write_text(
+            f"[scenario]\npreset = {preset}\n\n[t_grid]\nmin = 1.0\nmax = 1.0\ncount = 3\n"
+        )
+        out = tmp_path / "out"
+        assert main(["run", str(cfg), "--out", str(out)]) == EXIT_CONFIG_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert not out.exists()
+
     def test_unknown_model_parameter(self, tmp_path):
         cfg = tmp_path / "bad2.ini"
         cfg.write_text("[scenario]\nmodel = single_lorentzian\nomega0 = 1\ndelta = 1\nbogus = 2\n")
@@ -367,9 +385,7 @@ class TestInvariantExit:
         out = tmp_path / "chain"
         assert main(["run", str(cfg), "--out", str(out)]) == EXIT_OK
         assert main(["run", str(cfg), "--out", str(out), "--format", "json"]) == EXIT_OK
-        assert {p.name for p in out.iterdir()} == {
-            "surface.csv", "profile.csv", "surface.json", "profile.json", "summary.json"
-        }
+        assert {p.name for p in out.iterdir()} == {"surface.json", "profile.json", "summary.json"}
         # as in test_operator_outside_the_chain_subspace_exits_2
         monkeypatch.setattr(spinchain, "_block_propagator", _propagator_without_the_vacuum)
         assert main(["run", str(cfg), "--out", str(out)]) == EXIT_INVARIANT
@@ -383,6 +399,9 @@ class TestParseConfig:
             GridSpec(lo=-1.0, hi=1.0, count=5)
         with pytest.raises(cli.ConfigError):
             GridSpec(lo=0.0, hi=1.0, count=0)
+        with pytest.raises(cli.ConfigError, match="maximum above"):
+            GridSpec(lo=1.0, hi=1.0, count=3)
+        np.testing.assert_array_equal(GridSpec(lo=1.0, hi=1.0, count=1).points(), [1.0])
 
     def test_tolerances_parsed(self, tmp_path):
         cfg = tmp_path / "tol.ini"
@@ -413,7 +432,7 @@ class TestAudit:
             "import sys\n"
             "from backflow import cli, linalg\n"
             "norm = linalg.trace_norm\n"
-            "linalg.trace_norm = lambda a, tol=linalg.HERMITICITY_TOL: 3.0 * norm(a, tol)\n"
+            "linalg.trace_norm = lambda a: 3.0 * norm(a)\n"
             "sys.exit(cli.main(['audit']))\n"
         )
         src = str(Path(backflow.__file__).resolve().parents[1])

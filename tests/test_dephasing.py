@@ -271,14 +271,8 @@ class TestDiagonalPropagator:
         prop = DiagonalPropagator(rates)
         m = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
         t = 0.83
-        u = prop.unitary(t)
+        u = np.diag(np.exp(1j * rates * t))
         np.testing.assert_allclose(prop.evolve(m, t), u @ m @ u.conj().T, atol=1e-13)
-
-    def test_unitary_diagonal_phases(self):
-        prop = DiagonalPropagator(np.array([0.0, 2.0]))
-        np.testing.assert_allclose(
-            prop.unitary(np.pi / 4), np.diag([1.0, np.exp(1j * np.pi / 2)]), atol=1e-15
-        )
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_rates_rejected(self, bad):

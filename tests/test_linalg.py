@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from backflow import linalg
+from backflow import linalg, states
 
 from conftest import random_density_direct, random_hermitian_direct
 
@@ -194,6 +194,36 @@ class TestTraceNorm:
             assert nd <= na + nb + 1e-10
 
 
+def _with_defect(defect: float) -> np.ndarray:
+    """A density matrix plus 0.5j * defect in every entry, so that
+    max|A - A^dagger| is exactly ``defect`` (NaN for NaN)."""
+    return np.array([[0.5, 0.1], [0.1, 0.5]]) + 0.5j * defect * np.ones((2, 2))
+
+
+HERMITICITY_CHECKS = {
+    "trace_norm": linalg.trace_norm,
+    "trace_norm stack member": lambda m: linalg.trace_norm(np.stack([_with_defect(0.0), m])),
+    "validate_density_matrix": states.validate_density_matrix,
+    "hermitian_eigensystem": linalg.hermitian_eigensystem,
+}
+
+
+@pytest.mark.parametrize("check", HERMITICITY_CHECKS)
+@pytest.mark.parametrize("factor", [1.0, 2.0, np.nan], ids=["at-tol", "twice-tol", "nan"])
+def test_hermiticity_tolerance_boundary(check, factor):
+    """Every caller of require_hermitian accepts a defect exactly at
+    HERMITICITY_TOL and rejects twice that, and NaN."""
+    m = _with_defect(factor * linalg.HERMITICITY_TOL)
+    defect = np.max(np.abs(m - m.conj().T))
+    assert defect == factor * linalg.HERMITICITY_TOL or np.isnan(factor)
+    if factor == 1.0:
+        HERMITICITY_CHECKS[check](m)
+        return
+    where = r" \(1,\) of the stack" if check.endswith("member") else ""
+    with pytest.raises(ValueError, match=f"{where} is not Hermitian: defect .* exceeds 1.0e-10"):
+        HERMITICITY_CHECKS[check](m)
+
+
 class TestTraceDistance:
     def test_identical_states(self, rng):
         rho = random_density_direct(4, rng)
@@ -300,7 +330,7 @@ class TestConjugate:
         m = random_hermitian_direct(5, rng)
         out = linalg.conjugate(u, m)
         assert np.trace(out) == pytest.approx(np.trace(m), abs=1e-12)
-        assert linalg.hermiticity_defect(out) <= 1e-12
+        assert np.max(np.abs(out - out.conj().T)) <= 1e-12
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
