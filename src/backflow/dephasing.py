@@ -276,7 +276,7 @@ class DiagonalPropagator:
     populations of ``mat``, which do not depend on t: a diagonal U leaves
     the diagonal of U mat U^dagger unchanged. A product given as its
     (system, environment) pair is read as the system factor and the
-    diagonal of the environment factor.
+    diagonal of the environment factor, |psi|^2 for amplitudes psi.
     """
 
     def __init__(self, rates):
@@ -310,8 +310,9 @@ class DiagonalPropagator:
             raise ValueError(f"factors ({ds}, {de}) do not match dimension {self.dim}")
         if isinstance(mat, tuple):
             system, env = (np.asarray(f) for f in mat)
-            if system.shape == (ds, ds) and env.shape == (de, de):
-                return np.multiply.outer(system, np.diagonal(env))
+            if system.shape == (ds, ds) and env.shape in ((de,), (de, de)):
+                pop = np.abs(env) ** 2 if env.ndim == 1 else np.diagonal(env)
+                return np.multiply.outer(system, pop)
         elif np.shape(mat) == (self.dim, self.dim):
             return np.einsum("aebe->abe", np.reshape(mat, (ds, de, ds, de)))
         raise ValueError(f"operator shapes do not match factors ({ds}, {de})")
@@ -357,7 +358,7 @@ def full_model(
     sqrt(p_m); the joint evolution only phases level 1 of the qubit
     (rates 0 on level 0, omega_m on level 1), reproducing the channel with
     the discrete k. Default initial pair: the +/- states. Both states share
-    one environment factor, validated once.
+    one environment factor, the amplitude vector sqrt(p), checked once.
     """
     modes = int(env.freqs.size)
     if 2 * modes > linalg.DENSE_DIM_CAP:
@@ -366,8 +367,6 @@ def full_model(
         )
     if pair is None:
         pair = plus_minus_pair()
-    amp = np.sqrt(env.probs).astype(complex)
-    rho_env = np.outer(amp, amp.conj())
-    state1, state2 = BipartiteState.products(pair, rho_env)
+    state1, state2 = BipartiteState.products(pair, np.sqrt(env.probs))
     rates = np.concatenate([np.zeros(modes), env.freqs])
     return ScenarioPair(state1=state1, state2=state2, propagator=DiagonalPropagator(rates))

@@ -98,11 +98,15 @@ def partial_trace(
 def magnitude_maxima(m) -> tuple[np.ndarray, np.ndarray]:
     """Largest entry magnitude of each row and of each column of ``m``, or of
     each matrix of a stack. A product passed as its factor pair is read from
-    the factors: the maxima of a Kronecker product are products of theirs."""
+    the factors: the maxima of a Kronecker product are products of theirs.
+    A 1-d ``m`` is a pure state's amplitudes psi and stands for psi psi^dagger,
+    whose row and column maxima are both |psi| max|psi|."""
     if isinstance(m, tuple):
         rows, cols = zip(*(magnitude_maxima(f) for f in m))
         return np.multiply.outer(*rows).ravel(), np.multiply.outer(*cols).ravel()
     mag = np.abs(m)
+    if mag.ndim == 1:
+        return (mag * mag.max(),) * 2
     return mag.max(-1), mag.max(-2)
 
 

@@ -139,17 +139,14 @@ def scenario(
     block of H is written straight from the hopping rule, and the states
     stay factor pairs, so no total operator is formed.
 
-    A call pays only for its pair: the two system factors and one
-    validation of the shared environment. The block propagator depends on
-    the chain alone, so scenarios on equal specs share one, read-only
-    object.
+    The environment is passed as its amplitude vector e_0, so a call pays
+    only for its pair: the two system factors and one O(2^N) norm check.
+    The block propagator depends on the chain alone, so scenarios on equal
+    specs share one, read-only object.
     """
     if pair is None:
         pair = plus_minus_pair()
-    de = 2**spec.sites
-    env = np.zeros((de, de), dtype=complex)
-    env[0, 0] = 1.0
-    state1, state2 = BipartiteState.products(pair, env)
+    state1, state2 = BipartiteState.products(pair, np.eye(1, 2**spec.sites)[0])
     return ScenarioPair(state1=state1, state2=state2, propagator=_block_propagator(spec))
 
 

@@ -45,7 +45,8 @@ def validate_density_matrix(rho, name: str = "state") -> np.ndarray:
 class BipartiteState:
     """A total density operator tagged with its factor dimensions.
 
-    A product state keeps its two validated factors as ``factors`` and forms
+    A product state keeps its two validated factors as ``factors``, the
+    environment as a matrix or as a pure state's amplitude vector, and forms
     ``op`` only on first access; for any other state ``factors`` is None.
     """
 
@@ -69,21 +70,31 @@ class BipartiteState:
         """One product state s (x) environment per system factor s, each
         validated by its factors, all sharing one environment factor.
 
-        Each factor is checked as a density operator and kept, read-only, as
-        its Hermitian part; the environment is checked and symmetrized once,
-        however many states share it. A Kronecker product of Hermitian
-        matrices is Hermitian, and its eigenvalues are the products of the
-        factors' eigenvalues, so it is positive when both factors are; only
-        its trace, the product of the two traces, is checked again. No
-        (ds*de)-dimensional operator is formed or checked.
+        Each system factor is checked as a density operator and kept,
+        read-only, as its Hermitian part. The environment is checked once,
+        however many states share it: a 2-d one like a system factor, a 1-d
+        one, a pure state's amplitudes psi standing for psi psi^dagger, for
+        finite entries and unit norm in O(de), and kept read-only as given.
+        A Kronecker product of Hermitian matrices is Hermitian, and its
+        eigenvalues are the products of the factors' eigenvalues, so it is
+        positive when both factors are; only its trace, the product of the
+        two traces, is checked again. No (ds*de)-dimensional operator is
+        formed or checked.
         """
-        env = linalg.hermitian_part(validate_density_matrix(environment, "environment factor"))
+        env = np.array(environment, dtype=complex)
+        if env.ndim == 2:
+            env = linalg.hermitian_part(validate_density_matrix(env, "environment factor"))
+        elif env.ndim != 1:
+            raise ValueError(f"environment factor must be 1-d or 2-d, got shape {env.shape}")
+        env_trace = np.trace(env) if env.ndim == 2 else np.vdot(env, env)
+        if not abs(env_trace - 1.0) <= TRACE_TOL:  # NaN and inf fail too
+            raise ValueError(f"environment factor has trace {env_trace:.12g}, expected 1")
         env.flags.writeable = False
         out = []
         for system in systems:
             factor = linalg.hermitian_part(validate_density_matrix(system, "system factor"))
             factor.flags.writeable = False
-            tr = complex(np.trace(factor) * np.trace(env))
+            tr = complex(np.trace(factor) * env_trace)
             if not abs(tr - 1.0) <= TRACE_TOL:
                 raise ValueError(f"product state has trace {tr:.12g}, expected 1")
             state = object.__new__(cls)
@@ -95,7 +106,7 @@ class BipartiteState:
     @property
     def op(self) -> np.ndarray:
         if self._op is None:
-            self._op = linalg.tensor_product(*self.factors)
+            self._op = linalg.tensor_product(self.factors[0], self.environment())
         return self._op
 
     @property
@@ -109,7 +120,8 @@ class BipartiteState:
 
     def environment(self) -> np.ndarray:
         if self.factors:
-            return self.factors[1]
+            env = self.factors[1]
+            return env if env.ndim == 2 else np.outer(env, env.conj())
         return linalg.partial_trace(self.op, self.ds, self.de, "environment")
 
 

@@ -19,8 +19,9 @@ f is the reduced image of (rho_S1 - rho_S2) (x) rho_E, and B = |g - f| / 2.
 The propagator gives both: ``reduced`` the reduced states at every t + t',
 and ``forecast`` the image f directly, so no row forms the product or an
 environment marginal it reads only in part; a product initial state
-reaches both as its factor pair. D(t), g, f and g - f then take one
-batched trace norm per row.
+reaches both as its factor pair. Two products sharing one environment
+factor take one ``reduced`` call, on (rho_S1 - rho_S2, rho_E). D(t), g,
+f and g - f then take one batched trace norm per row.
 """
 
 from __future__ import annotations
@@ -127,14 +128,19 @@ class EigenPropagator:
         """The support rows and columns of ``mat``, of each matrix of a stack,
         or of the product of a (system, environment) pair: entry (i, j) is
         then system[a_i, a_j] * environment[e_i, e_j], (a_i, e_i) the
-        factor indices of support_i."""
+        factor indices of support_i, or system[a_i, a_j] * psi[e_i] *
+        conj(psi[e_j]) for an environment given as amplitudes psi."""
         s = self._support
         if isinstance(mat, tuple):
-            system, env = (linalg.as_complex_matrix(f) for f in mat)
+            system, env = linalg.as_complex_matrix(mat[0]), np.asarray(mat[1], dtype=complex)
             if len(system) * len(env) != self._dim:
                 raise ValueError(f"factor shapes do not match dimension {self._dim}")
             a, e = np.divmod(s, len(env))
-            inside = system[a[:, None], a] * env[e[:, None], e]
+            inside = system[a[:, None], a]
+            if env.ndim == 1:  # amplitudes psi, standing for psi psi^dagger
+                inside = inside * np.multiply.outer(env[e], env[e].conj())
+            else:
+                inside = inside * linalg.as_complex_matrix(env)[e[:, None], e]
         else:
             mat = np.asarray(mat)
             if mat.shape[-2:] != (self._dim, self._dim):
@@ -232,7 +238,8 @@ class ScenarioPair:
 
     ``reduced`` and ``forecast`` take a product state as its factor pair:
     ``mat`` is then the tuple (system, environment), and stands for their
-    Kronecker product.
+    Kronecker product. The environment may be 1-d, a pure state's
+    amplitudes psi standing for psi psi^dagger.
 
     A bare HermitianEigenSystem of a total Hamiltonian is wrapped
     automatically. The propagator must be time-homogeneous,
@@ -428,9 +435,13 @@ def _operand(state: BipartiteState):
 
 
 def _reduced_differences(sc: ScenarioPair, times: np.ndarray) -> np.ndarray:
-    """rho_S1 - rho_S2 at every t of ``times``, by linearity from the two
-    reduced states, so no total difference is formed."""
+    """rho_S1 - rho_S2 at every t of ``times`` by linearity, with no total
+    difference formed: one call on (system1 - system2, environment) for two
+    products sharing one environment factor, else two reduced states."""
     reduce = sc.propagator.reduced
+    f1, f2 = sc.state1.factors, sc.state2.factors
+    if f1 and f2 and f1[1] is f2[1]:
+        return reduce((f1[0] - f2[0], f1[1]), times, sc.ds, sc.de)
     r1, r2 = (reduce(_operand(s), times, sc.ds, sc.de) for s in (sc.state1, sc.state2))
     return r1 - r2
 

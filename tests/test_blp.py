@@ -181,6 +181,17 @@ class TestMaximizedMeasure:
         polar_value, _ = nm_measure_maximized(make, ts, polar)
         assert eq_value >= polar_value - 1e-12
 
+    def test_benchmark_chain_value_and_equatorial_argmax(self):
+        """The inputs of the benchmark's nm-max workload: 7 sites, field
+        0.01, the 6-pair lattice and 40 times up to 3. The value was recorded
+        when that workload was introduced. A denser lattice ties on the
+        equator, so only this lattice's argmax is pinned."""
+        spec = SpinChainSpec(sites=7, exchange=1.0, probe_exchange=1.0, field=0.01)
+        make = lambda r1, r2: spinchain.scenario(spec, pair=(r1, r2))
+        value, best = nm_measure_maximized(make, np.linspace(0.0, 3.0, 40), bloch_pair_grid(3, 2))
+        assert value == pytest.approx(1.109459161996685, abs=1e-12)
+        assert best == ((np.pi / 2, 0.0), (np.pi / 2, np.pi))
+
     def test_empty_pairs_rejected(self):
         with pytest.raises(ValueError):
             nm_measure_maximized(lambda a, b: None, [0.0, 1.0], [])

@@ -352,21 +352,21 @@ class TestFullModel:
         assert peak < 256 * 256 * 16
 
     def test_model_allocates_only_its_environment_factor(self):
-        """At 1,024 modes the states stay factor pairs: set-up keeps the
-        1024 x 1024 environment factor (16 MiB) and its validation, and
-        forms no 2048 x 2048 state (64 MiB each)."""
-        env = discretize(SPLIT_CENTERS, modes=1024, window=40.0)
+        """At the default 2,048 modes the states stay factor pairs and the
+        environment stays its amplitude vector (32 KiB): set-up forms no
+        2048 x 2048 environment matrix (64 MiB) and no 4096 x 4096 state."""
+        env = discretize(SPLIT_CENTERS, modes=2048, window=40.0)
         tracemalloc.start()
         try:
             full_model(env)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 96 * 2**20
+        assert peak < 2**20
 
     def test_environment_validated_once_and_shared(self, monkeypatch):
-        """Both states hold one environment factor, so its positivity check
-        factorises the modes x modes matrix once, not once per state."""
+        """Both states hold one environment factor, the amplitude vector
+        sqrt(p), checked by its norm: no modes x modes matrix is factorised."""
         modes = 16
         sizes = []
         cholesky = np.linalg.cholesky
@@ -377,7 +377,7 @@ class TestFullModel:
 
         monkeypatch.setattr(np.linalg, "cholesky", recording_cholesky)
         sc = full_model(discretize(SPLIT_CENTERS, modes=modes, window=20.0))
-        assert sizes.count(modes) == 1
+        assert sizes.count(modes) == 0
         assert sc.state1.factors[1] is sc.state2.factors[1]
 
     def test_oversized_environment_rejected(self):

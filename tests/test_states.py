@@ -132,6 +132,71 @@ class TestProductState:
             BipartiteState.product(good["system"], good["environment"])
 
 
+def random_amplitudes(de, rng):
+    psi = rng.normal(size=de) + 1j * rng.normal(size=de)
+    return psi / np.linalg.norm(psi)
+
+
+class TestAmplitudeEnvironment:
+    """A pure environment given as its amplitudes psi against the same
+    environment given as the matrix psi psi^dagger."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(ds=st.integers(1, 3), de=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
+    def test_matches_the_density_matrix(self, ds, de, seed):
+        rng = np.random.default_rng(seed)
+        psi = random_amplitudes(de, rng)
+        systems = [random_density_direct(ds, rng) for _ in range(2)]
+        pure = BipartiteState.products(systems, psi)
+        dense = BipartiteState.products(systems, np.outer(psi, psi.conj()))
+        for a, b in zip(pure, dense):
+            assert (a.ds, a.de) == (b.ds, b.de) == (ds, de)
+            assert a.factors[1].shape == (de,)
+            assert np.max(np.abs(a.environment() - b.environment())) <= 1e-12
+            assert np.max(np.abs(a.op - b.op)) <= 1e-12
+            assert np.array_equal(a.system(), b.system())
+
+    def test_amplitudes_are_kept_read_only_and_shared(self, rng):
+        psi = random_amplitudes(4, rng)
+        made = BipartiteState.products([np.eye(2) / 2, pure_qubit(0.3, 0.1)], psi)
+        assert made[0].factors[1] is made[1].factors[1]
+        np.testing.assert_array_equal(made[0].factors[1], psi)
+        with pytest.raises(ValueError, match="read-only"):
+            made[0].factors[1][0] = 1.0
+        psi[0] = 0.0  # the caller's array is not the factor
+        assert made[0].factors[1][0] != 0.0
+
+    def test_validates_no_matrix(self, rng, monkeypatch):
+        """The amplitudes are checked by their norm alone: only the system
+        factor goes through the density-matrix check."""
+        names = []
+        validate = states.validate_density_matrix
+
+        def recording_validate(m, name="state", *args, **kwargs):
+            names.append(name)
+            return validate(m, name, *args, **kwargs)
+
+        monkeypatch.setattr(states, "validate_density_matrix", recording_validate)
+        BipartiteState.product(np.eye(2) / 2, random_amplitudes(64, rng))
+        assert names == ["system factor"]
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            pytest.param(lambda psi: np.where(np.arange(psi.size) == 1, np.nan, psi), id="nan"),
+            pytest.param(lambda psi: np.where(np.arange(psi.size) == 1, np.inf, psi), id="inf"),
+            pytest.param(lambda psi: psi * np.sqrt(1.0 + 2.0 * linalg.TRACE_TOL), id="norm-high"),
+            pytest.param(lambda psi: psi * np.sqrt(1.0 - 2.0 * linalg.TRACE_TOL), id="norm-low"),
+            pytest.param(lambda psi: np.complex128(1.0), id="0-d"),
+            pytest.param(lambda psi: np.ones((2, 2, 2)) / 8.0, id="3-d"),
+        ],
+    )
+    def test_rejects_bad_amplitudes(self, rng, bad):
+        psi = bad(random_amplitudes(4, rng))
+        with pytest.raises(ValueError, match="environment factor"):
+            BipartiteState.products([np.eye(2) / 2], psi)
+
+
 def _non_finite(bad, where):
     m = np.diag([0.5, 0.5, 0.0, 0.0]).astype(complex)
     if where == "diagonal":

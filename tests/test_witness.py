@@ -651,3 +651,133 @@ class TestChargeBlocks:
         eig = linalg.hermitian_eigensystem(random_hermitian_direct(2, rng))
         with pytest.raises(ValueError, match="support"):
             EigenPropagator(eig, support, 6)
+
+
+def amplitude_block_propagator(rng, ds, de, n_charges, inside):
+    """Random H on blocks of random charges over the indices (a, e) with e in
+    ``inside``; the other indices are left out of the subspace, so an
+    environment with amplitudes on ``inside`` only stays in it."""
+    dim = ds * de
+    on = np.isin(np.arange(dim) % de, inside)
+    charges = np.where(on, rng.integers(1, n_charges + 1, size=dim), 0)
+    h = random_hermitian_direct(dim, rng) * (charges[:, None] == charges)
+    blocks = [np.flatnonzero(charges == c) for c in np.unique(charges[on])]
+    return EigenPropagator.from_blocks([(b, h[np.ix_(b, b)]) for b in blocks], dim)
+
+
+class TestAmplitudeEnvironment:
+    """A product with the environment as amplitudes psi against the same
+    product with psi psi^dagger, through both propagators."""
+
+    @pytest.mark.parametrize("diagonal", [False, True], ids=["eigen-blocks", "diagonal"])
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(
+        ds=st.integers(2, 3),
+        de=st.integers(2, 5),
+        n_charges=st.integers(1, 3),
+        seed=st.integers(0, 2**32 - 1),
+        times=st.lists(st.floats(0.0, 5.0), min_size=0, max_size=3),
+    )
+    def test_matches_the_density_matrix(self, diagonal, ds, de, n_charges, seed, times):
+        rng = np.random.default_rng(seed)
+        inside = np.flatnonzero(rng.random(de) < 0.7)
+        inside = inside if inside.size else np.array([0])
+        if diagonal:
+            prop = DiagonalPropagator(rng.normal(scale=3.0, size=ds * de))
+        else:
+            prop = amplitude_block_propagator(rng, ds, de, n_charges, inside)
+        psi = np.zeros(de, dtype=complex)
+        psi[inside] = rng.normal(size=inside.size) + 1j * rng.normal(size=inside.size)
+        psi /= np.linalg.norm(psi)
+        system = random_density_direct(ds, rng)
+        pure = BipartiteState.product(system, psi)
+        dense = BipartiteState.product(system, np.outer(psi, psi.conj()))
+        ts = np.array([0.0, *times])
+        got = prop.reduced(pure.factors, ts, ds, de)
+        assert np.max(np.abs(got - prop.reduced(dense.factors, ts, ds, de))) <= 1e-12
+        delta = random_hermitian_direct(ds, rng)
+        for t in ts:
+            got = prop.forecast(delta, pure.factors, t, ts, ds, de)
+            want = prop.forecast(delta, dense.factors, t, ts, ds, de)
+            assert np.max(np.abs(got - want)) <= 1e-12
+            assert np.max(np.abs(prop.evolve(pure.op, t) - prop.evolve(dense.op, t))) <= 1e-12
+
+    def test_weight_outside_the_support_raises(self, rng):
+        ds, de = 2, 4
+        prop = amplitude_block_propagator(rng, ds, de, 2, np.array([0, 1, 2]))
+        psi = np.array([0.6, 0.8, 0.0, 0.0], dtype=complex)
+        system = random_density_direct(ds, rng)
+        prop.reduced((system, psi), [0.5], ds, de)  # inside: accepted
+        psi[3] = 1e-6
+        with pytest.raises(witness.InvariantViolation, match="outside"):
+            prop.reduced((system, psi), [0.5], ds, de)
+        with pytest.raises(witness.InvariantViolation, match="outside"):
+            prop.forecast(system, (system, psi), 0.5, [0.5], ds, de)
+
+
+class CountingPropagator:
+    """Delegates to a propagator and counts the witnesses' ``reduced`` calls;
+    the inner propagator's own calls are not counted."""
+
+    def __init__(self, inner):
+        self.inner, self.reduced_calls = inner, 0
+
+    def __getattr__(self, name):
+        return getattr(self.inner, name)
+
+    def reduced(self, mat, times, ds, de):
+        self.reduced_calls += 1
+        return self.inner.reduced(mat, times, ds, de)
+
+
+class TestOneCallDifference:
+    """Two products sharing one environment factor take one reduced-state
+    call on (rho_S1 - rho_S2, rho_E); any other pair takes two."""
+
+    @staticmethod
+    def pairs(rng, diagonal, ds=2, de=3):
+        if diagonal:
+            prop = DiagonalPropagator(rng.normal(scale=3.0, size=ds * de))
+        else:
+            prop = EigenPropagator(
+                linalg.hermitian_eigensystem(random_hermitian_direct(ds * de, rng))
+            )
+        systems = [random_density_direct(ds, rng) for _ in range(2)]
+        psi = rng.normal(size=de) + 1j * rng.normal(size=de)
+        shared = BipartiteState.products(systems, psi / np.linalg.norm(psi))
+        dense = [BipartiteState(s.op, ds, de) for s in shared]
+        return prop, shared, dense
+
+    @pytest.mark.parametrize("diagonal", [False, True], ids=["eigen", "diagonal"])
+    def test_reduced_calls_per_witness(self, rng, diagonal):
+        prop, shared, dense = self.pairs(rng, diagonal)
+        ts = np.linspace(0.0, 2.0, 4)
+        for states_, calls in ((shared, 1), (dense, 2)):
+            for evaluate in (
+                lambda sc: reduced_distance(sc, ts),
+                lambda sc: evaluate_point(sc, 0.4, 0.9),
+                lambda sc: evaluate_surface(sc, ts, ts),
+            ):
+                sc = ScenarioPair(*states_, propagator=CountingPropagator(prop))
+                evaluate(sc)
+                assert sc.propagator.reduced_calls == calls
+
+    @pytest.mark.parametrize("diagonal", [False, True], ids=["eigen", "diagonal"])
+    def test_equals_the_two_call_path(self, rng, diagonal):
+        prop, shared, dense = self.pairs(rng, diagonal)
+        ts = np.linspace(0.0, 3.0, 7)
+        one = witness._reduced_differences(ScenarioPair(*shared, propagator=prop), ts)
+        two = witness._reduced_differences(ScenarioPair(*dense, propagator=prop), ts)
+        assert np.max(np.abs(one - two)) <= 1e-14
+        separate = BipartiteState.product(shared[1].system(), shared[1].factors[1])
+        apart = ScenarioPair(shared[0], separate, propagator=CountingPropagator(prop))
+        assert np.max(np.abs(witness._reduced_differences(apart, ts) - one)) <= 1e-14
+        assert apart.propagator.reduced_calls == 2  # equal environments, not one factor
+
+    @pytest.mark.parametrize("diagonal", [False, True], ids=["eigen", "diagonal"])
+    def test_swapped_pair_gives_the_exact_negation(self, rng, diagonal):
+        prop, shared, _ = self.pairs(rng, diagonal)
+        ts = np.linspace(0.0, 3.0, 7)
+        forward = witness._reduced_differences(ScenarioPair(*shared, propagator=prop), ts)
+        back = witness._reduced_differences(ScenarioPair(*shared[::-1], propagator=prop), ts)
+        assert np.array_equal(forward, -back)
