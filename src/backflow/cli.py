@@ -560,15 +560,15 @@ def _random_scenario(rng) -> witness.ScenarioPair:
 
 def _check_spectral_reduction(rng):
     """The eigenbasis reduced state against the dense evolve-then-trace path,
-    the time homogeneity that witness rows rely on, and the forecast a row
-    takes against the dense product of the system operator and the evolved
-    environment marginal."""
+    the time homogeneity that the witnesses rely on, and the forecast at
+    every (t, t') against the dense product of that t's system operator and
+    the evolved environment marginal."""
     for _ in range(10):
         ds, de = int(rng.integers(2, 4)), int(rng.integers(2, 5))
         mat = linalg.random_hermitian(ds * de, rng)
         times = np.concatenate([[0.0], rng.uniform(0.0, 3.0, size=4)])
         eig = linalg.hermitian_eigensystem(linalg.random_hermitian(ds * de, rng))
-        system = linalg.random_hermitian(ds, rng)
+        systems = np.stack([linalg.random_hermitian(ds, rng) for _ in times])
         for prop in (witness.EigenPropagator(eig), DiagonalPropagator(rng.normal(size=ds * de))):
             name = type(prop).__name__
             dense = [linalg.partial_trace(prop.evolve(mat, t), ds, de) for t in times]
@@ -577,11 +577,11 @@ def _check_spectral_reduction(rng):
             shifted = prop.reduced(prop.evolve(mat, times[1]), times, ds, de)
             err = float(np.max(np.abs(shifted - prop.reduced(mat, times[1] + times, ds, de))))
             _require(err <= 1e-12, f"{name} is {err:.3e} off time homogeneity")
-            for t in times:
+            for t, s, got in zip(times, systems, prop.forecast(systems, mat, times, times, ds, de)):
                 env = linalg.partial_trace(prop.evolve(mat, t), ds, de, "environment")
-                product = linalg.tensor_product(system, env)
+                product = linalg.tensor_product(s, env)
                 dense = [linalg.partial_trace(prop.evolve(product, tp), ds, de) for tp in times]
-                err = float(np.max(np.abs(prop.forecast(system, mat, t, times, ds, de) - dense)))
+                err = float(np.max(np.abs(got - dense)))
                 _require(err <= 1e-12, f"{name} forecast is {err:.3e} off at t={t:.3g}")
 
 

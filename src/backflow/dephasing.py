@@ -332,20 +332,20 @@ class DiagonalPropagator:
         """
         return self._twist(self._level_blocks(mat, ds, de), times, ds, de)
 
-    def forecast(self, system: np.ndarray, mat, t: float, tprimes, ds: int, de: int):
-        """Tr_E[U(t') (system (x) Tr_S[U(t) mat U(t)^dagger]) U(t')^dagger] at
-        every t' of ``tprimes``, with shape ``np.shape(tprimes) + (ds, ds)``.
+    def forecast(self, systems, mat, ts, tprimes, ds: int, de: int) -> np.ndarray:
+        """Tr_E[U(t') (systems[k] (x) Tr_S[U(t) mat U(t)^dagger]) U(t')^dagger]
+        at t = ts[k] and every t' of ``tprimes``, with shape (T, T', ds, ds).
 
         Only the environment populations pop[e] = sum_a mat[(a, e), (a, e)]
-        reach it, and they are the same at every t, so ``t`` is not read:
-        entry (a, b) is sum_e system[a, b] pop[e] twisted by the t' phases,
-        O(ds * de) work per t'.
+        reach it, the same at every t, so ``ts`` sets only the shape: entry
+        (a, b) is systems[k][a, b] times c_ab(t') = sum_e pop[e] p_ae(t')
+        conj(p_be(t')), one multiplier for every t, O(ds * de) work per t'.
         """
         pop = np.einsum("aae->e", self._level_blocks(mat, ds, de))
-        system = np.asarray(system)
-        if system.shape != (ds, ds):
-            raise ValueError(f"system shape {system.shape} does not match factors ({ds}, {de})")
-        return self._twist(np.multiply.outer(system, pop), tprimes, ds, de)
+        systems = np.asarray(systems)
+        if systems.shape != np.shape(ts) + (ds, ds):
+            raise ValueError(f"systems of shape {systems.shape} do not match times and factors")
+        return systems[..., None, :, :] * self._twist(np.ones((ds, ds, 1)) * pop, tprimes, ds, de)
 
 
 def full_model(

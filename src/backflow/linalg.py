@@ -97,13 +97,13 @@ def partial_trace(
 
 def magnitude_maxima(m) -> tuple[np.ndarray, np.ndarray]:
     """Largest entry magnitude of each row and of each column of ``m``, or of
-    each matrix of a stack. A product passed as its factor pair is read from
-    the factors: the maxima of a Kronecker product are products of theirs.
+    each matrix of a stack. A product passed as its factor pair, or a pair of
+    stacks, is read from the factors, whose maxima multiply to the product's.
     A 1-d ``m`` is a pure state's amplitudes psi and stands for psi psi^dagger,
     whose row and column maxima are both |psi| max|psi|."""
     if isinstance(m, tuple):
-        rows, cols = zip(*(magnitude_maxima(f) for f in m))
-        return np.multiply.outer(*rows).ravel(), np.multiply.outer(*cols).ravel()
+        products = (s[..., :, None] * e[..., None, :] for s, e in zip(*map(magnitude_maxima, m)))
+        return tuple(p.reshape(p.shape[:-2] + (-1,)) for p in products)
     mag = np.abs(m)
     if mag.ndim == 1:
         return (mag * mag.max(),) * 2

@@ -13,15 +13,14 @@ change of the reduced distance is always confined to the window
 so B above D + F certifies an increase (non-Markovian behaviour) while B
 below D - F rules one out; in between nothing can be concluded.
 
-A row of fixed t needs no correlation split: the reduced images of the
-total difference at t are the reduced differences g at t + t', the forecast
-f is the reduced image of (rho_S1 - rho_S2) (x) rho_E, and B = |g - f| / 2.
-The propagator gives both: ``reduced`` the reduced states at every t + t',
-and ``forecast`` the image f directly, so no row forms the product or an
-environment marginal it reads only in part; a product initial state
-reaches both as its factor pair. Two products sharing one environment
-factor take one ``reduced`` call, on (rho_S1 - rho_S2, rho_E). D(t), g,
-f and g - f then take one batched trace norm per row.
+No correlation split is needed: the reduced images of the total difference
+at t are the reduced differences g at t + t', the forecast f is the reduced
+image of (rho_S1 - rho_S2) (x) rho_E, and B = |g - f| / 2. The propagator
+gives both for a whole (t, t') grid, ``reduced`` at the distinct times t
+and t + t' and ``forecast`` every f, with no product or environment
+marginal formed in full; a product state reaches both as its factor pair,
+and two sharing one environment factor take one ``reduced`` call, on
+(rho_S1 - rho_S2, rho_E). D(t), g, f and g - f take one batched trace norm.
 """
 
 from __future__ import annotations
@@ -66,22 +65,20 @@ class EigenPropagator:
     Time-homogeneous: the step operator between t and t + t' is U(t').
     Reduced states are computed in the eigenbasis; the partial-trace
     kernels they need are built on first use. ``forecast`` evolves the
-    support block once and reduces the product with its environment
-    marginal through the same gather, so that product is checked too.
+    support block to every t at once and reduces the products with its
+    environment marginals through the same gather, so they are checked too.
     """
 
     def __init__(self, eig: HermitianEigenSystem, support=None, dim: int | None = None):
         self._eig = eig
         s = np.arange(eig.dim) if support is None else np.asarray(support)
         dim = eig.dim if dim is None else int(dim)
-        message = f"support must list {eig.dim} distinct basis indices below {dim}"
-        if s.shape != (eig.dim,) or np.any((s < 0) | (s >= dim)):
-            raise ValueError(message)
-        outside = np.ones(dim, dtype=bool)
-        outside[s] = False
-        if dim - np.count_nonzero(outside) != s.size:  # a repeated index clears one entry twice
-            raise ValueError(message)
-        self._support, self._dim, self._outside = s, dim, np.flatnonzero(outside)
+        position = np.full(dim, -1)  # support position of each basis index, -1 outside
+        if s.shape == (eig.dim,) and s.dtype.kind in "iu" and np.all((s >= 0) & (s < dim)):
+            position[s] = np.arange(s.size)
+        if np.count_nonzero(position >= 0) != eig.dim:  # a repeated index takes one position
+            raise ValueError(f"support must list {eig.dim} distinct basis indices below {dim}")
+        self._support, self._dim, self._position = s, dim, position
         self._kernels: dict[tuple[int, int, int], np.ndarray] = {}
 
     @classmethod
@@ -89,7 +86,7 @@ class EigenPropagator:
         """Propagator on H-invariant blocks of a ``dim``-dimensional space,
         each a pair (basis indices, H restricted to them), one eigensystem each.
 
-        Its eigensystem, support and complement are read-only, so a shared
+        Its eigensystem, support and position map are read-only, so a shared
         propagator cannot be corrupted by a caller."""
         eigs = [linalg.hermitian_eigensystem(h) for _, h in blocks]
         support = np.concatenate([b for b, _ in blocks])
@@ -102,7 +99,7 @@ class EigenPropagator:
         order = np.argsort(values, kind="stable")
         eig = HermitianEigenSystem(values=values[order], vectors=vectors[:, order])
         prop = cls(eig, support, dim)
-        for a in (eig.values, eig.vectors, prop._support, prop._outside):
+        for a in (eig.values, eig.vectors, prop._support, prop._position):
             a.flags.writeable = False
         return prop
 
@@ -124,36 +121,40 @@ class EigenPropagator:
         """U(t) on the subspace, in the basis ``support``."""
         return linalg.unitary_at(self._eig, t)
 
-    def _gather(self, mat) -> np.ndarray:
+    def _gather(self, mat, de: int | None = None) -> np.ndarray:
         """The support rows and columns of ``mat``, of each matrix of a stack,
-        or of the product of a (system, environment) pair: entry (i, j) is
-        then system[a_i, a_j] * environment[e_i, e_j], (a_i, e_i) the
-        factor indices of support_i, or system[a_i, a_j] * psi[e_i] *
-        conj(psi[e_j]) for an environment given as amplitudes psi."""
-        s = self._support
+        or of the product of a (system, environment) pair or pair of stacks,
+        system[a_i, a_j] * env[e_i, e_j] for (a_i, e_i) = divmod(support_i, de)
+        (psi[e_i] * conj(psi[e_j]) for amplitudes psi). An environment narrower
+        than ``de`` holds only the environment indices the support reaches."""
         if isinstance(mat, tuple):
-            system, env = linalg.as_complex_matrix(mat[0]), np.asarray(mat[1], dtype=complex)
-            if len(system) * len(env) != self._dim:
+            system, env = mat = tuple(np.asarray(f, dtype=complex) for f in mat)
+            position = self._position.reshape(-1, de)  # [a, e]
+            a, e = np.divmod(self._support, de)
+            if env.shape[-1] != de:  # on the environment indices the support reaches only
+                reached, e = np.unique(e, return_inverse=True)
+                position = position[:, reached]
+            if system.shape[-2:] != (len(position),) * 2 or env.shape[-1] != position.shape[1]:
                 raise ValueError(f"factor shapes do not match dimension {self._dim}")
-            a, e = np.divmod(s, len(env))
-            inside = system[a[:, None], a]
+            inside = system[..., a[:, None], a]
             if env.ndim == 1:  # amplitudes psi, standing for psi psi^dagger
-                inside = inside * np.multiply.outer(env[e], env[e].conj())
+                inside *= np.multiply.outer(env[e], env[e].conj())
             else:
-                inside = inside * linalg.as_complex_matrix(env)[e[:, None], e]
+                inside *= env[..., e[:, None], e]
+            outside = position.ravel() < 0
         else:
             mat = np.asarray(mat)
             if mat.shape[-2:] != (self._dim, self._dim):
                 raise ValueError(f"operator shape {mat.shape} does not match dimension {self._dim}")
-            inside = mat[..., s[:, None], s]
-        if self._outside.size:
-            rows, cols = linalg.magnitude_maxima(mat)
-            out = np.maximum(rows[..., self._outside].max(-1), cols[..., self._outside].max(-1))
-            if np.any(out > SUPPORT_TOL * rows.max(-1)):
-                raise InvariantViolation(
-                    f"operator has weight {float(np.max(out)):.3e} outside the propagator's "
-                    f"{self._support.size}-dimensional subspace"
-                )
+            inside = mat[..., self._support[:, None], self._support]
+            outside = self._position < 0
+        rows, cols = linalg.magnitude_maxima(mat)
+        out = np.maximum(*(m[..., outside].max(-1, initial=0.0) for m in (rows, cols)))
+        if np.any(out > SUPPORT_TOL * rows.max(-1)):
+            raise InvariantViolation(
+                f"operator has weight {float(np.max(out)):.3e} outside the propagator's "
+                f"{self._support.size}-dimensional subspace"
+            )
         return inside
 
     def evolve(self, mat: np.ndarray, t: float) -> np.ndarray:
@@ -166,15 +167,14 @@ class EigenPropagator:
 
     def _kernel(self, a: int, b: int, ds: int) -> np.ndarray:
         """G^{ab}_{ij} = sum_e M_{ae,i} conj(M_{be,j}) for the dim x n mode
-        matrix M (the eigenvectors placed on the support rows); stored for
-        a <= b only."""
+        matrix M (the eigenvector rows at the support positions, zero rows
+        outside); stored for a <= b only."""
         if a > b:
             return self._kernel(b, a, ds).conj().T
         key = (ds, a, b)
         if key not in self._kernels:
-            modes = np.zeros((self._dim, self._eig.dim), dtype=complex)
-            modes[self._support] = self._eig.vectors
-            v = modes.reshape(ds, -1, self._eig.dim)
+            modes = np.vstack([self._eig.vectors, np.zeros(self._eig.dim)])
+            v = modes[self._position.reshape(ds, -1)]  # position -1 reads the zero row
             kernel = v[a].T @ v[b].conj()
             kernel.flags.writeable = False  # shared by every later call
             self._kernels[key] = kernel
@@ -182,7 +182,7 @@ class EigenPropagator:
 
     def reduced(self, mat, times, ds: int, de: int) -> np.ndarray:
         """Tr_E[U(t) mat U(t)^dagger] at every t of ``times``; ``mat`` may be
-        a (system, environment) product pair.
+        a (system, environment) product pair, or a pair of stacks (1-d times).
 
         With mat~ = V^dagger mat V on the subspace and phi = exp(-i w t),
         entry (a, b) is phi^T (mat~ o G^{ab}) conj(phi): one product over the
@@ -191,35 +191,35 @@ class EigenPropagator:
         if ds * de != self._dim:
             raise ValueError(f"factors ({ds}, {de}) do not match dimension {self._dim}")
         v = self._eig.vectors
-        x = v.conj().T @ self._gather(mat) @ v
+        x = v.conj().T @ self._gather(mat, de) @ v
         phi = np.exp(-1j * np.multiply.outer(np.asarray(times, dtype=float), self._eig.values))
-        out = np.empty(phi.shape[:-1] + (ds, ds), dtype=complex)
+        conj = phi.conj()
+        out = np.empty(x.shape[:-2] + phi.shape[:-1] + (ds, ds), dtype=complex)
         for a in range(ds):
             for b in range(ds):
-                out[..., a, b] = np.sum((phi @ (x * self._kernel(a, b, ds))) * phi.conj(), -1)
+                out[..., a, b] = np.einsum("...i,...i", phi @ (x * self._kernel(a, b, ds)), conj)
         return out
 
-    def forecast(self, system: np.ndarray, mat, t: float, tprimes, ds: int, de: int):
-        """Tr_E[U(t') (system (x) Tr_S[U(t) mat U(t)^dagger]) U(t')^dagger] at
-        every t' of ``tprimes``, with shape ``np.shape(tprimes) + (ds, ds)``;
+    def forecast(self, systems, mat, ts, tprimes, ds: int, de: int) -> np.ndarray:
+        """Tr_E[U(t') (systems[k] (x) Tr_S[U(t) mat U(t)^dagger]) U(t')^dagger]
+        for t = ts[k] and every t' of ``tprimes``, with shape (T, T', ds, ds);
         ``mat`` may be a (system, environment) product pair.
 
-        Only the support block of ``mat`` is evolved, by U(t) on the
-        subspace. Its environment marginal adds, for each system level a,
-        the block entries whose rows and columns both lie on level a. The
-        pair (system, marginal) then goes through the gather of ``reduced``,
-        so the product's support is checked like any other.
+        The support block of ``mat`` is evolved to every t as one stack. Its
+        environment marginals stay on the environment indices the support
+        reaches: level a adds the block entries at the positions of the rows
+        (a, e), a zero row standing for rows outside. ``reduced`` takes them.
         """
-        inside = self._gather(mat)
-        if t:
-            u = self.unitary(t)
-            inside = u @ inside @ u.conj().T
-        a, e = np.divmod(self._support, de)
-        env = np.zeros((de, de), dtype=complex)
-        for level in range(ds):
-            i = np.flatnonzero(a == level)
-            env[e[i, None], e[i]] += inside[i[:, None], i]
-        return self.reduced((system, env), tprimes, ds, de)
+        if ds * de != self._dim or np.shape(systems) != np.shape(ts) + (ds, ds):
+            raise ValueError(f"systems of shape {np.shape(systems)} do not match times and factors")
+        v = self._eig.vectors
+        phi = np.exp(-1j * np.multiply.outer(np.asarray(ts, dtype=float), self._eig.values))
+        x = v.conj().T @ self._gather(mat, de) @ v
+        modes = np.vstack([v, np.zeros(len(v))])  # position -1 reads the zero row
+        levels = self._position.reshape(ds, de)[:, np.unique(self._support % de)]
+        rho = modes @ (x * phi[..., :, None] * phi[..., None, :].conj()) @ modes.conj().T
+        rho = sum(rho[..., p[:, None], p] for p in levels)  # Tr_S; frees the evolved block
+        return self.reduced((systems, rho), tprimes, ds, de)
 
 
 @dataclass(frozen=True, eq=False)
@@ -232,9 +232,9 @@ class ScenarioPair:
     - ``evolve(mat, t)``, U(t) mat U(t)^dagger;
     - ``reduced(mat, times, ds, de)``, Tr_E[U(t) mat U(t)^dagger] at every
       t of ``times``, with shape ``np.shape(times) + (ds, ds)``;
-    - ``forecast(system, mat, t, tprimes, ds, de)``,
-      Tr_E[U(t') (system (x) Tr_S[U(t) mat U(t)^dagger]) U(t')^dagger] at
-      every t' of ``tprimes``, with shape ``np.shape(tprimes) + (ds, ds)``.
+    - ``forecast(systems, mat, ts, tprimes, ds, de)``, shape (T, T', ds, ds):
+      Tr_E[U(t') (systems[k] (x) Tr_S[U(t) mat U(t)^dagger]) U(t')^dagger]
+      at t = ts[k] and every t' of ``tprimes``.
 
     ``reduced`` and ``forecast`` take a product state as its factor pair:
     ``mat`` is then the tuple (system, environment), and stands for their
@@ -243,8 +243,8 @@ class ScenarioPair:
 
     A bare HermitianEigenSystem of a total Hamiltonian is wrapped
     automatically. The propagator must be time-homogeneous,
-    ``reduced(evolve(X, t), t', ...) == reduced(X, t + t', ...)``: witness
-    rows read the state at t + t' from the initial states.
+    ``reduced(evolve(X, t), t', ...) == reduced(X, t + t', ...)``: the
+    witnesses read the state at t + t' from the initial states.
     """
 
     state1: BipartiteState
@@ -264,7 +264,7 @@ class ScenarioPair:
         if not all(hasattr(prop, name) for name in ("dim", "evolve", "reduced", "forecast")):
             raise TypeError(
                 "propagator must expose 'dim', 'evolve(mat, t)', 'reduced(mat, times, ds, de)' "
-                "and 'forecast(system, mat, t, tprimes, ds, de)'"
+                "and 'forecast(systems, mat, ts, tprimes, ds, de)'"
             )
         if prop.dim != self.state1.dim:
             raise ValueError(
@@ -446,23 +446,20 @@ def _reduced_differences(sc: ScenarioPair, times: np.ndarray) -> np.ndarray:
     return r1 - r2
 
 
-def _row_norms(
-    sc: ScenarioPair, t: float, tprimes: np.ndarray, diffs: np.ndarray, env_label: int = 1
-) -> np.ndarray:
-    """Half trace norms of the row at t: D(t), then d_next, forecast and
-    influence for every t' of ``tprimes``, in one array of 1 + 3 T' values.
+def _grid_norms(sc: ScenarioPair, ts, tprimes, diffs, env_label: int = 1) -> np.ndarray:
+    """Half trace norms on the grid ``ts`` x ``tprimes``, shape (T, 1 + 3 T'):
+    for each t, D(t), then d_next, forecast and influence for every t'.
 
-    ``diffs`` are the reduced differences at t and at every t + t'. The
-    forecast images f, with the environment of the branch picked by
-    ``env_label``, take one propagator call, and D(t), g, f and g - f one
-    batched trace norm.
+    ``diffs`` are the reduced differences at the times [t, t + t'...] of
+    each row. The forecast images f, with the environment of the branch
+    picked by ``env_label``, take one propagator call for the whole grid,
+    and D(t), g, f and g - f one batched trace norm.
     """
     if env_label not in (1, 2):
         raise ValueError(f"env_label must be 1 or 2, got {env_label}")
     branch = (sc.state1, sc.state2)[env_label - 1]
-    g = diffs[1:]
-    f = sc.propagator.forecast(diffs[0], _operand(branch), t, tprimes, sc.ds, sc.de)
-    return 0.5 * linalg.trace_norm(np.concatenate([diffs[:1], g, f, g - f]))
+    f = sc.propagator.forecast(diffs[:, 0], _operand(branch), ts, tprimes, sc.ds, sc.de)
+    return 0.5 * linalg.trace_norm(np.concatenate([diffs, f, diffs[:, 1:] - f], axis=1))
 
 
 def reduced_distance(sc: ScenarioPair, t):
@@ -522,10 +519,10 @@ def evaluate_point(
     env_label: int = 1,
 ) -> WitnessPoint:
     """All witnesses at one (t, t'), with bounds checked and classified."""
-    tps = _require_times(tprime, "time step").reshape(1)
-    diffs = _reduced_differences(sc, np.concatenate([_require_times(t).reshape(1), t + tps]))
+    ts, tps = _require_times(t).reshape(1), _require_times(tprime, "time step").reshape(1)
+    diffs = _reduced_differences(sc, np.concatenate([ts, ts + tps]))
     # Python floats: the window check costs less on them than on 1-element arrays
-    d_t, d_next, forecast, influence = _row_norms(sc, t, tps, diffs, env_label).tolist()
+    d_t, d_next, forecast, influence = _grid_norms(sc, ts, tps, diffs[None], env_label)[0].tolist()
     return checked_point(t, tps[0], d_t, d_next, forecast, influence, eps)
 
 
@@ -548,13 +545,14 @@ def evaluate_surface(
 ) -> WitnessSurface:
     """Witness columns over the full (t, t') product grid.
 
-    One reduced-state call per initial state covers every row, at the
-    times [t, t + t'...]; each row then makes one forecast call and one
-    batched trace norm for its whole t' sweep.
+    One reduced-differences call at the distinct times [t, t + t'...], one
+    forecast call and one batched trace norm cover the whole grid.
     """
     ts = _require_grid(t_grid, "t grid")
     tps = _require_grid(tprime_grid, "t' grid")
-    diffs = _reduced_differences(sc, np.concatenate([ts[:, None], ts[:, None] + tps], axis=1))
-    norms = np.array([_row_norms(sc, t, tps, d, env_label) for t, d in zip(ts, diffs)])
+    times = np.concatenate([ts[:, None], ts[:, None] + tps], axis=1)
+    distinct, inverse = np.unique(times, return_inverse=True)
+    diffs = _reduced_differences(sc, distinct)[inverse.reshape(times.shape)]
+    norms = _grid_norms(sc, ts, tps, diffs, env_label)
     d_next, forecast, influence = norms[:, 1:].reshape(ts.size, 3, tps.size).transpose(1, 0, 2)
     return WitnessSurface(ts, tps, norms[:, 0], d_next, forecast, influence, eps)

@@ -283,11 +283,13 @@ class TestDiagonalPropagator:
         prop = DiagonalPropagator(rng.normal(size=6))
         mat = np.eye(6, dtype=complex) / 6
         with pytest.raises(ValueError, match="factors"):
-            prop.forecast(np.eye(3), mat, 0.5, [0.1], 2, 3)
+            prop.forecast(np.eye(3)[None], mat, [0.5], [0.1], 2, 3)
         with pytest.raises(ValueError, match="factors"):
-            prop.forecast(np.eye(2), np.eye(4), 0.5, [0.1], 2, 3)
+            prop.forecast(np.eye(2)[None], np.eye(4), [0.5], [0.1], 2, 3)
         with pytest.raises(ValueError, match="factors"):
-            prop.forecast(np.eye(2), mat, 0.5, [0.1], 2, 2)
+            prop.forecast(np.eye(2)[None], mat, [0.5], [0.1], 2, 2)
+        with pytest.raises(ValueError, match="times"):
+            prop.forecast(np.stack([np.eye(2)] * 2), mat, [0.5], [0.1], 2, 3)
 
 
 class TestFullModel:
@@ -350,6 +352,25 @@ class TestFullModel:
         finally:
             tracemalloc.stop()
         assert peak < 256 * 256 * 16
+
+    def test_default_modes_surface_matches_the_closed_form(self):
+        """fig2b's model at the default 2,048 modes on a 40 x 40 grid: every
+        cell agrees with the closed form on the same discrete environment,
+        with identical labels, and the whole surface peaks below 32 MiB."""
+        env = discretize(SPLIT_CENTERS)
+        sc = full_model(env)
+        grid = np.linspace(0.0, 3.0, 40)
+        tracemalloc.start()
+        try:
+            got = witness.evaluate_surface(sc, grid, grid)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        want = analytic_surface(env, grid, grid)
+        for column in ("d_t", "d_next", "forecast", "influence", "delta_d", "lower", "upper"):
+            assert np.max(np.abs(getattr(got, column) - getattr(want, column))) <= 1e-12
+        assert np.array_equal(got.labels, want.labels)
+        assert peak < 32 * 2**20
 
     def test_model_allocates_only_its_environment_factor(self):
         """At the default 2,048 modes the states stay factor pairs and the

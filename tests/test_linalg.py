@@ -95,6 +95,16 @@ class TestMagnitudeMaxima:
         for got, want in zip(linalg.magnitude_maxima((a, b)), (dense.max(1), dense.max(0))):
             np.testing.assert_allclose(got, want, rtol=1e-15, atol=0)
 
+    def test_pair_of_stacks_matches_each_dense_product(self, rng):
+        a = rng.normal(size=(3, 2, 2)) + 1j * rng.normal(size=(3, 2, 2))
+        b = rng.normal(size=(3, 4, 4)) + 1j * rng.normal(size=(3, 4, 4))
+        rows, cols = linalg.magnitude_maxima((a, b))
+        assert rows.shape == cols.shape == (3, 8)
+        for k in range(3):
+            dense = np.abs(np.kron(a[k], b[k]))
+            np.testing.assert_allclose(rows[k], dense.max(1), rtol=1e-15, atol=0)
+            np.testing.assert_allclose(cols[k], dense.max(0), rtol=1e-15, atol=0)
+
 
 class TestTraceNorm:
     def test_zero(self):

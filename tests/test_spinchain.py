@@ -177,7 +177,8 @@ class TestChargeBlocks:
         monkeypatch.setattr(linalg, "unitary_at", recording_unitary)
         witness.evaluate_surface(scenario(spec), [0.0, 0.5, 1.0], [0.0, 0.7])
         assert sorted(sizes["eigh"]) == [1, 9, 36]
-        assert sizes["unitary"] == [46, 46]
+        # the forecast evolves the support block straight from the eigensystem
+        assert sizes["unitary"] == []
 
     @pytest.mark.parametrize("env_label", [1, 2])
     def test_row_makes_no_evolve_and_no_dense_product(self, monkeypatch, env_label):
@@ -258,7 +259,7 @@ class TestSharedPropagator:
         kernels = list(prop._kernels.values())
         assert kernels
         for array in (prop.eigensystem.values, prop.eigensystem.vectors, prop.support,
-                      prop._outside, *kernels):
+                      prop._position, *kernels):
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 0
 
@@ -383,6 +384,15 @@ def test_fig3_row_allocates_less_than_one_dense_array():
     tps = np.linspace(0.0, 3.0, 40)  # the fig3 preset's t' grid
     peak = _peak_bytes(lambda: witness.evaluate_surface(sc, [1.5], tps))
     assert peak < DENSE_ARRAY_BYTES
+
+
+def test_fig3_surface_keeps_the_marginals_on_the_support():
+    """The 40 x 40 fig3 surface keeps each environment marginal on the 37
+    environment indices its 46-dimensional support reaches: its peak stays
+    below 16 MiB, where a stack of 40 full 256 x 256 marginals takes 40 MiB."""
+    sc = scenario(FIG3_SPEC)
+    grid = np.linspace(0.0, 3.0, 40)  # the fig3 preset's grid
+    assert _peak_bytes(lambda: witness.evaluate_surface(sc, grid, grid)) < 16 * 2**20
 
 
 def test_setup_makes_no_dense_eigensolve_and_no_kronecker_sum(monkeypatch):

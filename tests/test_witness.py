@@ -421,7 +421,7 @@ class TestReducedStates:
 
 class TestRowPrimitives:
     """The forecast of both propagators against the reduction of the dense
-    product it stands for."""
+    product it stands for, at each t of one stacked call."""
 
     @pytest.mark.parametrize("diagonal", [False, True], ids=["eigen", "diagonal"])
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -440,14 +440,14 @@ class TestRowPrimitives:
         else:
             prop = EigenPropagator(linalg.hermitian_eigensystem(random_hermitian_direct(dim, rng)))
         mat = random_hermitian_direct(dim, rng)  # correlated: not a product
-        system = random_hermitian_direct(ds, rng)
-        tps = np.array([0.0, *tprimes])
-        for t in [0.0, *times]:
+        ts, tps = np.array([0.0, *times]), np.array([0.0, *tprimes])
+        systems = np.stack([random_hermitian_direct(ds, rng) for _ in ts])
+        got = prop.forecast(systems, mat, ts, tps, ds, de)
+        assert got.shape == (ts.size, tps.size, ds, ds)
+        for t, system, row in zip(ts, systems, got):
             env = linalg.partial_trace(prop.evolve(mat, t), ds, de, keep="environment")
             want = prop.reduced(np.kron(system, env), tps, ds, de)
-            got = prop.forecast(system, mat, t, tps, ds, de)
-            assert got.shape == (tps.size, ds, ds)
-            assert np.max(np.abs(got - want)) <= 1e-12
+            assert np.max(np.abs(row - want)) <= 1e-12
 
     @pytest.mark.parametrize("diagonal", [False, True], ids=["eigen", "diagonal"])
     @settings(max_examples=30, deadline=None, derandomize=True, database=None)
@@ -469,10 +469,9 @@ class TestRowPrimitives:
         ts = np.array([0.0, *times])
         got = prop.reduced(pair, ts, ds, de)
         assert np.max(np.abs(got - prop.reduced(dense, ts, ds, de))) <= 1e-12
-        system = random_hermitian_direct(ds, rng)
-        for t in ts:
-            got = prop.forecast(system, pair, t, ts, ds, de)
-            assert np.max(np.abs(got - prop.forecast(system, dense, t, ts, ds, de))) <= 1e-12
+        systems = np.stack([random_hermitian_direct(ds, rng) for _ in ts])
+        got = prop.forecast(systems, pair, ts, ts, ds, de)
+        assert np.max(np.abs(got - prop.forecast(systems, dense, ts, ts, ds, de))) <= 1e-12
 
     @pytest.mark.parametrize("diagonal", [False, True], ids=["eigen", "diagonal"])
     def test_product_pair_rejects_mismatched_factors(self, rng, diagonal):
@@ -618,15 +617,15 @@ class TestChargeBlocks:
             prop.evolve(stray, 0.5)
         with pytest.raises(witness.InvariantViolation, match="outside"):
             prop.reduced(stray, [0.5], 2, 4)
-        for t in (0.0, 0.5):
-            with pytest.raises(witness.InvariantViolation, match="outside"):
-                prop.forecast(np.eye(2), stray, t, [0.5], 2, 4)
+        with pytest.raises(witness.InvariantViolation, match="outside"):
+            prop.forecast(np.stack([np.eye(2)] * 2), stray, [0.0, 0.5], [0.5], 2, 4)
         stray[outside, prop.support[0]] = stray[prop.support[0], outside] = 1e-13
         prop.reduced(stray, [0.5], 2, 4)  # below the tolerance: dropped
 
     def test_product_pair_is_checked_by_its_factors(self, rng):
         """The block of system level 0 holds |0><0| (x) rho_E; any coherence
-        of the system factor reaches outside it."""
+        of the system factor reaches outside it, in a state and in a
+        forecast's product of a system operator and the environment marginal."""
         ds, de = 2, 3
         charges = np.arange(ds * de) // de
         h = random_hermitian_direct(ds * de, rng) * (charges[:, None] == charges)
@@ -637,16 +636,46 @@ class TestChargeBlocks:
         assert np.max(np.abs(got - prop.reduced(np.kron(*inside), [0.0, 0.8], ds, de))) <= 1e-15
         for coherence, accepted in ((1e-9, False), (1e-13, True)):
             system = np.array([[1.0, coherence], [coherence, 0.0]], dtype=complex)
+            systems = np.stack([inside[0], system])
             if accepted:
                 prop.reduced((system, env), [0.8], ds, de)
-                prop.forecast(inside[0], (system, env), 0.8, [0.8], ds, de)
+                prop.forecast(inside[0][None], (system, env), [0.8], [0.8], ds, de)
+                prop.forecast(systems, inside, [0.0, 0.8], [0.8], ds, de)
                 continue
             with pytest.raises(witness.InvariantViolation, match="outside"):
                 prop.reduced((system, env), [0.8], ds, de)
             with pytest.raises(witness.InvariantViolation, match="outside"):
-                prop.forecast(inside[0], (system, env), 0.8, [0.8], ds, de)
+                prop.forecast(inside[0][None], (system, env), [0.8], [0.8], ds, de)
+            with pytest.raises(witness.InvariantViolation, match="outside"):
+                prop.forecast(systems, inside, [0.0, 0.8], [0.8], ds, de)
 
-    @pytest.mark.parametrize("support", [[0, 0], [0, 6], [-1, 2], [0, 1, 2]])
+    def test_forecast_checks_a_marginal_on_part_of_the_environment(self, rng):
+        """A subspace reaching environment indices 0 and 1 only: the product
+        of a system operator with the marginal, kept on those two indices, is
+        checked at the row (1, 1) outside the subspace."""
+        ds, de = 2, 3
+        h = random_hermitian_direct(ds * de, rng)
+        block = np.array([0, 1, 3])  # (a, e) = (0, 0), (0, 1), (1, 0)
+        prop = EigenPropagator.from_blocks([(block, h[np.ix_(block, block)])], ds * de)
+        env = np.zeros((de, de), dtype=complex)
+        env[:2, :2] = random_density_direct(2, rng)
+        mat = (np.diag([1.0, 0.0]).astype(complex), env)
+        for level_one, accepted in ((1e-9, False), (1e-13, True)):
+            systems = np.stack([np.diag([1.0, level_one])] * 2).astype(complex)
+            if accepted:
+                got = prop.forecast(systems, mat, [0.0, 0.8], [0.0, 0.8], ds, de)
+                for t, row in zip([0.0, 0.8], got):
+                    marginal = linalg.partial_trace(prop.evolve(np.kron(*mat), t), ds, de,
+                                                    keep="environment")
+                    want = prop.reduced(np.kron(systems[0], marginal), [0.0, 0.8], ds, de)
+                    assert np.max(np.abs(row - want)) <= 1e-12
+                continue
+            with pytest.raises(witness.InvariantViolation, match="outside"):
+                prop.forecast(systems, mat, [0.0, 0.8], [0.0, 0.8], ds, de)
+
+    @pytest.mark.parametrize(
+        "support", [[0, 0], [0, 6], [-1, 2], [0, 1, 2], [0.0, 1.0], [0.5, 1.0], [True, False]]
+    )
     def test_rejects_bad_support(self, rng, support):
         eig = linalg.hermitian_eigensystem(random_hermitian_direct(2, rng))
         with pytest.raises(ValueError, match="support"):
@@ -695,11 +724,10 @@ class TestAmplitudeEnvironment:
         ts = np.array([0.0, *times])
         got = prop.reduced(pure.factors, ts, ds, de)
         assert np.max(np.abs(got - prop.reduced(dense.factors, ts, ds, de))) <= 1e-12
-        delta = random_hermitian_direct(ds, rng)
+        deltas = np.stack([random_hermitian_direct(ds, rng) for _ in ts])
+        got = prop.forecast(deltas, pure.factors, ts, ts, ds, de)
+        assert np.max(np.abs(got - prop.forecast(deltas, dense.factors, ts, ts, ds, de))) <= 1e-12
         for t in ts:
-            got = prop.forecast(delta, pure.factors, t, ts, ds, de)
-            want = prop.forecast(delta, dense.factors, t, ts, ds, de)
-            assert np.max(np.abs(got - want)) <= 1e-12
             assert np.max(np.abs(prop.evolve(pure.op, t) - prop.evolve(dense.op, t))) <= 1e-12
 
     def test_weight_outside_the_support_raises(self, rng):
@@ -712,7 +740,7 @@ class TestAmplitudeEnvironment:
         with pytest.raises(witness.InvariantViolation, match="outside"):
             prop.reduced((system, psi), [0.5], ds, de)
         with pytest.raises(witness.InvariantViolation, match="outside"):
-            prop.forecast(system, (system, psi), 0.5, [0.5], ds, de)
+            prop.forecast(system[None], (system, psi), [0.5], [0.5], ds, de)
 
 
 class CountingPropagator:
