@@ -42,7 +42,7 @@ from .dephasing import (
     tcl_coefficients,
 )
 from .spinchain import SpinChainSpec
-from .witness import InvariantViolation, check_window
+from .witness import InvariantViolation
 
 EXIT_OK = 0
 EXIT_CONFIG_ERROR = 1
@@ -379,22 +379,19 @@ def _run_sweep_job(cfg: RunConfig, out_dir: Path) -> dict:
     columns: list[tuple] = []
     per_ratio: list[dict] = []
     for r in SWEEP_RATIOS:
-        dist = replace(preset.model, r=r)
-        d_t, forecast, influence, delta_d = analytic_witnesses(dist, tprime, ts)
-        d_next = d_t + delta_d
-        *_, labels = check_window(ts, tprime, d_t, d_next, forecast, influence, cfg.class_eps)
-        upper = d_t + forecast
+        surface = analytic_surface(replace(preset.model, r=r), ts, [tprime], cfg.class_eps)
+        influence, upper = surface.influence[:, 0], surface.d_t + surface.forecast[:, 0]
         columns.append((ts, np.full_like(ts, r), influence, upper))
         per_ratio.append({
             "r": r, "max_influence": float(influence.max()),
             "max_excess_over_upper": float((influence - upper).max()),
-            "points_above_upper": int(np.count_nonzero(labels == _INCREASE)),
+            "points_above_upper": surface.classification_counts()[_INCREASE],
         })
     # one row per (r, t), r-major
     _write_table(out_dir / "surface", SWEEP_COLUMNS, np.concatenate(columns, axis=1), cfg.fmt)
 
     # Profile along t for the final ratio, where the transition is fully developed.
-    profile = increasing_intervals(ts, d_t, cfg.rise_tol)
+    profile = increasing_intervals(ts, surface.d_t, cfg.rise_tol)
     _write_table(out_dir / "profile", PROFILE_COLUMNS, _profile_columns(profile), cfg.fmt)
     parameters = asdict(preset.model)
     del parameters["r"]

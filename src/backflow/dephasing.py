@@ -95,47 +95,43 @@ class Discrete:
 FrequencyDistribution = Union[SingleLorentzian, DoubleLorentzian, Discrete]
 
 
+def _lines(dist: FrequencyDistribution) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Centers, widths and weights of the Lorentzian lines that make up
+    ``dist``; a discrete frequency is a line of zero width."""
+    if isinstance(dist, SingleLorentzian):
+        return np.array([dist.omega0]), np.array([dist.delta]), np.ones(1)
+    if isinstance(dist, DoubleLorentzian):
+        return (np.array([dist.omega0_1, dist.omega0_2]), np.array([dist.delta1, dist.delta2]),
+                np.array([1.0, dist.r]) / (1.0 + dist.r))
+    if isinstance(dist, Discrete):
+        return dist.freqs, np.zeros(dist.freqs.size), dist.probs
+    raise TypeError(f"unsupported distribution type {type(dist).__name__}")
+
+
 def dephasing_function(dist: FrequencyDistribution, t):
     """k(t): the coherence multiplier after time t. k(0) = 1, |k| <= 1.
 
-    Accepts scalar or array times.
+    The weighted sum of exp((i omega_j - delta_j) t) over the lines of
+    ``dist``. Accepts scalar or array times.
     """
     tt = np.asarray(t, dtype=float)
-    if isinstance(dist, SingleLorentzian):
-        out = np.exp((1j * dist.omega0 - dist.delta) * tt)
-    elif isinstance(dist, DoubleLorentzian):
-        e1 = np.exp((1j * dist.omega0_1 - dist.delta1) * tt)
-        e2 = np.exp((1j * dist.omega0_2 - dist.delta2) * tt)
-        out = (e1 + dist.r * e2) / (1.0 + dist.r)
-    elif isinstance(dist, Discrete):
-        phases = np.exp(1j * np.multiply.outer(tt, dist.freqs))
-        out = phases @ dist.probs
-    else:
-        raise TypeError(f"unsupported distribution type {type(dist).__name__}")
+    centers, widths, weights = _lines(dist)
+    out = np.exp(np.multiply.outer(tt, 1j * centers - widths)) @ weights
     return out if tt.ndim else complex(out)
 
 
 def _log_derivative(dist: FrequencyDistribution, t: float) -> complex:
-    """d/dt ln k(t), rejecting times where k has numerically vanished."""
-    if isinstance(dist, SingleLorentzian):
-        return complex(1j * dist.omega0 - dist.delta)
-    if isinstance(dist, DoubleLorentzian):
-        z1 = 1j * dist.omega0_1 - dist.delta1
-        z2 = 1j * dist.omega0_2 - dist.delta2
-        e1 = np.exp(z1 * t)
-        e2 = np.exp(z2 * t)
-        den = e1 + dist.r * e2
-        if abs(den) / (1.0 + dist.r) < SINGULAR_TOL:
-            raise SingularPointError(f"dephasing function vanishes at t={t:.12g}")
-        return complex((z1 * e1 + dist.r * z2 * e2) / den)
-    if isinstance(dist, Discrete):
-        phases = np.exp(1j * dist.freqs * t)
-        k = complex(dist.probs @ phases)
-        if abs(k) < SINGULAR_TOL:
-            raise SingularPointError(f"dephasing function vanishes at t={t:.12g}")
-        dk = complex(dist.probs @ (1j * dist.freqs * phases))
-        return dk / k
-    raise TypeError(f"unsupported distribution type {type(dist).__name__}")
+    """d/dt ln k(t): a single line's exponent at every t; for more lines the
+    ratio k'/k, rejecting times where k has numerically vanished."""
+    centers, widths, weights = _lines(dist)
+    z = 1j * centers - widths
+    if z.size == 1:
+        return complex(z[0])
+    e = np.exp(z * t)
+    k = complex(weights @ e)
+    if abs(k) < SINGULAR_TOL:
+        raise SingularPointError(f"dephasing function vanishes at t={t:.12g}")
+    return complex(weights @ (z * e)) / k
 
 
 def tcl_coefficients(dist: FrequencyDistribution, t: float) -> tuple[float, float]:
@@ -199,9 +195,9 @@ def analytic_point(
     t: float,
     eps: float = witness.DEFAULT_CLASS_EPS,
 ) -> WitnessPoint:
-    """Closed-form counterpart of witness.evaluate_point for this model."""
-    d_t, forecast, influence, delta_d = analytic_witnesses(dist, tprime, t)
-    return witness.checked_point(t, tprime, d_t, d_t + delta_d, forecast, influence, eps)
+    """Closed-form counterpart of witness.evaluate_point for this model: the
+    one cell of ``analytic_surface`` on the grids [t] and [t']."""
+    return analytic_surface(dist, [t], [tprime], eps).point(0, 0)
 
 
 def analytic_surface(
@@ -218,19 +214,13 @@ def analytic_surface(
 
 
 def frequency_density(dist: FrequencyDistribution, omega):
-    """Normalized frequency density of a continuum distribution."""
-    w = np.asarray(omega, dtype=float)
-    if isinstance(dist, SingleLorentzian):
-        return (dist.delta / np.pi) / ((w - dist.omega0) ** 2 + dist.delta**2)
-    if isinstance(dist, DoubleLorentzian):
-        w1 = (1.0 / (1.0 + dist.r)) * (dist.delta1 / np.pi) / (
-            (w - dist.omega0_1) ** 2 + dist.delta1**2
-        )
-        w2 = (dist.r / (1.0 + dist.r)) * (dist.delta2 / np.pi) / (
-            (w - dist.omega0_2) ** 2 + dist.delta2**2
-        )
-        return w1 + w2
-    raise TypeError("frequency_density is defined for continuum distributions only")
+    """Normalized frequency density of a continuum distribution: the
+    weighted sum of its normalized Lorentzian lines."""
+    centers, widths, weights = _lines(dist)
+    if not widths.all():
+        raise TypeError("frequency_density is defined for continuum distributions only")
+    w = np.asarray(omega, dtype=float)[..., None]
+    return (weights * (widths / np.pi) / ((w - centers) ** 2 + widths**2)).sum(axis=-1)
 
 
 def discretize(
@@ -240,8 +230,8 @@ def discretize(
 ) -> Discrete:
     """Sample a continuum distribution on a uniform frequency grid.
 
-    The grid spans ``window`` widths beyond the outermost component center
-    (component-wise for double Lorentzians); weights are the density values
+    The grid spans ``window`` widths beyond the outermost line center
+    (line by line for double Lorentzians); weights are the density values
     renormalized to 1. Lorentzian tails decay slowly, so the continuum
     error of the resulting k is truncation-limited at roughly 2/(pi*window)
     once the grid is dense enough.
@@ -250,20 +240,13 @@ def discretize(
         raise ValueError(f"need at least 2 modes, got {modes}")
     if window <= 0:
         raise ValueError(f"window must be positive, got {window}")
-    if isinstance(dist, SingleLorentzian):
-        lo = dist.omega0 - window * dist.delta
-        hi = dist.omega0 + window * dist.delta
-    elif isinstance(dist, DoubleLorentzian):
-        lo = min(dist.omega0_1 - window * dist.delta1, dist.omega0_2 - window * dist.delta2)
-        hi = max(dist.omega0_1 + window * dist.delta1, dist.omega0_2 + window * dist.delta2)
-    elif isinstance(dist, Discrete):
+    centers, widths, _ = _lines(dist)
+    if not widths.all():
         raise ValueError("distribution is already discrete")
-    else:
-        raise TypeError(f"unsupported distribution type {type(dist).__name__}")
+    lo, hi = np.min(centers - window * widths), np.max(centers + window * widths)
     freqs = np.linspace(lo, hi, modes)
     probs = frequency_density(dist, freqs)
-    probs = probs / probs.sum()
-    return Discrete(freqs=freqs, probs=probs)
+    return Discrete(freqs=freqs, probs=probs / probs.sum())
 
 
 class DiagonalPropagator:

@@ -176,14 +176,15 @@ def hermitian_eigensystem(a) -> HermitianEigenSystem:
         values, vectors = np.linalg.eigh(sym)
     except np.linalg.LinAlgError as exc:
         raise ValueError(f"eigensolver failed on {sym.shape[0]}-dim matrix: {exc}") from exc
-    residual = float(np.max(np.abs((vectors * values) @ vectors.conj().T - sym)))
+    eig = HermitianEigenSystem(values=values, vectors=vectors)
+    residual = float(np.max(np.abs(eig.reconstruct() - sym)))
     scale = max(float(np.max(np.abs(sym))), np.finfo(float).tiny)
     if residual > EIG_RESIDUAL_TOL * scale:
         raise ValueError(
             f"eigendecomposition residual {residual:.3e} exceeds "
             f"{EIG_RESIDUAL_TOL:.1e} * max|A| = {EIG_RESIDUAL_TOL * scale:.3e}"
         )
-    return HermitianEigenSystem(values=values, vectors=vectors)
+    return eig
 
 
 def unitary_at(eig: HermitianEigenSystem, t: float) -> np.ndarray:
@@ -201,7 +202,7 @@ def conjugate(u, m) -> np.ndarray:
     return u @ m @ u.conj().T
 
 
-def random_hermitian(dim: int, rng: np.random.Generator, scale: float = 1.0) -> np.ndarray:
+def random_hermitian(dim: int, rng: np.random.Generator) -> np.ndarray:
     """Gaussian random Hermitian matrix, for tests and self-checks."""
     a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    return scale * (a + a.conj().T) / 2.0
+    return (a + a.conj().T) / 2.0

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import linalg
 from .states import BipartiteState, plus_minus_pair
-from .witness import EigenPropagator, InvariantViolation, ScenarioPair
+from .witness import EigenPropagator, InvariantViolation, ScenarioPair, _positions
 
 PAULI = {
     "x": np.array([[0, 1], [1, 0]], dtype=complex),
@@ -91,14 +91,11 @@ def hamiltonian_block(spec: SpinChainSpec, basis) -> np.ndarray:
     bits n and n+1 differ, with amplitude 2, by flipping both bits. A hop
     from a listed state to an unlisted one raises InvariantViolation: the
     block would not be closed under H, and its evolution would lose weight.
+    A basis that is not a 1-d array of distinct integer indices below the
+    dimension raises ValueError.
     """
-    total, dim = spec.sites + 1, spec.dim
-    basis = np.asarray(basis)
-    distinct = basis.ndim == 1 and np.unique(basis).size == basis.size
-    if not distinct or np.any((basis < 0) | (basis >= dim)):
-        raise ValueError(f"basis must list distinct indices below {dim}")
-    position = np.full(dim, -1)
-    position[basis] = np.arange(basis.size)
+    total, basis = spec.sites + 1, np.asarray(basis)
+    position = _positions(basis, spec.dim, "basis")
     bits = _occupations(basis, total)
     h = np.zeros((basis.size, basis.size), dtype=complex)
     for n in range(spec.sites):

@@ -51,6 +51,18 @@ class InvariantViolation(RuntimeError):
     """A computed point escaped its two-sided bound beyond tolerance."""
 
 
+def _positions(indices: np.ndarray, dim: int, name: str) -> np.ndarray:
+    """Position of each of ``dim`` basis indices in ``indices``, -1 outside;
+    ValueError unless ``indices`` is a 1-d array of distinct integers below ``dim``."""
+    position = np.full(dim, -1)
+    valid = indices.ndim == 1 and indices.dtype.kind in "iu"
+    if valid and np.all((indices >= 0) & (indices < dim)):
+        position[indices] = np.arange(indices.size)
+    if not valid or np.count_nonzero(position >= 0) != indices.size:  # a repeat takes one slot
+        raise ValueError(f"{name} must list distinct indices below {dim}")
+    return position
+
+
 class EigenPropagator:
     """exp(-i H t) on an H-invariant subspace made of conserved-charge blocks.
 
@@ -73,12 +85,9 @@ class EigenPropagator:
         self._eig = eig
         s = np.arange(eig.dim) if support is None else np.asarray(support)
         dim = eig.dim if dim is None else int(dim)
-        position = np.full(dim, -1)  # support position of each basis index, -1 outside
-        if s.shape == (eig.dim,) and s.dtype.kind in "iu" and np.all((s >= 0) & (s < dim)):
-            position[s] = np.arange(s.size)
-        if np.count_nonzero(position >= 0) != eig.dim:  # a repeated index takes one position
-            raise ValueError(f"support must list {eig.dim} distinct basis indices below {dim}")
-        self._support, self._dim, self._position = s, dim, position
+        if s.size != eig.dim:
+            raise ValueError(f"support must list {eig.dim} basis indices, got {s.size}")
+        self._support, self._dim, self._position = s, dim, _positions(s, dim, "support")
         self._kernels: dict[tuple[int, int, int], np.ndarray] = {}
 
     @classmethod
@@ -401,15 +410,6 @@ def check_window(t, tprime, d_t, d_next, forecast, influence, eps: float = DEFAU
     return delta_d, lower, upper, classify_values(influence, d_t, forecast, eps)
 
 
-def checked_point(
-    t: float, tprime: float, d_t: float, d_next: float, forecast: float, influence: float,
-    eps: float = DEFAULT_CLASS_EPS,
-) -> WitnessPoint:
-    """Assemble a point from its distances, enforcing the bound window."""
-    window = check_window(t, tprime, d_t, d_next, forecast, influence, eps)
-    return WitnessPoint(float(t), float(tprime), d_t, d_next, forecast, influence, *window)
-
-
 def evolve_pair(sc: ScenarioPair, t: float) -> tuple[BipartiteState, BipartiteState]:
     """Both total states at time t; valid density operators by construction."""
     if _require_times(t) == 0:
@@ -523,7 +523,8 @@ def evaluate_point(
     diffs = _reduced_differences(sc, np.concatenate([ts, ts + tps]))
     # Python floats: the window check costs less on them than on 1-element arrays
     d_t, d_next, forecast, influence = _grid_norms(sc, ts, tps, diffs[None], env_label)[0].tolist()
-    return checked_point(t, tps[0], d_t, d_next, forecast, influence, eps)
+    window = check_window(t, tps[0], d_t, d_next, forecast, influence, eps)
+    return WitnessPoint(float(t), float(tps[0]), d_t, d_next, forecast, influence, *window)
 
 
 def _require_grid(grid, name: str) -> np.ndarray:

@@ -137,6 +137,26 @@ class TestTclCoefficients:
             eps, gamma = tcl_coefficients(SINGLE, t)
             assert eps == 0.5 and gamma == 0.5
 
+    def test_single_lorentzian_constant_where_k_vanishes(self):
+        # one line: its exponent at every t, never a singular point
+        for t in (40.0, 800.0):
+            assert abs(dephasing_function(SINGLE, t)) < 1e-12
+            assert tcl_coefficients(SINGLE, t) == (0.5, 0.5)
+
+    def test_double_lorentzian_singular_where_k_vanishes(self):
+        for dist in (EQUAL_CENTERS, SPLIT_CENTERS):
+            assert abs(dephasing_function(dist, 40.0)) < 1e-12
+            with pytest.raises(SingularPointError):
+                tcl_coefficients(dist, 40.0)
+
+    def test_one_frequency_discrete_constant(self):
+        for omega in (0.7, -3.1, 2.0):
+            env = Discrete(freqs=np.array([omega]), probs=np.array([1.0]))
+            for t in (0.0, 0.3, 40.0, 800.0):
+                eps, gamma = tcl_coefficients(env, t)
+                assert eps == pytest.approx(omega / 2, rel=1e-15)
+                assert gamma == pytest.approx(0.0, abs=1e-15)
+
     def test_equal_centers_closed_form(self):
         d1, d2, r = 1.0, 10.0, 1.0
         for t in (0.1, 0.5, 1.0, 2.5):
@@ -243,6 +263,11 @@ class TestDiscretize:
         env = discretize(SINGLE, modes=16, window=10.0)
         with pytest.raises(ValueError, match="already discrete"):
             discretize(env, modes=16)
+
+    def test_density_rejects_discrete(self):
+        env = Discrete(freqs=np.array([0.5, 2.0]), probs=np.array([0.25, 0.75]))
+        with pytest.raises(TypeError, match="continuum"):
+            frequency_density(env, 0.0)
 
     def test_density_mixture_weights(self):
         # component weights 1/(1+r) and r/(1+r) on normalized Lorentzians

@@ -332,7 +332,9 @@ class TestHamiltonianBlocks:
         probe_up = one_excitation[one_excitation >= 8]
         assert np.array_equal(hamiltonian_block(decoupled, probe_up), h[np.ix_(probe_up, probe_up)])
 
-    @pytest.mark.parametrize("basis", [[0, 0], [0, 16], [-1, 2], [[0, 1]]])
+    @pytest.mark.parametrize(
+        "basis", [[0, 0], [0, 16], [-1, 2], [[0, 1]], [0.0, 1.0], [0.5, 1.0], [True, False]]
+    )
     def test_bad_basis_rejected(self, basis):
         with pytest.raises(ValueError, match="basis"):
             hamiltonian_block(SpinChainSpec(sites=3), basis)

@@ -545,7 +545,7 @@ class TestCheckedPoint:
     def test_escape_raises(self):
         # D rises from 0.2 to 0.9, but B + F - D(t) caps the rise at 0
         with pytest.raises(witness.InvariantViolation, match="bound violated"):
-            witness.checked_point(0.1, 0.2, d_t=0.2, d_next=0.9, forecast=0.1, influence=0.1)
+            witness.check_window(0.1, 0.2, d_t=0.2, d_next=0.9, forecast=0.1, influence=0.1)
 
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(
