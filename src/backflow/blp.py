@@ -59,8 +59,10 @@ def increasing_intervals(times, values, rise_tol: float = DEFAULT_RISE_TOL) -> M
     numerical jitter cannot fabricate growth. Consecutive rising steps
     merge into one interval. Non-finite times or values are rejected: a NaN
     compares false both ways, so it would pass the ascending check or hide
-    a rise.
+    a rise. ``rise_tol`` must be finite and nonnegative.
     """
+    if not 0.0 <= rise_tol < np.inf:
+        raise ValueError(f"rise_tol must be finite and nonnegative, got {rise_tol}")
     ts = np.asarray(times, dtype=float)
     vs = np.asarray(values, dtype=float)
     if ts.ndim != 1 or vs.shape != ts.shape:
@@ -83,50 +85,40 @@ def increasing_intervals(times, values, rise_tol: float = DEFAULT_RISE_TOL) -> M
     return MonotonicityProfile(times=ts, values=vs, intervals=tuple(intervals))
 
 
-def nm_measure_fixed_pair(
-    sc: ScenarioPair, times, rise_tol: float = DEFAULT_RISE_TOL
-) -> float:
+def nm_measure_fixed_pair(sc: ScenarioPair, times) -> float:
     """Accumulated distance increase for one scenario along a time grid."""
-    profile = distance_profile(sc, times, rise_tol)
+    profile = distance_profile(sc, times)
     return profile.total_increase()
 
 
-def distance_profile(
-    sc: ScenarioPair, times, rise_tol: float = DEFAULT_RISE_TOL
-) -> MonotonicityProfile:
-    """Reduced trace distance sampled along ``times``, with growth intervals."""
+def distance_profile(sc: ScenarioPair, times) -> MonotonicityProfile:
+    """Reduced trace distance sampled along ``times``, with growth intervals
+    above ``DEFAULT_RISE_TOL``; for another tolerance, pass the distances to
+    ``increasing_intervals``."""
     ts = np.asarray(times, dtype=float)
-    return increasing_intervals(ts, witness.reduced_distance(sc, ts), rise_tol)
+    return increasing_intervals(ts, witness.reduced_distance(sc, ts))
 
 
-def bloch_pair_grid(
-    n_theta: int, n_phi: int, antipodal: bool = True
-) -> list[BlochPair]:
-    """Initial-pair lattice on the Bloch sphere.
-
-    With ``antipodal`` (the default) each pair is a state and its antipode,
-    since optimal pairs for distance-based measures are orthogonal; the
-    full product lattice over independent pairs sits behind the flag. An
-    odd ``n_theta`` puts the equator on the lattice.
+def bloch_pair_grid(n_theta: int, n_phi: int) -> list[BlochPair]:
+    """Initial pairs on a Bloch-sphere lattice: each lattice state with its
+    antipode, since optimal pairs for distance-based measures are
+    orthogonal. An odd ``n_theta`` puts the equator on the lattice.
     """
     if n_theta < 1 or n_phi < 1:
         raise ValueError("lattice must have at least one point per axis")
     thetas = np.linspace(0.0, np.pi, n_theta)
     phis = np.linspace(0.0, 2.0 * np.pi, n_phi, endpoint=False)
     points = [(float(th), float(ph)) for th in thetas for ph in phis]
-    if antipodal:
-        return [
-            ((th, ph), (float(np.pi - th), float((ph + np.pi) % (2.0 * np.pi))))
-            for th, ph in points
-        ]
-    return [(p1, p2) for p1 in points for p2 in points]
+    return [
+        ((th, ph), (float(np.pi - th), float((ph + np.pi) % (2.0 * np.pi))))
+        for th, ph in points
+    ]
 
 
 def nm_measure_maximized(
     make_scenario: Callable[[np.ndarray, np.ndarray], ScenarioPair],
     times,
     pairs: Sequence[BlochPair],
-    rise_tol: float = DEFAULT_RISE_TOL,
 ) -> tuple[float, BlochPair]:
     """Largest fixed-pair measure over a sampled set of initial pairs.
 
@@ -142,7 +134,7 @@ def nm_measure_maximized(
     for pair in sorted(pairs):
         (th1, ph1), (th2, ph2) = pair
         sc = make_scenario(pure_qubit(th1, ph1), pure_qubit(th2, ph2))
-        value = nm_measure_fixed_pair(sc, times, rise_tol)
+        value = nm_measure_fixed_pair(sc, times)
         if value > best_value:
             best_value = value
             best_pair = pair

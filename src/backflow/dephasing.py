@@ -157,6 +157,8 @@ def apply_channel(kval: complex, rho) -> np.ndarray:
     convention that level 1 accumulates the positive phase.
     """
     k = complex(kval)
+    if not np.isfinite(k):
+        raise ValueError(f"k must be finite, got {kval}")
     if abs(k) > 1.0 + 1e-12:
         raise ValueError(f"|k| = {abs(k):.12g} exceeds 1")
     m = validate_density_matrix(rho, name="qubit state")
@@ -238,8 +240,8 @@ def discretize(
     """
     if modes < 2:
         raise ValueError(f"need at least 2 modes, got {modes}")
-    if window <= 0:
-        raise ValueError(f"window must be positive, got {window}")
+    if not 0.0 < window < np.inf:  # NaN compares false, so it fails too
+        raise ValueError(f"window must be positive and finite, got {window}")
     centers, widths, _ = _lines(dist)
     if not widths.all():
         raise ValueError("distribution is already discrete")

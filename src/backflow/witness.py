@@ -375,8 +375,11 @@ def classify_values(influence, d_t, forecast, eps: float = DEFAULT_CLASS_EPS):
     The fully degenerate case B = D = F = 0 (identical states) sits on the
     lower boundary and is classified IncreaseImpossible by convention.
     Scalars give a Classification; arrays give an array of Classification
-    values, cell by cell the same as for scalars.
+    values, cell by cell the same as for scalars. ``eps`` must be finite and
+    nonnegative.
     """
+    if not 0.0 <= eps < np.inf:
+        raise ValueError(f"eps must be finite and nonnegative, got {eps}")
     impossible = influence < d_t - forecast - eps
     increase = influence > d_t + forecast + eps
     degenerate = (influence <= eps) & (d_t <= eps) & (forecast <= eps)
@@ -446,19 +449,16 @@ def _reduced_differences(sc: ScenarioPair, times: np.ndarray) -> np.ndarray:
     return r1 - r2
 
 
-def _grid_norms(sc: ScenarioPair, ts, tprimes, diffs, env_label: int = 1) -> np.ndarray:
+def _grid_norms(sc: ScenarioPair, ts, tprimes, diffs) -> np.ndarray:
     """Half trace norms on the grid ``ts`` x ``tprimes``, shape (T, 1 + 3 T'):
     for each t, D(t), then d_next, forecast and influence for every t'.
 
     ``diffs`` are the reduced differences at the times [t, t + t'...] of
-    each row. The forecast images f, with the environment of the branch
-    picked by ``env_label``, take one propagator call for the whole grid,
-    and D(t), g, f and g - f one batched trace norm.
+    each row. The forecast images f, with the environment of ``state1``,
+    take one propagator call for the whole grid, and D(t), g, f and g - f
+    one batched trace norm.
     """
-    if env_label not in (1, 2):
-        raise ValueError(f"env_label must be 1 or 2, got {env_label}")
-    branch = (sc.state1, sc.state2)[env_label - 1]
-    f = sc.propagator.forecast(diffs[:, 0], _operand(branch), ts, tprimes, sc.ds, sc.de)
+    f = sc.propagator.forecast(diffs[:, 0], _operand(sc.state1), ts, tprimes, sc.ds, sc.de)
     return 0.5 * linalg.trace_norm(np.concatenate([diffs, f, diffs[:, 1:] - f], axis=1))
 
 
@@ -473,23 +473,23 @@ def reduced_distance(sc: ScenarioPair, t):
     return float(dist[0]) if ts.ndim == 0 else dist.reshape(ts.shape)
 
 
-def forecast_distance(sc: ScenarioPair, tprime: float, t: float, env_label: int = 1) -> float:
+def forecast_distance(sc: ScenarioPair, tprime: float, t: float) -> float:
     """Distance at t + t' if the totals at t were products with a common
-    environment (the one from the branch picked by ``env_label``).
+    environment, that of ``state1``; swap the pair for the other environment.
 
     Contractive: at most D(t), with equality at t' = 0.
     """
-    return evaluate_point(sc, tprime, t, env_label=env_label).forecast
+    return evaluate_point(sc, tprime, t).forecast
 
 
-def correlation_influence(sc: ScenarioPair, tprime: float, t: float, env_label: int = 1) -> float:
+def correlation_influence(sc: ScenarioPair, tprime: float, t: float) -> float:
     """Trace-norm weight, at t + t', of what the product replacement drops:
     correlations present at t and the difference of environmental states.
 
     Lies in [0, 2]; zero whenever correlations and environment differences
     have no effect on the reduced pair.
     """
-    return evaluate_point(sc, tprime, t, env_label=env_label).influence
+    return evaluate_point(sc, tprime, t).influence
 
 
 def distance_change(sc: ScenarioPair, tprime: float, t: float) -> float:
@@ -512,17 +512,17 @@ def weak_upper_bound(sc: ScenarioPair, t: float) -> float:
 
 
 def evaluate_point(
-    sc: ScenarioPair,
-    tprime: float,
-    t: float,
-    eps: float = DEFAULT_CLASS_EPS,
-    env_label: int = 1,
+    sc: ScenarioPair, tprime: float, t: float, eps: float = DEFAULT_CLASS_EPS
 ) -> WitnessPoint:
-    """All witnesses at one (t, t'), with bounds checked and classified."""
+    """All witnesses at one (t, t'), with bounds checked and classified.
+
+    The forecast takes the environment of ``state1``; swap the pair for the
+    other environment.
+    """
     ts, tps = _require_times(t).reshape(1), _require_times(tprime, "time step").reshape(1)
     diffs = _reduced_differences(sc, np.concatenate([ts, ts + tps]))
     # Python floats: the window check costs less on them than on 1-element arrays
-    d_t, d_next, forecast, influence = _grid_norms(sc, ts, tps, diffs[None], env_label)[0].tolist()
+    d_t, d_next, forecast, influence = _grid_norms(sc, ts, tps, diffs[None])[0].tolist()
     window = check_window(t, tps[0], d_t, d_next, forecast, influence, eps)
     return WitnessPoint(float(t), float(tps[0]), d_t, d_next, forecast, influence, *window)
 
@@ -538,22 +538,20 @@ def _require_grid(grid, name: str) -> np.ndarray:
 
 
 def evaluate_surface(
-    sc: ScenarioPair,
-    t_grid,
-    tprime_grid,
-    eps: float = DEFAULT_CLASS_EPS,
-    env_label: int = 1,
+    sc: ScenarioPair, t_grid, tprime_grid, eps: float = DEFAULT_CLASS_EPS
 ) -> WitnessSurface:
     """Witness columns over the full (t, t') product grid.
 
     One reduced-differences call at the distinct times [t, t + t'...], one
-    forecast call and one batched trace norm cover the whole grid.
+    forecast call and one batched trace norm cover the whole grid. The
+    forecast takes the environment of ``state1``; swap the pair for the
+    other environment.
     """
     ts = _require_grid(t_grid, "t grid")
     tps = _require_grid(tprime_grid, "t' grid")
     times = np.concatenate([ts[:, None], ts[:, None] + tps], axis=1)
     distinct, inverse = np.unique(times, return_inverse=True)
     diffs = _reduced_differences(sc, distinct)[inverse.reshape(times.shape)]
-    norms = _grid_norms(sc, ts, tps, diffs, env_label)
+    norms = _grid_norms(sc, ts, tps, diffs)
     d_next, forecast, influence = norms[:, 1:].reshape(ts.size, 3, tps.size).transpose(1, 0, 2)
     return WitnessSurface(ts, tps, norms[:, 0], d_next, forecast, influence, eps)

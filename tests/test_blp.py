@@ -53,6 +53,16 @@ class TestIncreasingIntervals:
         profile = increasing_intervals(np.arange(4.0), values, rise_tol=1e-10)
         assert profile.intervals == ()
 
+    def test_zero_rise_tolerance_counts_every_rise(self):
+        profile = increasing_intervals(np.arange(3.0), [0.5, 0.5 + 1e-12, 0.5], rise_tol=0.0)
+        assert profile.intervals == ((0, 1),)
+
+    @pytest.mark.parametrize("bad", [np.nan, -1.0, np.inf])
+    def test_bad_rise_tolerance_rejected(self, bad):
+        # NaN would find no rise at all, a negative tolerance would count a dip
+        with pytest.raises(ValueError, match="rise_tol must be finite and nonnegative"):
+            increasing_intervals(np.arange(3.0), [0.5, 0.4, 0.6], rise_tol=bad)
+
     def test_length_mismatch(self):
         with pytest.raises(ValueError, match="match"):
             increasing_intervals([0.0, 1.0], [1.0, 2.0, 3.0])
@@ -117,7 +127,7 @@ class TestFixedPairMeasure:
         assert fine >= coarse - len(ts_fine) * blp.DEFAULT_RISE_TOL
 
     def test_chain_profile_matches_transfer_amplitude(self):
-        # an antipodal pair at polar angle theta keeps |f| of its coherence
+        # a state at polar angle theta paired with its antipode keeps |f| of its coherence
         # and |f|^2 of its population difference: D = sqrt(|f|^2 s^2 + |f|^4 c^2)
         chain = dict(sites=4, exchange=1.0, probe_exchange=0.7, field=0.05)
         spec = SpinChainSpec(**chain)
@@ -132,16 +142,12 @@ class TestFixedPairMeasure:
 
 
 class TestPairGrid:
-    def test_antipodal_structure(self):
+    def test_each_pair_is_a_state_and_its_antipode(self):
         pairs = bloch_pair_grid(3, 4)
         assert len(pairs) == 12
         for (th1, ph1), (th2, ph2) in pairs:
             assert th2 == pytest.approx(np.pi - th1, abs=1e-12)
             assert (ph2 - ph1) % (2 * np.pi) == pytest.approx(np.pi, abs=1e-12)
-
-    def test_full_grid_behind_flag(self):
-        pairs = bloch_pair_grid(2, 2, antipodal=False)
-        assert len(pairs) == 16
 
     def test_bad_resolution(self):
         with pytest.raises(ValueError):
@@ -163,7 +169,7 @@ class TestMaximizedMeasure:
         value, best = nm_measure_maximized(make, ts, bloch_pair_grid(5, 4))
         assert best[0][0] == pytest.approx(np.pi / 2, abs=1e-12)
         # the +/- pair attains the same maximum: D(t) = |k(t)| for every
-        # equatorial antipodal pair
+        # equatorial pair of a state and its antipode
         closed = increasing_intervals(ts, np.abs(dephasing_function(env, ts))).total_increase()
         assert value == pytest.approx(closed, abs=1e-9)
         plus_minus_value = nm_measure_fixed_pair(

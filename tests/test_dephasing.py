@@ -124,6 +124,13 @@ class TestChannel:
         with pytest.raises(ValueError, match="exceeds"):
             apply_channel(1.1, plus)
 
+    @pytest.mark.parametrize("kval", [complex("nan"), complex(0.5, float("nan")), float("nan")])
+    def test_rejects_non_finite_k(self, kval):
+        # |NaN| > 1 is false, so the amplification check alone would pass it
+        plus, _ = plus_minus_pair()
+        with pytest.raises(ValueError, match="k must be finite"):
+            apply_channel(kval, plus)
+
     def test_rejects_invalid_state(self):
         with pytest.raises(ValueError):
             apply_channel(0.5, np.eye(2))  # trace 2
@@ -228,6 +235,12 @@ class TestAnalyticWitnesses:
         with pytest.raises(ValueError, match="finite"):
             analytic_surface(SINGLE, [0.0], [0.0, bad])
 
+    @pytest.mark.parametrize("bad", [np.nan, -1.0, np.inf])
+    def test_surface_rejects_bad_margin(self, bad):
+        grid = np.linspace(0.0, 3.0, 5)
+        with pytest.raises(ValueError, match="eps must be finite and nonnegative"):
+            analytic_surface(SPLIT_CENTERS, grid, grid, eps=bad)
+
     def test_semigroup_surface_classifications(self):
         ts = np.linspace(0.0, 3.0, 20)
         surf = analytic_surface(SINGLE, ts, ts)
@@ -258,6 +271,11 @@ class TestDiscretize:
     def test_bad_window_rejected(self):
         with pytest.raises(ValueError, match="window"):
             discretize(SINGLE, modes=16, window=0.0)
+
+    @pytest.mark.parametrize("window", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_window_rejected(self, window):
+        with pytest.raises(ValueError, match="window must be positive and finite"):
+            discretize(SINGLE, modes=16, window=window)
 
     def test_discrete_input_rejected(self):
         env = discretize(SINGLE, modes=16, window=10.0)
@@ -361,8 +379,9 @@ class TestFullModel:
         monkeypatch.setattr(
             DiagonalPropagator, "evolve", recording("evolve", DiagonalPropagator.evolve)
         )
-        for env_label in (1, 2):
-            witness.evaluate_point(self.scenario, 0.7, 1.3, env_label=env_label)
+        sc = self.scenario
+        for pair in (sc, witness.ScenarioPair(sc.state2, sc.state1, sc.propagator)):
+            witness.evaluate_point(pair, 0.7, 1.3)
         assert calls == []
 
     def test_point_allocates_less_than_one_environment_array(self):

@@ -180,12 +180,14 @@ class TestChargeBlocks:
         # the forecast evolves the support block straight from the eigensystem
         assert sizes["unitary"] == []
 
-    @pytest.mark.parametrize("env_label", [1, 2])
-    def test_row_makes_no_evolve_and_no_dense_product(self, monkeypatch, env_label):
+    @pytest.mark.parametrize("env_branch", [1, 2])
+    def test_row_makes_no_evolve_and_no_dense_product(self, monkeypatch, env_branch):
         """No correlation split, no evolve of a total operator and no
         D x D Kronecker product: rows read the states as factor pairs."""
         spec = SpinChainSpec(sites=4, exchange=1.0, probe_exchange=0.8, field=0.05)
         sc = scenario(spec)
+        if env_branch == 2:
+            sc = witness.ScenarioPair(sc.state2, sc.state1, sc.propagator)
         calls = {"split": 0, "evolve": 0, "products": []}
         split, evolve, tensor_product = (
             states.correlation_split, sc.propagator.evolve, linalg.tensor_product
@@ -207,7 +209,7 @@ class TestChargeBlocks:
         monkeypatch.setattr(states, "correlation_split", recording_split)
         monkeypatch.setattr(sc.propagator, "evolve", recording_evolve)
         monkeypatch.setattr(linalg, "tensor_product", recording_product)
-        witness.evaluate_surface(sc, [0.0, 0.5, 1.0, 1.5], [0.0, 0.7], env_label=env_label)
+        witness.evaluate_surface(sc, [0.0, 0.5, 1.0, 1.5], [0.0, 0.7])
         assert calls == {"split": 0, "evolve": 0, "products": []}
 
 

@@ -103,16 +103,16 @@ class TestForecast:
 
     def test_swapped_environment_label(self, rng):
         sc = random_scenario(rng)
-        # both label choices are valid forecasts: contractive, equal at t'=0
-        for label in (1, 2):
-            assert forecast_distance(sc, 0.0, 0.8, env_label=label) == pytest.approx(
+        swapped = ScenarioPair(state1=sc.state2, state2=sc.state1, propagator=sc.propagator)
+        # either branch's environment gives a valid forecast: contractive,
+        # equal at t'=0; the swapped pair takes that of state2
+        for pair in (sc, swapped):
+            assert forecast_distance(pair, 0.0, 0.8) == pytest.approx(
                 reduced_distance(sc, 0.8), abs=1e-12
             )
-            assert forecast_distance(sc, 0.5, 0.8, env_label=label) <= reduced_distance(
+            assert forecast_distance(pair, 0.5, 0.8) <= reduced_distance(
                 sc, 0.8
             ) + 1e-9
-        with pytest.raises(ValueError, match="env_label"):
-            forecast_distance(sc, 0.5, 0.8, env_label=3)
 
 
 class TestInfluence:
@@ -168,6 +168,17 @@ class TestClassify:
 
     def test_degenerate_all_zero(self):
         assert classify_values(0.0, 0.0, 0.0) is Classification.INCREASE_IMPOSSIBLE
+
+    def test_zero_margin_allowed(self):
+        assert classify_values(1.0, 0.2, 0.1, eps=0.0) is Classification.GUARANTEED_INCREASE
+
+    @pytest.mark.parametrize("bad", [np.nan, -1.0, np.inf])
+    def test_bad_margin_rejected(self, bad, rng):
+        # NaN would label every cell Inconclusive, -1 and inf IncreaseImpossible
+        with pytest.raises(ValueError, match="eps must be finite and nonnegative"):
+            classify_values(0.5, 0.5, 0.2, eps=bad)
+        with pytest.raises(ValueError, match="eps must be finite and nonnegative"):
+            evaluate_surface(random_scenario(rng), [0.0, 0.5], [0.0, 0.5], eps=bad)
 
     def test_on_point(self, rng):
         sc = random_scenario(rng)
@@ -501,7 +512,7 @@ class TestInfluenceShortcut:
     """F, B and D(t + t') of a row against the paper's definitions, built
     densely from the correlation split of the states at t."""
 
-    @pytest.mark.parametrize("env_label", [1, 2])
+    @pytest.mark.parametrize("env_branch", [1, 2])
     @pytest.mark.parametrize("diagonal", [False, True], ids=["eigen", "diagonal"])
     @settings(max_examples=30, deadline=None, derandomize=True, database=None)
     @given(
@@ -511,7 +522,7 @@ class TestInfluenceShortcut:
         t=st.one_of(st.just(0.0), st.floats(0.0, 3.0)),
         tprime=st.floats(0.0, 3.0),
     )
-    def test_matches_dense_definition(self, env_label, diagonal, ds, de, seed, t, tprime):
+    def test_matches_dense_definition(self, env_branch, diagonal, ds, de, seed, t, tprime):
         rng = np.random.default_rng(seed)
         dim = ds * de
         if diagonal:
@@ -525,7 +536,7 @@ class TestInfluenceShortcut:
         )
         s1 = states.correlation_split(prop.evolve(sc.state1.op, t), ds, de)
         s2 = states.correlation_split(prop.evolve(sc.state2.op, t), ds, de)
-        kept, other = (s1, s2) if env_label == 1 else (s2, s1)
+        kept, other = (s1, s2) if env_branch == 1 else (s2, s1)
         x_forecast = np.kron(s1.system - s2.system, kept.environment)
         x_influence = (
             np.kron(other.system, s1.environment - s2.environment)
@@ -535,7 +546,9 @@ class TestInfluenceShortcut:
         def weight(x):
             return 0.5 * linalg.trace_norm(linalg.partial_trace(prop.evolve(x, tprime), ds, de))
 
-        p = evaluate_point(sc, tprime, t, env_label=env_label)
+        # the forecast keeps the environment of state1: swap the pair for state2's
+        pair = sc if env_branch == 1 else ScenarioPair(sc.state2, sc.state1, prop)
+        p = evaluate_point(pair, tprime, t)
         assert abs(p.forecast - weight(x_forecast)) <= 1e-12
         assert abs(p.influence - weight(x_influence)) <= 1e-12
         assert abs(p.d_next - reduced_distance(sc, t + tprime)) <= 1e-12
