@@ -9,6 +9,7 @@ indices, with no sub-grid refinement.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -104,8 +105,13 @@ def bloch_pair_grid(n_theta: int, n_phi: int) -> list[BlochPair]:
     antipode, since optimal pairs for distance-based measures are
     orthogonal. An odd ``n_theta`` puts the equator on the lattice.
     """
-    if n_theta < 1 or n_phi < 1:
-        raise ValueError("lattice must have at least one point per axis")
+    for name, count in (("n_theta", n_theta), ("n_phi", n_phi)):
+        try:
+            count = operator.index(count)
+        except TypeError:
+            raise ValueError(f"{name} must be an integer, got {count!r}") from None
+        if count < 1:
+            raise ValueError(f"lattice must have at least one point per axis, {name} = {count}")
     thetas = np.linspace(0.0, np.pi, n_theta)
     phis = np.linspace(0.0, 2.0 * np.pi, n_phi, endpoint=False)
     points = [(float(th), float(ph)) for th in thetas for ph in phis]

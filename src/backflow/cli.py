@@ -639,7 +639,7 @@ def _check_chain_conservation(rng):
 
 
 def _check_block_propagator(rng):
-    """The chain's charge-block propagator against the full-space one."""
+    """The chain's propagator on its subspace against the full-space one."""
     spec = SpinChainSpec(sites=4, exchange=1.0, probe_exchange=0.8, field=0.05)
     de = 2**spec.sites
     sc = spinchain.scenario(spec)

@@ -15,6 +15,7 @@ directly. The two routes must agree, which makes them mutually validating.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Union
 
@@ -238,6 +239,10 @@ def discretize(
     error of the resulting k is truncation-limited at roughly 2/(pi*window)
     once the grid is dense enough.
     """
+    try:
+        modes = operator.index(modes)
+    except TypeError:
+        raise ValueError(f"modes must be an integer, got {modes!r}") from None
     if modes < 2:
         raise ValueError(f"need at least 2 modes, got {modes}")
     if not 0.0 < window < np.inf:  # NaN compares false, so it fails too

@@ -131,14 +131,14 @@ def scenario(
     Both branches start as products with every environment spin in |0>, so
     all correlations seen later are built by the interaction. The chain
     conserves the number of excitations, and the propagator works on the
-    blocks of 0, 1 and 2 excitations (46 of 512 dimensions on 8 sites),
-    one eigensystem per block, shared across the whole time grid. Each
-    block of H is written straight from the hopping rule, and the states
-    stay factor pairs, so no total operator is formed.
+    states of at most two excitations (46 of 512 dimensions on 8 sites),
+    with one eigensystem of H on them shared across the whole time grid.
+    That block of H is written straight from the hopping rule, and the
+    states stay factor pairs, so no total operator is formed.
 
     The environment is passed as its amplitude vector e_0, so a call pays
     only for its pair: the two system factors and one O(2^N) norm check.
-    The block propagator depends on the chain alone, so scenarios on equal
+    The propagator depends on the chain alone, so scenarios on equal
     specs share one, read-only object.
     """
     if pair is None:
@@ -149,16 +149,20 @@ def scenario(
 
 @functools.lru_cache(maxsize=8)
 def _block_propagator(spec: SpinChainSpec) -> EigenPropagator:
-    """Propagator of the chain on its blocks of 0, 1 and 2 excitations.
+    """Propagator of the chain on its states of at most two excitations.
 
     The polarized environment carries no excitation and a probe state adds
     at most one, so the states stay in charges 0 and 1; a row operator
     Delta_S (x) rho_E(t) pairs an environment marginal of at most one
     excitation with a probe operator that adds at most one more. Whatever
-    falls outside is rejected when a propagator call gathers it.
-    Memoised, so the eigensystems and the kernels that ``reduced`` fills
-    in are computed once per chain.
+    falls outside is rejected when a propagator call gathers it, and
+    ``hamiltonian_block`` checks that H hops nowhere out of these states.
+    Memoised, so the eigensystem and the kernels that ``reduced`` fills in
+    are computed once per chain; the arrays built here are read-only, as
+    the propagator is shared.
     """
-    q = excitations(spec.dim)
-    blocks = [np.flatnonzero(q == c) for c in (0, 1, 2)]
-    return EigenPropagator.from_blocks([(b, hamiltonian_block(spec, b)) for b in blocks], spec.dim)
+    support = np.flatnonzero(excitations(spec.dim) <= 2)
+    eig = linalg.hermitian_eigensystem(hamiltonian_block(spec, support))
+    for array in (support, eig.values, eig.vectors):
+        array.flags.writeable = False
+    return EigenPropagator(eig, support, spec.dim)

@@ -64,12 +64,12 @@ def _positions(indices: np.ndarray, dim: int, name: str) -> np.ndarray:
 
 
 class EigenPropagator:
-    """exp(-i H t) on an H-invariant subspace made of conserved-charge blocks.
+    """exp(-i H t) on an H-invariant subspace.
 
     The subspace is spanned by the basis vectors ``support`` of the
     ``dim``-dimensional space, and ``eig`` is H restricted to it, rows and
     columns in the order of ``support``. A bare eigensystem of the full H
-    is the one-block case: the support is the whole space. Operators enter
+    is the case where the support is the whole space. Operators enter
     by an index gather onto the support; one with weight outside it raises
     InvariantViolation, because the subspace evolution would drop that part.
     A product given as its (system, environment) pair is gathered and
@@ -88,29 +88,8 @@ class EigenPropagator:
         if s.size != eig.dim:
             raise ValueError(f"support must list {eig.dim} basis indices, got {s.size}")
         self._support, self._dim, self._position = s, dim, _positions(s, dim, "support")
+        self._position.flags.writeable = False
         self._kernels: dict[tuple[int, int, int], np.ndarray] = {}
-
-    @classmethod
-    def from_blocks(cls, blocks, dim: int) -> EigenPropagator:
-        """Propagator on H-invariant blocks of a ``dim``-dimensional space,
-        each a pair (basis indices, H restricted to them), one eigensystem each.
-
-        Its eigensystem, support and position map are read-only, so a shared
-        propagator cannot be corrupted by a caller."""
-        eigs = [linalg.hermitian_eigensystem(h) for _, h in blocks]
-        support = np.concatenate([b for b, _ in blocks])
-        vectors = np.zeros((support.size, support.size), dtype=complex)
-        start = 0
-        for e in eigs:
-            vectors[start : start + e.dim, start : start + e.dim] = e.vectors
-            start += e.dim
-        values = np.concatenate([e.values for e in eigs])
-        order = np.argsort(values, kind="stable")
-        eig = HermitianEigenSystem(values=values[order], vectors=vectors[:, order])
-        prop = cls(eig, support, dim)
-        for a in (eig.values, eig.vectors, prop._support, prop._position):
-            a.flags.writeable = False
-        return prop
 
     @property
     def dim(self) -> int:
@@ -177,9 +156,7 @@ class EigenPropagator:
     def _kernel(self, a: int, b: int, ds: int) -> np.ndarray:
         """G^{ab}_{ij} = sum_e M_{ae,i} conj(M_{be,j}) for the dim x n mode
         matrix M (the eigenvector rows at the support positions, zero rows
-        outside); stored for a <= b only."""
-        if a > b:
-            return self._kernel(b, a, ds).conj().T
+        outside); ``reduced`` asks for a <= b only."""
         key = (ds, a, b)
         if key not in self._kernels:
             modes = np.vstack([self._eig.vectors, np.zeros(self._eig.dim)])
@@ -190,12 +167,14 @@ class EigenPropagator:
         return self._kernels[key]
 
     def reduced(self, mat, times, ds: int, de: int) -> np.ndarray:
-        """Tr_E[U(t) mat U(t)^dagger] at every t of ``times``; ``mat`` may be
-        a (system, environment) product pair, or a pair of stacks (1-d times).
+        """Tr_E[U(t) mat U(t)^dagger] at every t of ``times`` for a Hermitian
+        ``mat``; it may be a (system, environment) product pair, or a pair of
+        stacks (1-d times).
 
         With mat~ = V^dagger mat V on the subspace and phi = exp(-i w t),
         entry (a, b) is phi^T (mat~ o G^{ab}) conj(phi): one product over the
-        whole time grid per entry. Returns shape ``np.shape(times) + (ds, ds)``.
+        whole time grid per entry a <= b, and entry (b, a) is its conjugate.
+        Returns shape ``np.shape(times) + (ds, ds)``.
         """
         if ds * de != self._dim:
             raise ValueError(f"factors ({ds}, {de}) do not match dimension {self._dim}")
@@ -205,8 +184,9 @@ class EigenPropagator:
         conj = phi.conj()
         out = np.empty(x.shape[:-2] + phi.shape[:-1] + (ds, ds), dtype=complex)
         for a in range(ds):
-            for b in range(ds):
+            for b in range(a, ds):
                 out[..., a, b] = np.einsum("...i,...i", phi @ (x * self._kernel(a, b, ds)), conj)
+            out[..., a + 1 :, a] = out[..., a, a + 1 :].conj()
         return out
 
     def forecast(self, systems, mat, ts, tprimes, ds: int, de: int) -> np.ndarray:
@@ -240,7 +220,8 @@ class ScenarioPair:
     - ``dim``, the total dimension;
     - ``evolve(mat, t)``, U(t) mat U(t)^dagger;
     - ``reduced(mat, times, ds, de)``, Tr_E[U(t) mat U(t)^dagger] at every
-      t of ``times``, with shape ``np.shape(times) + (ds, ds)``;
+      t of ``times`` for a Hermitian ``mat``, with shape
+      ``np.shape(times) + (ds, ds)``;
     - ``forecast(systems, mat, ts, tprimes, ds, de)``, shape (T, T', ds, ds):
       Tr_E[U(t') (systems[k] (x) Tr_S[U(t) mat U(t)^dagger]) U(t')^dagger]
       at t = ts[k] and every t' of ``tprimes``.

@@ -152,6 +152,10 @@ class TestPairGrid:
     def test_bad_resolution(self):
         with pytest.raises(ValueError):
             bloch_pair_grid(0, 4)
+        for counts, name in (((2.5, 2), "n_theta"), ((float("nan"), 2), "n_theta"),
+                             ((2, 2.0), "n_phi")):
+            with pytest.raises(ValueError, match=f"{name} must be an integer"):
+                bloch_pair_grid(*counts)
 
 
 class TestMaximizedMeasure:

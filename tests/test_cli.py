@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import backflow
-from backflow import cli, spinchain
+from backflow import cli, linalg, spinchain
 from backflow.cli import (
     EXIT_CONFIG_ERROR,
     EXIT_INVARIANT,
@@ -221,6 +221,9 @@ path = {out}
                 assert cell == f"{float(cell):.15g}"
 
 
+OUTPUT = "\n[output]\npath = {out}\n"
+
+
 class TestConfigErrors:
     def test_unknown_preset(self):
         assert main(["run", "--preset", "nope"]) == EXIT_CONFIG_ERROR
@@ -283,6 +286,39 @@ class TestConfigErrors:
     @pytest.mark.parametrize(
         "text, expected",
         [
+            ("[scenario]\npreset = fig2a\n\n[t_grid]\nmin = zero\nmax = 1\ncount = 5\n"
+             + OUTPUT, "cannot parse 'zero' as a number"),
+            ("[scenario]\npreset = fig2a\n\n[t_grid]\nmin = 0\nmax = 1\ncount = 5.5\n"
+             + OUTPUT, "cannot parse '5.5' as an integer"),
+            ("[scenario]\npreset = fig2a\n\n[t_grid]\nmin = 0\nmax = 1\n" + OUTPUT,
+             "must define exactly min, max, count"),
+            ("[scenario]\npreset = fig2a\nomega0 = 1\n" + OUTPUT, "no extra scenario keys"),
+            ("[scenario]\nsites = 3\n" + OUTPUT, "either 'preset' or 'model'"),
+            ("[scenario]\nmodel = ising\n" + OUTPUT, "unknown model 'ising'"),
+            ("[t_grid]\nmin = 0\nmax = 1\ncount = 3\n" + OUTPUT, "[scenario] section"),
+            ("[scenario]\npreset = fig2b\n\n[tolerances]\nbogus = 1\n" + OUTPUT,
+             "unknown tolerance keys"),
+            ("[scenario]\npreset = fig2b\n" + OUTPUT + "colour = red\n", "unknown output keys"),
+            ("[scenario]\npreset = fig2b\n" + OUTPUT + "format = xml\n",
+             "output format must be csv or json"),
+        ],
+        ids=["float-unparsable", "int-unparsable", "grid-keys", "preset-extra-keys",
+             "no-preset-or-model", "unknown-model", "no-scenario", "unknown-tolerance",
+             "unknown-output-key", "format-xml"],
+    )
+    def test_bad_config_rejected(self, tmp_path, capsys, text, expected):
+        out = tmp_path / "out"
+        cfg = tmp_path / "bad.ini"
+        cfg.write_text(text.format(out=out))
+        assert main(["run", str(cfg)]) == EXIT_CONFIG_ERROR
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert expected in err
+        assert not (out / "summary.json").exists()
+
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
             ("model = single_lorentzian\nomega0 = 1\ndelta = -1.0\n", "width"),
             (
                 "model = double_lorentzian\nomega0_1 = 1\ndelta1 = 1\n"
@@ -332,10 +368,9 @@ def _propagator_without_the_vacuum(spec):
     """The chain's propagator on charges 1 and 2 only: the polarised initial
     pair has weight outside it."""
     q = spinchain.excitations(spec.dim)
-    blocks = [np.flatnonzero(q == c) for c in (1, 2)]
-    return EigenPropagator.from_blocks(
-        [(b, spinchain.hamiltonian_block(spec, b)) for b in blocks], spec.dim
-    )
+    s = np.concatenate([np.flatnonzero(q == c) for c in (1, 2)])
+    eig = linalg.hermitian_eigensystem(spinchain.hamiltonian_block(spec, s))
+    return EigenPropagator(eig, s, spec.dim)
 
 
 class TestInvariantExit:

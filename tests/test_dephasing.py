@@ -267,6 +267,9 @@ class TestDiscretize:
     def test_too_few_modes_rejected(self):
         with pytest.raises(ValueError, match="modes"):
             discretize(SINGLE, modes=1)
+        for modes in (16.5, float("nan"), 2.0):
+            with pytest.raises(ValueError, match="modes must be an integer"):
+                discretize(SINGLE, modes=modes)
 
     def test_bad_window_rejected(self):
         with pytest.raises(ValueError, match="window"):

@@ -590,8 +590,8 @@ class TestChargeBlocks:
     @staticmethod
     def block_propagator(h, charges, allowed):
         """Propagator of H on its blocks of the charges in ``allowed``."""
-        blocks = [np.flatnonzero(charges == c) for c in sorted(allowed)]
-        return EigenPropagator.from_blocks([(b, h[np.ix_(b, b)]) for b in blocks], len(h))
+        s = np.concatenate([np.flatnonzero(charges == c) for c in sorted(allowed)])
+        return EigenPropagator(linalg.hermitian_eigensystem(h[np.ix_(s, s)]), s, len(h))
 
     @settings(max_examples=40, deadline=None, derandomize=True, database=None)
     @given(
@@ -669,7 +669,8 @@ class TestChargeBlocks:
         ds, de = 2, 3
         h = random_hermitian_direct(ds * de, rng)
         block = np.array([0, 1, 3])  # (a, e) = (0, 0), (0, 1), (1, 0)
-        prop = EigenPropagator.from_blocks([(block, h[np.ix_(block, block)])], ds * de)
+        eig = linalg.hermitian_eigensystem(h[np.ix_(block, block)])
+        prop = EigenPropagator(eig, block, ds * de)
         env = np.zeros((de, de), dtype=complex)
         env[:2, :2] = random_density_direct(2, rng)
         mat = (np.diag([1.0, 0.0]).astype(complex), env)
@@ -703,8 +704,8 @@ def amplitude_block_propagator(rng, ds, de, n_charges, inside):
     on = np.isin(np.arange(dim) % de, inside)
     charges = np.where(on, rng.integers(1, n_charges + 1, size=dim), 0)
     h = random_hermitian_direct(dim, rng) * (charges[:, None] == charges)
-    blocks = [np.flatnonzero(charges == c) for c in np.unique(charges[on])]
-    return EigenPropagator.from_blocks([(b, h[np.ix_(b, b)]) for b in blocks], dim)
+    s = np.concatenate([np.flatnonzero(charges == c) for c in np.unique(charges[on])])
+    return EigenPropagator(linalg.hermitian_eigensystem(h[np.ix_(s, s)]), s, dim)
 
 
 class TestAmplitudeEnvironment:
