@@ -9,13 +9,12 @@ indices, with no sub-grid refinement.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
-from . import witness
+from . import linalg, witness
 from .states import pure_qubit
 from .witness import ScenarioPair
 
@@ -72,18 +71,10 @@ def increasing_intervals(times, values, rise_tol: float = DEFAULT_RISE_TOL) -> M
         raise ValueError("times and values must be finite")
     if ts.size > 1 and np.any(np.diff(ts) <= 0):
         raise ValueError("times must be strictly ascending")
-    rising = np.diff(vs) > rise_tol if ts.size > 1 else np.zeros(0, dtype=bool)
-    intervals: list[tuple[int, int]] = []
-    start = None
-    for i, up in enumerate(rising):
-        if up and start is None:
-            start = i
-        elif not up and start is not None:
-            intervals.append((start, i))
-            start = None
-    if start is not None:
-        intervals.append((start, len(rising)))
-    return MonotonicityProfile(times=ts, values=vs, intervals=tuple(intervals))
+    # A run of rising steps i..j-1 starts at edge i and stops at edge j of the padded mask.
+    edges = np.flatnonzero(np.diff(np.concatenate([[False], np.diff(vs) > rise_tol, [False]])))
+    intervals = tuple(zip(edges[::2].tolist(), edges[1::2].tolist()))
+    return MonotonicityProfile(times=ts, values=vs, intervals=intervals)
 
 
 def nm_measure_fixed_pair(sc: ScenarioPair, times) -> float:
@@ -106,11 +97,7 @@ def bloch_pair_grid(n_theta: int, n_phi: int) -> list[BlochPair]:
     orthogonal. An odd ``n_theta`` puts the equator on the lattice.
     """
     for name, count in (("n_theta", n_theta), ("n_phi", n_phi)):
-        try:
-            count = operator.index(count)
-        except TypeError:
-            raise ValueError(f"{name} must be an integer, got {count!r}") from None
-        if count < 1:
+        if linalg._require_integer(count, name) < 1:
             raise ValueError(f"lattice must have at least one point per axis, {name} = {count}")
     thetas = np.linspace(0.0, np.pi, n_theta)
     phis = np.linspace(0.0, 2.0 * np.pi, n_phi, endpoint=False)

@@ -15,7 +15,6 @@ directly. The two routes must agree, which makes them mutually validating.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from typing import Union
 
@@ -239,10 +238,7 @@ def discretize(
     error of the resulting k is truncation-limited at roughly 2/(pi*window)
     once the grid is dense enough.
     """
-    try:
-        modes = operator.index(modes)
-    except TypeError:
-        raise ValueError(f"modes must be an integer, got {modes!r}") from None
+    modes = linalg._require_integer(modes, "modes")
     if modes < 2:
         raise ValueError(f"need at least 2 modes, got {modes}")
     if not 0.0 < window < np.inf:  # NaN compares false, so it fails too
@@ -293,34 +289,41 @@ class DiagonalPropagator:
         p = np.exp(1j * self._rates * float(t))
         return mat * np.outer(p, p.conj())
 
-    def _level_blocks(self, mat, ds: int, de: int) -> np.ndarray:
-        """The entries mat[(a, e), (b, e)] as an array [a, b, e]; ``mat`` may
-        be a (system, environment) product pair."""
+    def _split(self, mat, ds: int, de: int):
+        """A product pair as (system, pop): its system factor and environment
+        populations, |psi|^2 for amplitudes psi. A dense operand as (None,
+        blocks), its entries mat[(a, e), (b, e)] as an array [a, b, e]."""
         if ds * de != self.dim:
             raise ValueError(f"factors ({ds}, {de}) do not match dimension {self.dim}")
         if isinstance(mat, tuple):
             system, env = (np.asarray(f) for f in mat)
             if system.shape == (ds, ds) and env.shape in ((de,), (de, de)):
-                pop = np.abs(env) ** 2 if env.ndim == 1 else np.diagonal(env)
-                return np.multiply.outer(system, pop)
+                return system, np.abs(env) ** 2 if env.ndim == 1 else np.diagonal(env)
         elif np.shape(mat) == (self.dim, self.dim):
-            return np.einsum("aebe->abe", np.reshape(mat, (ds, de, ds, de)))
+            return None, np.einsum("aebe->abe", np.reshape(mat, (ds, de, ds, de)))
         raise ValueError(f"operator shapes do not match factors ({ds}, {de})")
 
-    def _twist(self, diag: np.ndarray, times, ds: int, de: int) -> np.ndarray:
-        """sum_e diag[a, b, e] p_{ae}(t) conj(p_{be}(t)) at every t of ``times``."""
+    def _phases(self, times, ds: int, de: int) -> np.ndarray:
+        """p[..., a, e] = exp(i rates[(a, e)] t) at every t of ``times``."""
         ts = np.asarray(times, dtype=float)
-        p = np.exp(1j * np.multiply.outer(ts, self._rates)).reshape(ts.shape + (ds, de))
-        return np.einsum("...ae,abe,...be->...ab", p, diag, p.conj())
+        return np.exp(1j * np.multiply.outer(ts, self._rates)).reshape(ts.shape + (ds, de))
 
     def reduced(self, mat, times, ds: int, de: int) -> np.ndarray:
         """Tr_E[U(t) mat U(t)^dagger] at every t of ``times``.
 
         Only the entries mat[(a, e), (b, e)] reach the reduced state, each
-        twisted by the phases of its two levels: O(dim) work per time.
-        Returns shape ``np.shape(times) + (ds, ds)``.
+        twisted by the phases of its two levels: O(dim) work per time. For a
+        product pair, entry (a, b) is system[a, b] times c_ab(t) = sum_e pop[e]
+        p_ae(t) conj(p_be(t)), one batched (ds, de) @ (de, ds) product over the
+        times; a dense operand keeps a three-operand contraction. Returns
+        shape ``np.shape(times) + (ds, ds)``.
         """
-        return self._twist(self._level_blocks(mat, ds, de), times, ds, de)
+        system, env = self._split(mat, ds, de)
+        p = self._phases(times, ds, de)
+        if system is None:
+            return np.einsum("...ae,abe,...be->...ab", p, env, p.conj())
+        q = p * env  # then p is conjugated in place, one phase-sized array fewer
+        return system * (q @ np.swapaxes(np.conjugate(p, out=p), -1, -2))
 
     def forecast(self, systems, mat, ts, tprimes, ds: int, de: int) -> np.ndarray:
         """Tr_E[U(t') (systems[k] (x) Tr_S[U(t) mat U(t)^dagger]) U(t')^dagger]
@@ -328,14 +331,18 @@ class DiagonalPropagator:
 
         Only the environment populations pop[e] = sum_a mat[(a, e), (a, e)]
         reach it, the same at every t, so ``ts`` sets only the shape: entry
-        (a, b) is systems[k][a, b] times c_ab(t') = sum_e pop[e] p_ae(t')
-        conj(p_be(t')), one multiplier for every t, O(ds * de) work per t'.
+        (a, b) is systems[k][a, b] times c_ab(t'), the product ``reduced``
+        forms, one multiplier for every t. A product pair gives pop as
+        tr(system) times its environment populations; a dense pop may be
+        negative, so no square root of it is taken.
         """
-        pop = np.einsum("aae->e", self._level_blocks(mat, ds, de))
+        system, env = self._split(mat, ds, de)
+        pop = np.einsum("aae->e", env) if system is None else np.trace(system) * env
         systems = np.asarray(systems)
         if systems.shape != np.shape(ts) + (ds, ds):
             raise ValueError(f"systems of shape {systems.shape} do not match times and factors")
-        return systems[..., None, :, :] * self._twist(np.ones((ds, ds, 1)) * pop, tprimes, ds, de)
+        p = self._phases(tprimes, ds, de)
+        return systems[..., None, :, :] * ((p * pop) @ np.swapaxes(p, -1, -2).conj())
 
 
 def full_model(

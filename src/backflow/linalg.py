@@ -9,6 +9,7 @@ functions are pure; arrays passed in are never mutated.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Literal
 
@@ -24,6 +25,14 @@ EIG_RESIDUAL_TOL = 1e-9
 # Largest total dimension a model may store densely: one complex matrix of
 # this size takes 256 MiB, and a point holds several.
 DENSE_DIM_CAP = 4096
+
+
+def _require_integer(value, name: str) -> int:
+    """``value`` as an int; a ValueError naming ``name`` unless it is one."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 def as_complex_matrix(a) -> np.ndarray:
@@ -47,16 +56,18 @@ def require_hermitian(a, name: str = "matrix") -> np.ndarray:
     to eigensolve.
 
     A defect max|A - A^dagger| above HERMITICITY_TOL, or NaN, is rejected
-    with a ValueError that names the failing member of a stack.
-    """
+    with a ValueError that names the failing member of a stack. One maximum,
+    which propagates NaN, checks the whole stack; only a rejected stack is
+    reduced member by member."""
     m = np.asarray(a, dtype=complex)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise ValueError(f"expected a square matrix or a stack of them, got shape {m.shape}")
     adjoint = np.swapaxes(m, -1, -2).conj()
     with np.errstate(invalid="ignore"):  # inf - inf is NaN, which the check rejects
-        defect = np.abs(m - adjoint).max(axis=(-2, -1), initial=0.0)
-    bad = np.flatnonzero(~(defect <= HERMITICITY_TOL))
-    if bad.size:
+        gap = np.abs(m - adjoint)
+    if not gap.max(initial=0.0) <= HERMITICITY_TOL:
+        defect = gap.max(axis=(-2, -1), initial=0.0)
+        bad = np.flatnonzero(~(defect <= HERMITICITY_TOL))
         index = tuple(int(i) for i in np.unravel_index(bad[0], defect.shape))
         where = f" {index} of the stack" if index else ""
         raise ValueError(

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,10 +37,7 @@ class SpinChainSpec:
     field: float = 0.0
 
     def __post_init__(self):
-        try:
-            object.__setattr__(self, "sites", operator.index(self.sites))
-        except TypeError:
-            raise ValueError(f"sites must be an integer, got {self.sites!r}") from None
+        object.__setattr__(self, "sites", linalg._require_integer(self.sites, "sites"))
         if not self.sites >= 1:
             raise ValueError(f"need at least one environment site, got {self.sites}")
         if not 0 < self.exchange < math.inf:

@@ -51,6 +51,7 @@ class BipartiteState:
     """
 
     def __init__(self, op, ds: int, de: int):
+        ds, de = linalg._require_integer(ds, "ds"), linalg._require_integer(de, "de")
         if ds < 1 or de < 1:
             raise ValueError(f"factor dimensions must be positive, got ({ds}, {de})")
         m = linalg.as_complex_matrix(op)

@@ -25,6 +25,7 @@ and two sharing one environment factor take one ``reduced`` call, on
 
 from __future__ import annotations
 
+import math
 from dataclasses import InitVar, dataclass, field, fields
 from enum import Enum
 
@@ -84,7 +85,7 @@ class EigenPropagator:
     def __init__(self, eig: HermitianEigenSystem, support=None, dim: int | None = None):
         self._eig = eig
         s = np.arange(eig.dim) if support is None else np.asarray(support)
-        dim = eig.dim if dim is None else int(dim)
+        dim = eig.dim if dim is None else linalg._require_integer(dim, "dim")
         if s.size != eig.dim:
             raise ValueError(f"support must list {eig.dim} basis indices, got {s.size}")
         self._support, self._dim, self._position = s, dim, _positions(s, dim, "support")
@@ -205,7 +206,8 @@ class EigenPropagator:
         phi = np.exp(-1j * np.multiply.outer(np.asarray(ts, dtype=float), self._eig.values))
         x = v.conj().T @ self._gather(mat, de) @ v
         modes = np.vstack([v, np.zeros(len(v))])  # position -1 reads the zero row
-        levels = self._position.reshape(ds, de)[:, np.unique(self._support % de)]
+        reached = np.bincount(self._support % de, minlength=de) > 0  # np.unique imports numpy.ma
+        levels = self._position.reshape(ds, de)[:, reached]
         rho = modes @ (x * phi[..., :, None] * phi[..., None, :].conj()) @ modes.conj().T
         rho = sum(rho[..., p[:, None], p] for p in levels)  # Tr_S; frees the evolved block
         return self.reduced((systems, rho), tprimes, ds, de)
@@ -404,11 +406,16 @@ def evolve_pair(sc: ScenarioPair, t: float) -> tuple[BipartiteState, BipartiteSt
 
 
 def _require_times(times, name: str = "time") -> np.ndarray:
-    """Times as a float array, rejecting non-finite and negative entries."""
+    """Times as a float array, rejecting non-finite and negative entries; a
+    single time is checked as a Python float, faster than by array reductions."""
     ts = np.asarray(times, dtype=float)
-    if not np.all(np.isfinite(ts)):
+    if ts.ndim:
+        finite, negative = np.all(np.isfinite(ts)), np.any(ts < 0)
+    else:
+        finite, negative = math.isfinite(x := float(ts)), x < 0
+    if not finite:
         raise ValueError(f"{name} must be finite, got {times}")
-    if np.any(ts < 0):
+    if negative:
         raise ValueError(f"{name} must be nonnegative, got {times}")
     return ts
 

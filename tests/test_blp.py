@@ -81,6 +81,24 @@ class TestIncreasingIntervals:
         with pytest.raises(ValueError, match="finite"):
             increasing_intervals([0.0, 1.0, 2.0], [0.1, bad, 0.3])
 
+    def test_matches_a_stepwise_scan(self, rng):
+        def scan(values, rise_tol):
+            intervals, start = [], None
+            for i, up in enumerate(np.diff(values) > rise_tol):
+                if up and start is None:
+                    start = i
+                elif not up and start is not None:
+                    intervals.append((start, i))
+                    start = None
+            return tuple(intervals) + (((start, len(values) - 1),) if start is not None else ())
+
+        for n in [0, 1, 2, 3, 8, 40] * 5:
+            values = rng.integers(0, 3, size=n) * 0.1
+            for rise_tol in (0.0, 0.15):
+                got = increasing_intervals(np.arange(float(n)), values, rise_tol).intervals
+                assert got == scan(values, rise_tol)
+                assert all(type(i) is int for pair in got for i in pair)
+
     def test_split_centers_coherence_revives(self):
         ts = np.linspace(0.0, 3.0, 100)
         profile = increasing_intervals(ts, np.abs(dephasing_function(SPLIT_CENTERS, ts)))

@@ -481,6 +481,21 @@ class TestAudit:
         assert f"{len(cli.AUDIT_CHECKS) - 1}/{len(cli.AUDIT_CHECKS)} checks passed" in proc.stdout
 
 
+def test_fig3_does_not_import_numpy_ma(tmp_path):
+    # numpy.ma costs about 10 ms of start-up; a plain np.unique imports it on numpy >= 2.3
+    script = (
+        "import sys\n"
+        "from backflow import cli\n"
+        f"assert cli.main(['run', '--preset', 'fig3', '--out', {str(tmp_path)!r}]) == 0\n"
+        "sys.exit('numpy.ma' in sys.modules)\n"
+    )
+    src = str(Path(backflow.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_all_cheap_presets_run(tmp_path):
     # fig3 runs at its default grid in the acceptance suite
     for name in ("semigroup", "fig2a", "fig2b", "fig2c", "bell-check"):

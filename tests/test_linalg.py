@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -178,15 +180,19 @@ class TestTraceNorm:
         assert isinstance(linalg.trace_norm(stack[0, 0]), float)
         assert linalg.trace_norm(np.zeros((0, 2, 2))).shape == (0,)
 
-    @pytest.mark.parametrize("bad", [np.nan, "anti-Hermitian"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, "anti-Hermitian"])
     def test_stack_rejects_one_bad_member(self, rng, bad):
-        stack = np.stack([random_hermitian_direct(2, rng) for _ in range(3)])
-        if bad == "anti-Hermitian":
-            stack[1, 0, 1] += 1e-3
-        else:
-            stack[1, 0, 0] = bad
-        with pytest.raises(ValueError, match=r"matrix \(1,\) of the stack is not Hermitian"):
-            linalg.trace_norm(stack)
+        # inf - inf is NaN: rejected, with no RuntimeWarning (warnings are errors here)
+        for shape, member in (((3,), (1,)), ((2, 3), (1, 2))):
+            stack = np.stack([random_hermitian_direct(2, rng) for _ in np.ndindex(shape)])
+            stack = stack.reshape(shape + (2, 2))
+            if bad == "anti-Hermitian":
+                stack[member + (0, 1)] += 1e-3
+            else:
+                stack[member + (0, 0)] = bad
+            where = re.escape(f"matrix {member} of the stack is not Hermitian")
+            with pytest.raises(ValueError, match=where):
+                linalg.trace_norm(stack)
 
     def test_stack_needs_square_members(self):
         with pytest.raises(ValueError, match="square"):

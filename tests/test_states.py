@@ -32,6 +32,11 @@ class TestBipartiteState:
         with pytest.raises(ValueError, match="Hermitian"):
             BipartiteState(m, 2, 2)
 
+    @pytest.mark.parametrize("ds, de, name", [(2.0, 2, "ds"), (2, np.nan, "de"), (2, "2", "de")])
+    def test_rejects_non_integer_factors(self, ds, de, name):
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            BipartiteState(np.eye(4) / 4, ds, de)
+
     def test_rejects_wrong_trace(self):
         with pytest.raises(ValueError, match="trace"):
             BipartiteState(np.eye(4), 2, 2)

@@ -281,6 +281,8 @@ class TestSurface:
         sc = random_scenario(rng)
         surf = evaluate_surface(sc, [0.7], [0.3])
         assert surf.point(0, 0) == evaluate_point(sc, 0.3, 0.7)
+        assert evaluate_point(sc, np.float64(0.3), np.array(0.7)) == surf.point(0, 0)
+        assert evaluate_point(sc, np.array(0.3), np.float64(0.7)) == surf.point(0, 0)
         assert surf.classification_counts()[surf.point(0, 0).label.value] == 1
 
     def test_grid_shape_and_rows(self, rng):
@@ -350,6 +352,15 @@ class TestSurface:
             evaluate_surface(sc, [0.0, bad], [0.0])
         with pytest.raises(ValueError, match="finite"):
             evaluate_surface(sc, [0.0], [0.0, bad])
+
+    @pytest.mark.parametrize("bad, problem", [(np.nan, "finite"), (np.inf, "finite"),
+                                              (-np.inf, "finite"), (-0.1, "nonnegative")])
+    def test_point_rejects_bad_times(self, rng, bad, problem):
+        sc = random_scenario(rng)
+        with pytest.raises(ValueError, match=f"^time must be {problem}"):
+            evaluate_point(sc, 0.3, bad)
+        with pytest.raises(ValueError, match=f"^time step must be {problem}"):
+            evaluate_point(sc, bad, 0.7)
 
 
 class TestReducedDistance:
@@ -687,13 +698,18 @@ class TestChargeBlocks:
             with pytest.raises(witness.InvariantViolation, match="outside"):
                 prop.forecast(systems, mat, [0.0, 0.8], [0.0, 0.8], ds, de)
 
+    supports = [[0, 0], [0, 6], [-1, 2], [0, 1, 2], [0.0, 1.0], [0.5, 1.0], [True, False]]
+
     @pytest.mark.parametrize(
-        "support", [[0, 0], [0, 6], [-1, 2], [0, 1, 2], [0.0, 1.0], [0.5, 1.0], [True, False]]
+        "support, dim, match",
+        [(s, 6, "support") for s in supports]
+        + [([0, 1], 2.7, "dim must be an integer"), ([0, 1], np.nan, "dim must be an integer")],
+        ids=[f"support{i}" for i in range(len(supports))] + ["dim2.7", "dim-nan"],
     )
-    def test_rejects_bad_support(self, rng, support):
+    def test_rejects_bad_support(self, rng, support, dim, match):
         eig = linalg.hermitian_eigensystem(random_hermitian_direct(2, rng))
-        with pytest.raises(ValueError, match="support"):
-            EigenPropagator(eig, support, 6)
+        with pytest.raises(ValueError, match=match):
+            EigenPropagator(eig, support, dim)
 
 
 def amplitude_block_propagator(rng, ds, de, n_charges, inside):
