@@ -257,12 +257,10 @@ class DiagonalPropagator:
 
     Time-homogeneous like the eigensystem-backed propagator, but
     conjugation is an elementwise phase twist, so no dense unitary is ever
-    materialized. Its reduced states read only the environment-diagonal
-    entries of an operator. Its ``forecast`` reads only the environment
-    populations of ``mat``, which do not depend on t: a diagonal U leaves
-    the diagonal of U mat U^dagger unchanged. A product given as its
-    (system, environment) pair is read as the system factor and the
-    diagonal of the environment factor, |psi|^2 for amplitudes psi.
+    materialized. Only the level blocks w[a, b, e] = mat[(a, e), (b, e)] of
+    an operator reach a reduced state, as the coherences c_ab(t) =
+    sum_e w[a, b, e] exp(i (r_ae - r_be) t). A product pair has w[a, b, e] =
+    system[a, b] pop[e], with pop its environment populations (|psi|^2).
     """
 
     def __init__(self, rates):
@@ -303,46 +301,45 @@ class DiagonalPropagator:
             return None, np.einsum("aebe->abe", np.reshape(mat, (ds, de, ds, de)))
         raise ValueError(f"operator shapes do not match factors ({ds}, {de})")
 
-    def _phases(self, times, ds: int, de: int) -> np.ndarray:
-        """p[..., a, e] = exp(i rates[(a, e)] t) at every t of ``times``."""
+    def _coherences(self, w, times, ds: int, de: int) -> np.ndarray:
+        """c[..., a, b] = sum_e w[a, b, e] exp(i (r_ae - r_be) t) at every t of
+        ``times``, a 1-d w standing for w[e] at every (a, b). w is Hermitian in
+        (a, b), so exponentials are taken for a < b only: c_ba = conj(c_ab),
+        and c_aa = sum_e w[a, a, e] does not turn."""
         ts = np.asarray(times, dtype=float)
-        return np.exp(1j * np.multiply.outer(ts, self._rates)).reshape(ts.shape + (ds, de))
+        rates = self._rates.reshape(ds, de)
+        c = np.empty(ts.shape + (ds, ds), dtype=complex)
+        np.einsum("...aa->...a", c)[...] = w.sum() if w.ndim == 1 else np.einsum("aae->a", w)
+        for a in range(ds - 1):
+            turns = np.multiply.outer(1j * ts, rates[a] - rates[a + 1:])  # (..., ds - a - 1, de)
+            np.exp(turns, out=turns)
+            row = turns @ w if w.ndim == 1 else np.einsum("...be,be->...b", turns, w[a, a + 1:])
+            c[..., a, a + 1:] = row
+            c[..., a + 1:, a] = row.conj()
+        return c
 
     def reduced(self, mat, times, ds: int, de: int) -> np.ndarray:
-        """Tr_E[U(t) mat U(t)^dagger] at every t of ``times``.
-
-        Only the entries mat[(a, e), (b, e)] reach the reduced state, each
-        twisted by the phases of its two levels: O(dim) work per time. For a
-        product pair, entry (a, b) is system[a, b] times c_ab(t) = sum_e pop[e]
-        p_ae(t) conj(p_be(t)), one batched (ds, de) @ (de, ds) product over the
-        times; a dense operand keeps a three-operand contraction. Returns
-        shape ``np.shape(times) + (ds, ds)``.
-        """
-        system, env = self._split(mat, ds, de)
-        p = self._phases(times, ds, de)
-        if system is None:
-            return np.einsum("...ae,abe,...be->...ab", p, env, p.conj())
-        q = p * env  # then p is conjugated in place, one phase-sized array fewer
-        return system * (q @ np.swapaxes(np.conjugate(p, out=p), -1, -2))
+        """Tr_E[U(t) mat U(t)^dagger] at every t of ``times``, with shape
+        ``np.shape(times) + (ds, ds)``: the coherences of the level blocks of a
+        Hermitian ``mat``, or ``system * c`` for a product pair, with c those of
+        its populations, one (T, de) @ (de,) product per level pair a < b."""
+        system, w = self._split(mat, ds, de)
+        c = self._coherences(w, times, ds, de)
+        return c if system is None else system * c
 
     def forecast(self, systems, mat, ts, tprimes, ds: int, de: int) -> np.ndarray:
         """Tr_E[U(t') (systems[k] (x) Tr_S[U(t) mat U(t)^dagger]) U(t')^dagger]
-        at t = ts[k] and every t' of ``tprimes``, with shape (T, T', ds, ds).
-
-        Only the environment populations pop[e] = sum_a mat[(a, e), (a, e)]
-        reach it, the same at every t, so ``ts`` sets only the shape: entry
-        (a, b) is systems[k][a, b] times c_ab(t'), the product ``reduced``
-        forms, one multiplier for every t. A product pair gives pop as
-        tr(system) times its environment populations; a dense pop may be
-        negative, so no square root of it is taken.
-        """
-        system, env = self._split(mat, ds, de)
-        pop = np.einsum("aae->e", env) if system is None else np.trace(system) * env
+        at t = ts[k] and every t' of ``tprimes``, with shape (T, T', ds, ds):
+        systems[k] times the coherences c(t') of the environment populations
+        pop[e] = sum_a mat[(a, e), (a, e)] of a Hermitian ``mat``, tr(system)
+        times those of the factor for a product pair. A diagonal U moves no
+        population, so one c serves every t and ``ts`` sets only the shape."""
+        system, w = self._split(mat, ds, de)
+        pop = np.einsum("aae->e", w) if system is None else np.trace(system) * w
         systems = np.asarray(systems)
         if systems.shape != np.shape(ts) + (ds, ds):
             raise ValueError(f"systems of shape {systems.shape} do not match times and factors")
-        p = self._phases(tprimes, ds, de)
-        return systems[..., None, :, :] * ((p * pop) @ np.swapaxes(p, -1, -2).conj())
+        return systems[..., None, :, :] * self._coherences(pop, tprimes, ds, de)
 
 
 def full_model(

@@ -47,7 +47,10 @@ def hermitian_part(a) -> np.ndarray:
     m = as_complex_matrix(a)
     if m.shape[0] != m.shape[1]:
         raise ValueError(f"matrix must be square, got shape {m.shape}")
-    return (m + m.conj().T) / 2.0
+    h = np.conjugate(m.T, order="C")  # a new contiguous adjoint, summed and halved in place
+    h += m
+    h /= 2.0
+    return h
 
 
 def require_hermitian(a, name: str = "matrix") -> np.ndarray:
@@ -62,7 +65,7 @@ def require_hermitian(a, name: str = "matrix") -> np.ndarray:
     m = np.asarray(a, dtype=complex)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise ValueError(f"expected a square matrix or a stack of them, got shape {m.shape}")
-    adjoint = np.swapaxes(m, -1, -2).conj()
+    adjoint = np.conjugate(np.swapaxes(m, -1, -2), order="C")  # new and contiguous
     with np.errstate(invalid="ignore"):  # inf - inf is NaN, which the check rejects
         gap = np.abs(m - adjoint)
     if not gap.max(initial=0.0) <= HERMITICITY_TOL:
@@ -74,7 +77,9 @@ def require_hermitian(a, name: str = "matrix") -> np.ndarray:
             f"{name}{where} is not Hermitian: defect {float(defect[index]):.3e} "
             f"exceeds {HERMITICITY_TOL:.1e}"
         )
-    return (m + adjoint) / 2.0
+    adjoint += m
+    adjoint /= 2.0
+    return adjoint
 
 
 def tensor_product(a, b) -> np.ndarray:
@@ -132,14 +137,13 @@ def nonzero_block(m: np.ndarray) -> np.ndarray:
 
 
 def trace_norm(a):
-    """Sum of absolute eigenvalues of the Hermitian part of ``a``.
-
-    The input passes ``require_hermitian`` before eigensolving. A single
-    matrix gives a float; its check and eigensolve see only its rows and
-    columns that are not exactly zero, as a dropped index, zero in row and
-    column, adds no defect and a zero eigenvalue. A stack of shape
-    ``(..., n, n)`` gives an array of shape ``(...)`` from one batched
-    eigensolve, with the check made per matrix.
+    """Sum of absolute eigenvalues of the Hermitian part H of ``a``, which
+    passes ``require_hermitian`` first. A 2 x 2 H has eigenvalues (tr H +- r)/2,
+    r = hypot(h00 - h11, 2|h01|), so its norm is max(|tr H|, r); a larger one
+    is eigensolved. A single matrix gives a float; its check and norm see only
+    its rows and columns that are not exactly zero, as a dropped index, zero in
+    row and column, adds no defect and a zero eigenvalue. A stack of shape
+    ``(..., n, n)`` gives an array of shape ``(...)``, checked per matrix.
     """
     m = np.asarray(a, dtype=complex)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
@@ -147,9 +151,14 @@ def trace_norm(a):
     if m.ndim == 2:
         m = nonzero_block(m)
     sym = require_hermitian(m)
-    if m.ndim > 2:
-        return np.abs(np.linalg.eigvalsh(sym)).sum(axis=-1)
-    return float(np.sum(np.abs(np.linalg.eigvalsh(sym)))) if sym.size else 0.0
+    if sym.shape[-1] == 2:
+        h00, h11 = sym[..., 0, 0].real, sym[..., 1, 1].real
+        norms = np.maximum(np.abs(h00 + h11), np.hypot(h00 - h11, 2 * np.abs(sym[..., 0, 1])))
+    elif sym.size:
+        norms = np.abs(np.linalg.eigvalsh(sym)).sum(axis=-1)
+    else:
+        norms = np.zeros(sym.shape[:-2])
+    return norms if m.ndim > 2 else float(norms)
 
 
 def trace_distance(r1, r2) -> float:

@@ -25,6 +25,8 @@ from backflow.spinchain import SpinChainSpec
 from backflow.states import plus_minus_pair
 from backflow.witness import Classification
 
+from conftest import random_density_direct, random_hermitian_direct
+
 SINGLE = SingleLorentzian(omega0=1.0, delta=1.0)
 EQUAL_CENTERS = DoubleLorentzian(omega0_1=1.0, delta1=1.0, omega0_2=1.0, delta2=10.0, r=1.0)
 SPLIT_CENTERS = DoubleLorentzian(omega0_1=1.0, delta1=1.0, omega0_2=9.0, delta2=1.0, r=1.0)
@@ -418,6 +420,44 @@ class TestFullModel:
             assert np.max(np.abs(getattr(got, column) - getattr(want, column))) <= 1e-12
         assert np.array_equal(got.labels, want.labels)
         assert peak < 32 * 2**20
+
+    def test_default_modes_surface_peaks_below_12_mib(self):
+        """The surface's coherences hold one exponential per mode, time and
+        level pair a < b: at 2,048 modes the 40 x 40 grid peaks below 12 MiB."""
+        sc = full_model(discretize(SPLIT_CENTERS))
+        grid = np.linspace(0.0, 3.0, 40)
+        witness.evaluate_surface(sc, grid, grid)  # warm-up
+        tracemalloc.start()
+        try:
+            witness.evaluate_surface(sc, grid, grid)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 12 * 2**20
+
+    def test_exponentials_only_for_level_pairs_above_the_diagonal(self, monkeypatch, rng):
+        """A product pair takes T * dE * ds(ds - 1)/2 complex exponentials:
+        768 for a 256-mode point (t, t + t' in ``reduced``, t' in ``forecast``),
+        as c_aa needs none and c_ba is the conjugate of c_ab."""
+        sizes = []
+        exp = np.exp
+
+        def recording_exp(x, *args, **kwargs):
+            sizes.append(np.size(x))
+            return exp(x, *args, **kwargs)
+
+        sc = full_model(discretize(SPLIT_CENTERS, modes=256, window=40.0))
+        monkeypatch.setattr(np, "exp", recording_exp)
+        witness.evaluate_point(sc, 0.7, 1.3)
+        assert sum(sizes) == 3 * 256 * 1
+        ds, de, times = 3, 5, [0.0, 0.4, 1.1, 2.0]
+        prop = DiagonalPropagator(rng.normal(size=ds * de))
+        system = random_hermitian_direct(ds, rng)
+        for env in (rng.normal(size=de), random_density_direct(de, rng)):
+            sizes.clear()
+            prop.reduced((system, env), times, ds, de)
+            prop.forecast(np.stack([system] * 2), (system, env), [0.2, 0.5], times, ds, de)
+            assert sum(sizes) == 2 * len(times) * de * ds * (ds - 1) // 2
 
     def test_model_allocates_only_its_environment_factor(self):
         """At the default 2,048 modes the states stay factor pairs and the

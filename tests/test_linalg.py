@@ -2,6 +2,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from backflow import linalg, states
 
@@ -208,6 +210,75 @@ class TestTraceNorm:
             na, nb, nd = linalg.trace_norm(a), linalg.trace_norm(b), linalg.trace_norm(a - b)
             assert abs(na - nb) <= nd + 1e-10
             assert nd <= na + nb + 1e-10
+
+
+def _eigenvalue_norms(h):
+    return np.abs(np.linalg.eigvalsh(h)).sum(-1)
+
+
+class TestQubitTraceNorm:
+    """The closed form max(|tr H|, hypot(h00 - h11, 2|h01|)) of a 2 x 2 stack
+    against the sum of absolute eigenvalues."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(
+        shape=st.lists(st.integers(1, 4), min_size=0, max_size=2),
+        seed=st.integers(0, 2**32 - 1),
+        exponent=st.integers(-150, 150),
+    )
+    def test_matches_the_eigenvalue_sum(self, shape, seed, exponent):
+        rng = np.random.default_rng(seed)
+        a = rng.normal(size=(*shape, 2, 2)) + 1j * rng.normal(size=(*shape, 2, 2))
+        h = (a + np.conj(np.swapaxes(a, -1, -2))) * 10.0**exponent
+        got, want = linalg.trace_norm(h), _eigenvalue_norms(h)
+        assert np.shape(got) == np.shape(want)
+        assert np.all(np.abs(got - want) <= 1e-14 * want)
+
+    def test_special_matrices(self, rng):
+        v = rng.normal(size=2) + 1j * rng.normal(size=2)
+        cases = {
+            "zero": np.zeros((2, 2)),
+            "degenerate": np.diag([-0.7, -0.7]),
+            "rank-one": np.outer(v, v.conj()),
+            "traceless": np.array([[0.3, 0.4 - 0.2j], [0.4 + 0.2j, -0.3]]),
+        }
+        stack = np.stack(list(cases.values())).astype(complex)
+        np.testing.assert_allclose(linalg.trace_norm(stack), [0.0, 1.4, np.vdot(v, v).real,
+                                                               2 * np.sqrt(0.09 + 0.2)],
+                                   rtol=1e-14, atol=0)
+        assert linalg.trace_norm(stack)[0] == 0.0
+        for h in cases.values():
+            assert abs(linalg.trace_norm(h) - _eigenvalue_norms(h)) <= 1e-14 * _eigenvalue_norms(h)
+
+    @pytest.mark.parametrize("scale", [1e150, 1e-150, 1e300, 1e-300])
+    def test_extreme_entries_neither_overflow_nor_underflow(self, rng, scale):
+        # hypot(h00 - h11, 2|h01|) never squares an entry
+        a = rng.normal(size=(5, 2, 2)) + 1j * rng.normal(size=(5, 2, 2))
+        h = (a + np.conj(np.swapaxes(a, -1, -2))) / 8
+        got = linalg.trace_norm(h * scale)
+        assert np.all(np.isfinite(got)) and np.all(got > 0)
+        np.testing.assert_allclose(got / scale, _eigenvalue_norms(h), rtol=1e-14, atol=0)
+
+    def test_single_matrix_gives_a_float(self):
+        # an empty (0, 2, 2) stack is test_stack_matches_single_calls' case
+        got = linalg.trace_norm(np.array([[1.0, 2j], [-2j, -1.0]]))
+        assert isinstance(got, float) and got == pytest.approx(2 * np.sqrt(5), rel=1e-14)
+
+
+def test_hermitian_part_copies_and_matches_the_direct_sum(rng):
+    """(A + A^dagger) / 2 bit for bit, without writing into A, whatever its
+    memory order; require_hermitian gives the same on a Hermitian stack."""
+    a = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
+    for m in (a, np.asfortranarray(a), a[::-1, ::-1]):
+        kept = m.copy()
+        assert np.array_equal(linalg.hermitian_part(m), (kept + kept.conj().T) / 2.0)
+        assert np.array_equal(m, kept)
+    h = np.stack([random_hermitian_direct(3, rng) for _ in range(4)])
+    h[:, 0, 1] += 1e-12  # a defect below the tolerance, halved away
+    fortran = np.asfortranarray(h)
+    want = (h + np.conj(np.swapaxes(h, -1, -2))) / 2.0
+    assert np.array_equal(linalg.require_hermitian(fortran), want)
+    assert np.array_equal(fortran, h)
 
 
 def _with_defect(defect: float) -> np.ndarray:
