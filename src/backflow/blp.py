@@ -67,12 +67,15 @@ def increasing_intervals(times, values, rise_tol: float = DEFAULT_RISE_TOL) -> M
     vs = np.asarray(values, dtype=float)
     if ts.ndim != 1 or vs.shape != ts.shape:
         raise ValueError(f"times and values must match, got {ts.shape} vs {vs.shape}")
-    if not (np.all(np.isfinite(ts)) and np.all(np.isfinite(vs))):
+    if not (np.isfinite(ts).all() and np.isfinite(vs).all()):
         raise ValueError("times and values must be finite")
-    if ts.size > 1 and np.any(np.diff(ts) <= 0):
+    if not (ts[1:] > ts[:-1]).all():
         raise ValueError("times must be strictly ascending")
-    # A run of rising steps i..j-1 starts at edge i and stops at edge j of the padded mask.
-    edges = np.flatnonzero(np.diff(np.concatenate([[False], np.diff(vs) > rise_tol, [False]])))
+    # A run of rising steps i..j-1 starts at edge i and stops at edge j of the
+    # mask padded with False at both ends.
+    rising = np.zeros(ts.size + 1, dtype=bool)
+    rising[1:-1] = vs[1:] - vs[:-1] > rise_tol
+    edges = np.flatnonzero(rising[1:] != rising[:-1])
     intervals = tuple(zip(edges[::2].tolist(), edges[1::2].tolist()))
     return MonotonicityProfile(times=ts, values=vs, intervals=intervals)
 

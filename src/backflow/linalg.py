@@ -126,14 +126,28 @@ def magnitude_maxima(m) -> tuple[np.ndarray, np.ndarray]:
     return mag.max(-1), mag.max(-2)
 
 
+def _nonzero_mask(m: np.ndarray) -> np.ndarray:
+    """Mask of the indices i whose row i or column i is not exactly zero in
+    ``m``, or in some matrix of a stack of shape ``(..., n, n)``."""
+    keep = m.any(axis=-1) | m.any(axis=-2)
+    return keep if keep.ndim == 1 else keep.reshape(-1, m.shape[-1]).any(axis=0)
+
+
 def nonzero_block(m: np.ndarray) -> np.ndarray:
     """The block of indices i whose row i or column i is not exactly zero.
 
     For a Hermitian matrix the dropped part only adds zero eigenvalues.
     When every index is kept the input itself is returned, not a copy.
     """
-    keep = m.any(axis=1) | m.any(axis=0)
+    keep = _nonzero_mask(m)
     return m if keep.all() else m[np.ix_(keep, keep)]
+
+
+def _qubit_spectrum(h) -> tuple:
+    """(tr H, r) of a Hermitian 2 x 2 H, or of each of a stack: its eigenvalues
+    are (tr H +- r)/2 with r = hypot(h00 - h11, 2|h01|)."""
+    h00, h11 = h[..., 0, 0].real, h[..., 1, 1].real
+    return h00 + h11, np.hypot(h00 - h11, 2 * np.abs(h[..., 0, 1]))
 
 
 def trace_norm(a):
@@ -152,8 +166,8 @@ def trace_norm(a):
         m = nonzero_block(m)
     sym = require_hermitian(m)
     if sym.shape[-1] == 2:
-        h00, h11 = sym[..., 0, 0].real, sym[..., 1, 1].real
-        norms = np.maximum(np.abs(h00 + h11), np.hypot(h00 - h11, 2 * np.abs(sym[..., 0, 1])))
+        tr, r = _qubit_spectrum(sym)
+        norms = np.maximum(np.abs(tr), r)
     elif sym.size:
         norms = np.abs(np.linalg.eigvalsh(sym)).sum(axis=-1)
     else:

@@ -22,23 +22,35 @@ def validate_density_matrix(rho, name: str = "state") -> np.ndarray:
     Only the nonzero rows and columns are read past the trace: a dropped
     index has a zero row and column, so it adds no Hermiticity defect and a
     zero eigenvalue, while NaN and inf count as nonzero and fail
-    ``linalg.require_hermitian``. Positive means the Hermitian part of that
-    block plus PSD_TOL on the diagonal has a Cholesky factor; only a
-    rejected state is eigensolved, to report its negative eigenvalue.
+    ``linalg.require_hermitian``. Positive means that the Hermitian part H of
+    that block has no eigenvalue below -PSD_TOL. A 1 x 1 or 2 x 2 H is checked
+    by its smallest eigenvalue in closed form, h00 or (tr H - r)/2 with
+    r = hypot(h00 - h11, 2|h01|); a larger one passes when H plus PSD_TOL on
+    the diagonal has a Cholesky factor, and only a rejected one is
+    eigensolved, to report its negative eigenvalue.
     """
     m = linalg.as_complex_matrix(rho)
     if m.shape[0] != m.shape[1]:
         raise ValueError(f"{name} must be square, got shape {m.shape}")
-    shifted = linalg.require_hermitian(linalg.nonzero_block(m), name)
+    sym = linalg.require_hermitian(linalg.nonzero_block(m), name)
     tr = complex(np.trace(m))
     if not abs(tr - 1.0) <= TRACE_TOL:
         raise ValueError(f"{name} has trace {tr:.12g}, expected 1")
-    shifted.flat[:: len(shifted) + 1] += PSD_TOL
-    try:
-        np.linalg.cholesky(shifted)
-    except np.linalg.LinAlgError:
-        smallest = float(np.linalg.eigvalsh(shifted)[0]) - PSD_TOL
-        raise ValueError(f"{name} has negative eigenvalue {smallest:.3e}") from None
+    if len(sym) > 2:
+        sym.flat[:: len(sym) + 1] += PSD_TOL
+        try:
+            np.linalg.cholesky(sym)
+        except np.linalg.LinAlgError:
+            smallest = float(np.linalg.eigvalsh(sym)[0]) - PSD_TOL
+            raise ValueError(f"{name} has negative eigenvalue {smallest:.3e}") from None
+        return m
+    if len(sym) == 2:
+        tr, r = linalg._qubit_spectrum(sym)
+        smallest = float(tr - r) / 2.0
+    else:
+        smallest = float(sym[0, 0].real)
+    if not smallest >= -PSD_TOL:
+        raise ValueError(f"{name} has negative eigenvalue {smallest:.3e}")
     return m
 
 

@@ -64,6 +64,20 @@ def _positions(indices: np.ndarray, dim: int, name: str) -> np.ndarray:
     return position
 
 
+@dataclass(frozen=True, eq=False)
+class _Layout:
+    """Where a propagator's support rows sit in one split of its space into
+    ds x de: each row's level a and environment index e, and for an
+    environment kept on the indices the support reaches only, each row's
+    place among those and the support position of each (a, reached e)."""
+
+    level: np.ndarray
+    env: np.ndarray
+    narrow: np.ndarray
+    levels: np.ndarray  # (ds, reached), -1 off the support
+    narrow_outside: np.ndarray
+
+
 class EigenPropagator:
     """exp(-i H t) on an H-invariant subspace.
 
@@ -76,10 +90,11 @@ class EigenPropagator:
     A product given as its (system, environment) pair is gathered and
     checked from the factors alone.
     Time-homogeneous: the step operator between t and t + t' is U(t').
-    Reduced states are computed in the eigenbasis; the partial-trace
-    kernels they need are built on first use. ``forecast`` evolves the
-    support block to every t at once and reduces the products with its
-    environment marginals through the same gather, so they are checked too.
+    Reduced states are computed in the eigenbasis, on the eigenmodes an
+    operand reaches; the gather layout and partial-trace kernels of a split
+    ds x de are built on its first use. ``forecast`` evolves the support
+    block to every t at once and reduces the products with its environment
+    marginals through the same gather, so they are checked too.
     """
 
     def __init__(self, eig: HermitianEigenSystem, support=None, dim: int | None = None):
@@ -90,7 +105,14 @@ class EigenPropagator:
             raise ValueError(f"support must list {eig.dim} basis indices, got {s.size}")
         self._support, self._dim, self._position = s, dim, _positions(s, dim, "support")
         self._position.flags.writeable = False
-        self._kernels: dict[tuple[int, int, int], np.ndarray] = {}
+        self._outside = self._position < 0
+        # the eigenvector rows at the support positions, then a zero row that
+        # position -1 reads for the rows outside
+        self._modes = np.vstack([eig.vectors, np.zeros(eig.dim)])
+        self._vh = np.ascontiguousarray(eig.vectors.conj().T)
+        self._minus_iw = -1j * eig.values
+        self._layouts: dict[int, _Layout] = {}
+        self._kernels: dict[int, np.ndarray] = {}
 
     @property
     def dim(self) -> int:
@@ -110,41 +132,77 @@ class EigenPropagator:
         """U(t) on the subspace, in the basis ``support``."""
         return linalg.unitary_at(self._eig, t)
 
-    def _gather(self, mat, de: int | None = None) -> np.ndarray:
+    def _layout(self, ds: int, de: int) -> _Layout:
+        """The layout of the split ds x de. Its first call also fills the
+        stack of kernels G^{ab}_{ij} = sum_e M_{ae,i} conj(M_{be,j}) for
+        a <= b, row by row, for the dim x n mode matrix M (the eigenvector
+        rows at the support positions, zero rows outside)."""
+        if ds * de != self._dim:
+            raise ValueError(f"factors ({ds}, {de}) do not match dimension {self._dim}")
+        if ds not in self._layouts:
+            level, env = np.divmod(self._support, de)
+            reached = np.bincount(env, minlength=de) > 0  # np.unique imports numpy.ma
+            position = self._position.reshape(ds, de)
+            levels = position[:, reached]
+            layout = _Layout(level, env, (np.cumsum(reached) - 1)[env], levels, levels.ravel() < 0)
+            v = self._modes[position]
+            pairs = [(a, b) for a in range(ds) for b in range(a, ds)]
+            # filled in place: stacking a list of them peaks 0.2 MiB higher on nm-max
+            kernels = np.empty((len(pairs), self._eig.dim, self._eig.dim), dtype=complex)
+            for kernel, (a, b) in zip(kernels, pairs):
+                np.matmul(v[a].T, v[b].conj(), out=kernel)
+            for array in (*vars(layout).values(), kernels):
+                array.flags.writeable = False  # shared by every later call
+            self._layouts[ds], self._kernels[ds] = layout, kernels
+        return self._layouts[ds]
+
+    def _gather(self, mat, layout: _Layout | None = None) -> np.ndarray:
         """The support rows and columns of ``mat``, of each matrix of a stack,
         or of the product of a (system, environment) pair or pair of stacks,
-        system[a_i, a_j] * env[e_i, e_j] for (a_i, e_i) = divmod(support_i, de)
-        (psi[e_i] * conj(psi[e_j]) for amplitudes psi). An environment narrower
-        than ``de`` holds only the environment indices the support reaches."""
+        system[a_i, a_j] * env[e_i, e_j] for the level a_i and environment
+        index e_i of support row i in ``layout`` (psi[e_i] * conj(psi[e_j])
+        for amplitudes psi). An environment narrower than the split's holds
+        only the environment indices the support reaches."""
         if isinstance(mat, tuple):
             system, env = mat = tuple(np.asarray(f, dtype=complex) for f in mat)
-            position = self._position.reshape(-1, de)  # [a, e]
-            a, e = np.divmod(self._support, de)
-            if env.shape[-1] != de:  # on the environment indices the support reaches only
-                reached, e = np.unique(e, return_inverse=True)
-                position = position[:, reached]
-            if system.shape[-2:] != (len(position),) * 2 or env.shape[-1] != position.shape[1]:
+            ds = len(layout.levels)
+            e, outside = layout.env, self._outside
+            if env.shape[-1] != self._dim // ds:
+                e, outside = layout.narrow, layout.narrow_outside
+            if system.shape[-2:] != (ds, ds) or env.shape[-1] * ds != outside.size:
                 raise ValueError(f"factor shapes do not match dimension {self._dim}")
+            a = layout.level
             inside = system[..., a[:, None], a]
             if env.ndim == 1:  # amplitudes psi, standing for psi psi^dagger
-                inside *= np.multiply.outer(env[e], env[e].conj())
+                psi = env[e]
+                inside *= np.multiply.outer(psi, psi.conj())
             else:
                 inside *= env[..., e[:, None], e]
-            outside = position.ravel() < 0
         else:
             mat = np.asarray(mat)
             if mat.shape[-2:] != (self._dim, self._dim):
                 raise ValueError(f"operator shape {mat.shape} does not match dimension {self._dim}")
             inside = mat[..., self._support[:, None], self._support]
-            outside = self._position < 0
+            outside = self._outside
         rows, cols = linalg.magnitude_maxima(mat)
-        out = np.maximum(*(m[..., outside].max(-1, initial=0.0) for m in (rows, cols)))
-        if np.any(out > SUPPORT_TOL * rows.max(-1)):
+        out = np.maximum(rows, cols)[..., outside].max(-1, initial=0.0)
+        if (out > SUPPORT_TOL * rows.max(-1)).any():
             raise InvariantViolation(
                 f"operator has weight {float(np.max(out)):.3e} outside the propagator's "
                 f"{self._support.size}-dimensional subspace"
             )
         return inside
+
+    def _rotated(self, mat, layout: _Layout):
+        """x = V^dagger mat V on the eigenmodes ``mat`` reaches, and those
+        modes: a slice of all of them, or the indices of the modes whose row
+        or column of x is not exactly zero in some matrix of a stack, the
+        rule of ``linalg.nonzero_block``. A dropped mode adds nothing to a
+        reduced state."""
+        x = self._vh @ self._gather(mat, layout) @ self._eig.vectors
+        kept = linalg._nonzero_mask(x)
+        keep = slice(None) if kept.all() else np.flatnonzero(kept)
+        return x[..., keep, :][..., keep], keep
 
     def evolve(self, mat: np.ndarray, t: float) -> np.ndarray:
         """U(t) mat U(t)^dagger; a stack of matrices is evolved in one call."""
@@ -154,39 +212,25 @@ class EigenPropagator:
         out[..., self._support[:, None], self._support] = u @ inside @ u.conj().T
         return out
 
-    def _kernel(self, a: int, b: int, ds: int) -> np.ndarray:
-        """G^{ab}_{ij} = sum_e M_{ae,i} conj(M_{be,j}) for the dim x n mode
-        matrix M (the eigenvector rows at the support positions, zero rows
-        outside); ``reduced`` asks for a <= b only."""
-        key = (ds, a, b)
-        if key not in self._kernels:
-            modes = np.vstack([self._eig.vectors, np.zeros(self._eig.dim)])
-            v = modes[self._position.reshape(ds, -1)]  # position -1 reads the zero row
-            kernel = v[a].T @ v[b].conj()
-            kernel.flags.writeable = False  # shared by every later call
-            self._kernels[key] = kernel
-        return self._kernels[key]
-
     def reduced(self, mat, times, ds: int, de: int) -> np.ndarray:
         """Tr_E[U(t) mat U(t)^dagger] at every t of ``times`` for a Hermitian
         ``mat``; it may be a (system, environment) product pair, or a pair of
         stacks (1-d times).
 
-        With mat~ = V^dagger mat V on the subspace and phi = exp(-i w t),
-        entry (a, b) is phi^T (mat~ o G^{ab}) conj(phi): one product over the
-        whole time grid per entry a <= b, and entry (b, a) is its conjugate.
-        Returns shape ``np.shape(times) + (ds, ds)``.
+        With x = V^dagger mat V on the eigenmodes ``mat`` reaches and
+        phi = exp(-i w t) on them, entry (a, b) is phi^T (x o G^{ab}) conj(phi):
+        one product over the whole time grid per entry a <= b, and entry
+        (b, a) is its conjugate. Returns shape ``np.shape(times) + (ds, ds)``.
         """
-        if ds * de != self._dim:
-            raise ValueError(f"factors ({ds}, {de}) do not match dimension {self._dim}")
-        v = self._eig.vectors
-        x = v.conj().T @ self._gather(mat, de) @ v
-        phi = np.exp(-1j * np.multiply.outer(np.asarray(times, dtype=float), self._eig.values))
+        layout = self._layout(ds, de)
+        x, keep = self._rotated(mat, layout)
+        phi = np.exp(np.multiply.outer(np.asarray(times, dtype=float), self._minus_iw[keep]))
         conj = phi.conj()
+        kernels = iter(self._kernels[ds][:, keep][..., keep])
         out = np.empty(x.shape[:-2] + phi.shape[:-1] + (ds, ds), dtype=complex)
         for a in range(ds):
             for b in range(a, ds):
-                out[..., a, b] = np.einsum("...i,...i", phi @ (x * self._kernel(a, b, ds)), conj)
+                out[..., a, b] = np.einsum("...i,...i", phi @ (x * next(kernels)), conj)
             out[..., a + 1 :, a] = out[..., a, a + 1 :].conj()
         return out
 
@@ -195,21 +239,20 @@ class EigenPropagator:
         for t = ts[k] and every t' of ``tprimes``, with shape (T, T', ds, ds);
         ``mat`` may be a (system, environment) product pair.
 
-        The support block of ``mat`` is evolved to every t as one stack. Its
-        environment marginals stay on the environment indices the support
-        reaches: level a adds the block entries at the positions of the rows
-        (a, e), a zero row standing for rows outside. ``reduced`` takes them.
+        The support block of ``mat`` is evolved to every t as one stack, on
+        the eigenmodes it reaches. Its environment marginals stay on the
+        environment indices the support reaches: level a adds the block
+        entries at the positions of the rows (a, e), a zero row standing for
+        rows outside. ``reduced`` takes them.
         """
-        if ds * de != self._dim or np.shape(systems) != np.shape(ts) + (ds, ds):
+        layout = self._layout(ds, de)
+        if np.shape(systems) != np.shape(ts) + (ds, ds):
             raise ValueError(f"systems of shape {np.shape(systems)} do not match times and factors")
-        v = self._eig.vectors
-        phi = np.exp(-1j * np.multiply.outer(np.asarray(ts, dtype=float), self._eig.values))
-        x = v.conj().T @ self._gather(mat, de) @ v
-        modes = np.vstack([v, np.zeros(len(v))])  # position -1 reads the zero row
-        reached = np.bincount(self._support % de, minlength=de) > 0  # np.unique imports numpy.ma
-        levels = self._position.reshape(ds, de)[:, reached]
+        x, keep = self._rotated(mat, layout)
+        phi = np.exp(np.multiply.outer(np.asarray(ts, dtype=float), self._minus_iw[keep]))
+        modes = self._modes[:, keep]
         rho = modes @ (x * phi[..., :, None] * phi[..., None, :].conj()) @ modes.conj().T
-        rho = sum(rho[..., p[:, None], p] for p in levels)  # Tr_S; frees the evolved block
+        rho = sum(rho[..., p[:, None], p] for p in layout.levels)  # Tr_S; frees the evolved block
         return self.reduced((systems, rho), tprimes, ds, de)
 
 

@@ -496,6 +496,26 @@ def test_fig3_does_not_import_numpy_ma(tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
+def test_nm_max_does_not_import_numpy_ma():
+    """The benchmark's nm-max run: 6 Bloch pairs on the 7-site chain, 40
+    times up to 3. The chain's gather layout finds the environment indices
+    its support reaches by ``np.bincount``."""
+    script = (
+        "import sys\n"
+        "import numpy as np\n"
+        "from backflow import blp, spinchain\n"
+        "spec = spinchain.SpinChainSpec(sites=7, exchange=1.0, probe_exchange=1.0, field=0.01)\n"
+        "make = lambda r1, r2: spinchain.scenario(spec, pair=(r1, r2))\n"
+        "blp.nm_measure_maximized(make, np.linspace(0.0, 3.0, 40), blp.bloch_pair_grid(3, 2))\n"
+        "sys.exit('numpy.ma' in sys.modules)\n"
+    )
+    src = str(Path(backflow.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_all_cheap_presets_run(tmp_path):
     # fig3 runs at its default grid in the acceptance suite
     for name in ("semigroup", "fig2a", "fig2b", "fig2c", "bell-check"):

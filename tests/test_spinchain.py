@@ -176,9 +176,48 @@ class TestChargeBlocks:
         monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
         monkeypatch.setattr(linalg, "unitary_at", recording_unitary)
         witness.evaluate_surface(scenario(spec), [0.0, 0.5, 1.0], [0.0, 0.7])
-        assert sizes["eigh"] == [46]
+        # one eigensolve per charge 0, 1 and 2 of the 46 states, none above 46
+        assert sizes["eigh"] == [1, 9, 36]
         # the forecast evolves the support block straight from the eigensystem
         assert sizes["unitary"] == []
+
+    @pytest.mark.parametrize("sites", range(2, 11))
+    def test_eigenvectors_are_exactly_charge_pure(self, sites):
+        """Each eigenvector is exactly zero outside one charge, where one
+        eigensolve of the whole support leaks 1e-18 to 6e-17 into the others
+        on 3, 8, 9 and 10 sites, and the assembled eigensystem, values
+        ascending, reconstructs H."""
+        spec = SpinChainSpec(sites, exchange=1.0, probe_exchange=1.0, field=0.01)
+        prop = spinchain._block_propagator(spec)
+        eig, charges = prop.eigensystem, excitations(spec.dim)[prop.support]
+        mode_charges = charges[np.argmax(np.abs(eig.vectors), axis=0)]
+        assert np.all((charges[:, None] == mode_charges) | (eig.vectors == 0))
+        assert np.all(np.diff(eig.values) >= 0)
+        h = hamiltonian_block(spec, prop.support)
+        assert np.max(np.abs(eig.reconstruct() - h)) <= 1e-12 * np.max(np.abs(h))
+
+    def test_product_pair_reduced_on_the_modes_it_reaches(self, monkeypatch):
+        """A Bloch pair on the 7-site chain holds at most one excitation, so
+        ``reduced`` takes its exponentials on the 1 + 8 modes of charges 0
+        and 1 only, not on all 37 of the support."""
+        spec = SpinChainSpec(sites=7, exchange=1.0, probe_exchange=1.0, field=0.01)
+        sc = scenario(spec, pair=(pure_qubit(0.4, 1.0), pure_qubit(np.pi - 0.4, 1.0 + np.pi)))
+        times = np.linspace(0.0, 3.0, 40)
+        sizes = []
+        exp = np.exp
+
+        def recording_exp(x, *args, **kwargs):
+            sizes.append(np.size(x))
+            return exp(x, *args, **kwargs)
+
+        monkeypatch.setattr(np, "exp", recording_exp)
+        got = reduced_distance(sc, times)
+        assert sc.propagator.support.size == 37
+        assert sizes == [times.size * 9]
+        monkeypatch.undo()
+        full = witness.EigenPropagator(linalg.hermitian_eigensystem(build_hamiltonian(spec)))
+        ref = witness.ScenarioPair(sc.state1, sc.state2, full)
+        assert np.max(np.abs(got - reduced_distance(ref, times))) <= 1e-12
 
     @pytest.mark.parametrize("env_branch", [1, 2])
     def test_row_makes_no_evolve_and_no_dense_product(self, monkeypatch, env_branch):
@@ -342,16 +381,21 @@ class TestHamiltonianBlocks:
             hamiltonian_block(SpinChainSpec(sites=3), basis)
 
     def test_scenario_matches_the_dense_charge_blocks(self):
+        """The support holds the states of at most two excitations, and each
+        charge's block of the eigensystem is the eigensystem of the dense H
+        on that charge, bit for bit."""
         spec = SpinChainSpec(sites=6, exchange=1.0, probe_exchange=0.7, field=0.03)
-        sc = scenario(spec)
-        s = sc.propagator.support
-        np.testing.assert_array_equal(s, np.flatnonzero(excitations(spec.dim) <= 2))
-        h = build_hamiltonian(spec)[np.ix_(s, s)]
-        dense = witness.EigenPropagator(linalg.hermitian_eigensystem(h), s, spec.dim)
-        np.testing.assert_array_equal(sc.propagator.eigensystem.values, dense.eigensystem.values)
-        np.testing.assert_array_equal(
-            sc.propagator.eigensystem.vectors, dense.eigensystem.vectors
-        )
+        prop = scenario(spec).propagator
+        s, eig = prop.support, prop.eigensystem
+        charges = excitations(spec.dim)
+        np.testing.assert_array_equal(np.sort(s), np.flatnonzero(charges <= 2))
+        h = build_hamiltonian(spec)
+        for q in range(3):
+            rows = np.flatnonzero(charges[s] == q)
+            cols = np.flatnonzero(eig.vectors[rows].any(axis=0))
+            dense = linalg.hermitian_eigensystem(h[np.ix_(s[rows], s[rows])])
+            np.testing.assert_array_equal(eig.values[cols], dense.values)
+            np.testing.assert_array_equal(eig.vectors[np.ix_(rows, cols)], dense.vectors)
 
 
 def _peak_bytes(fn):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from backflow import linalg, states, witness
+from backflow import cli, linalg, states, witness
 from backflow.dephasing import DiagonalPropagator
 from backflow.states import BipartiteState
 from backflow.witness import (
@@ -697,6 +697,33 @@ class TestChargeBlocks:
                 continue
             with pytest.raises(witness.InvariantViolation, match="outside"):
                 prop.forecast(systems, mat, [0.0, 0.8], [0.0, 0.8], ds, de)
+
+    def test_dense_eigensystem_drops_no_mode(self, monkeypatch):
+        """On the audit's random scenarios, whose eigenvectors are dense,
+        ``reduced`` keeps every mode, for a state, a difference and a factor
+        pair, and matches the dense evolve-then-trace path."""
+        rng = np.random.default_rng(2024)
+        times = np.array([0.0, 0.3, 1.1, 2.5])
+        sizes = []
+        exp = np.exp
+
+        def recording_exp(x, *args, **kwargs):
+            sizes.append(np.size(x))
+            return exp(x, *args, **kwargs)
+
+        for _ in range(10):
+            sc = cli._random_scenario(rng)
+            prop, ds, de = sc.propagator, sc.ds, sc.de
+            s1 = sc.state1
+            for mat, dense in ((s1.op, s1.op), (s1.op - sc.state2.op, s1.op - sc.state2.op),
+                               ((s1.system(), s1.environment()), s1.op)):
+                sizes.clear()
+                with monkeypatch.context() as patch:
+                    patch.setattr(np, "exp", recording_exp)
+                    got = prop.reduced(mat, times, ds, de)
+                assert sizes == [times.size * prop.dim]
+                want = [linalg.partial_trace(prop.evolve(dense, t), ds, de) for t in times]
+                assert np.max(np.abs(got - want)) <= 1e-12
 
     supports = [[0, 0], [0, 6], [-1, 2], [0, 1, 2], [0.0, 1.0], [0.5, 1.0], [True, False]]
 
