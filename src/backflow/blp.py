@@ -5,6 +5,13 @@ where the reduced trace distance grows along a sampled time grid, then
 maximizes over initial state pairs. Grid sampling makes every reported
 value a lower estimate of the true measure; interval endpoints are grid
 indices, with no sub-grid refinement.
+
+The maximization needs scenarios whose two states are products with one
+shared environment factor rho_E. The reduced dynamics is then a linear map
+Lambda_t on the qubit alone (Wissmann et al., PRA 86, 062108, 2012), found
+by one propagator call on the Pauli basis against rho_E, and each pair costs
+one contraction of that map and one batched trace norm. The map is reused
+while the scenarios share one propagator object and an equal rho_E.
 """
 
 from __future__ import annotations
@@ -19,6 +26,10 @@ from .states import pure_qubit
 from .witness import ScenarioPair
 
 DEFAULT_RISE_TOL = 1e-10
+# I, sigma_x, sigma_y and sigma_z: a Hermitian basis of the qubit's operators
+_PAULI_BASIS = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]],
+                         [[1, 0], [0, -1]]], dtype=complex)
+_PAULI_BASIS.flags.writeable = False
 
 BlochAngles = tuple[float, float]
 BlochPair = tuple[BlochAngles, BlochAngles]
@@ -118,21 +129,59 @@ def nm_measure_maximized(
 ) -> tuple[float, BlochPair]:
     """Largest fixed-pair measure over a sampled set of initial pairs.
 
-    ``make_scenario`` turns two 2x2 initial system states into a scenario.
-    The result is a lower estimate of the measure (grid approximation).
-    Pairs are scanned in lexicographic angle order and replaced only on a
-    strict improvement, so ties resolve to the smallest angles.
+    ``make_scenario`` turns two 2x2 initial system states into a scenario,
+    whose states must be products s1 (x) rho_E and s2 (x) rho_E sharing one
+    environment factor; any other scenario raises ValueError. The reduced
+    dynamics is then a linear map Lambda_t on the qubit alone, so the pairs
+    are measured through it: one propagator ``reduced`` call on the stack of
+    (I, sigma_x, sigma_y, sigma_z) against rho_E gives Lambda_t on that basis
+    over the whole time grid, and a pair writes s1 - s2 = sum_k c_k B_k with
+    real c_k and takes D(t) = |sum_k c_k Lambda_t(B_k)|_1 / 2, one contraction
+    and one batched trace norm. The map is reused while the scenarios keep
+    the same propagator object and an equal environment factor, else rebuilt
+    from the pair's own scenario; nothing outlives the call.
+
+    ``make_scenario`` is called once per pair, and each pair is measured
+    before the next one is built. The result is a lower estimate of the
+    measure (grid approximation). Pairs are scanned in lexicographic angle
+    order and replaced only on a strict improvement, so ties resolve to the
+    smallest angles.
     """
     if not pairs:
         raise ValueError("need at least one initial pair")
+    ts = witness._require_times(times)
     best_value = -np.inf
     best_pair: BlochPair | None = None
+    source = qubit_map = None
     for pair in sorted(pairs):
         (th1, ph1), (th2, ph2) = pair
         sc = make_scenario(pure_qubit(th1, ph1), pure_qubit(th2, ph2))
-        value = nm_measure_fixed_pair(sc, times)
+        s1, s2, env = _shared_product(sc)
+        if source is None or not (sc.propagator is source[0] and _same(env, source[1])):
+            source = sc.propagator, env
+            qubit_map = sc.propagator.reduced((_PAULI_BASIS, env), ts, 2, sc.de)
+        (d00, _), (d10, d11) = (s1 - s2).tolist()  # Hermitian: d01 = conj(d10)
+        coefficients = ((d00.real + d11.real) / 2, d10.real, d10.imag, (d00.real - d11.real) / 2)
+        delta = sum(c * image for c, image in zip(coefficients, qubit_map))
+        value = increasing_intervals(ts, 0.5 * linalg.trace_norm(delta)).total_increase()
         if value > best_value:
             best_value = value
             best_pair = pair
     assert best_pair is not None
     return best_value, best_pair
+
+
+def _shared_product(sc: ScenarioPair) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The two qubit factors and the environment factor of a scenario whose
+    states are products sharing one environment; ValueError otherwise."""
+    f1, f2 = sc.state1.factors, sc.state2.factors
+    if sc.ds != 2 or not (f1 and f2 and _same(f1[1], f2[1])):
+        raise ValueError(
+            "the measure is maximized through the qubit's reduced map, which needs both "
+            "states to be products of a qubit factor and one shared environment factor"
+        )
+    return f1[0], f2[0], f1[1]
+
+
+def _same(a: np.ndarray, b: np.ndarray) -> bool:
+    return a is b or np.array_equal(a, b)

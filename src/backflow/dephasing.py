@@ -288,14 +288,15 @@ class DiagonalPropagator:
         return mat * np.outer(p, p.conj())
 
     def _split(self, mat, ds: int, de: int):
-        """A product pair as (system, pop): its system factor and environment
-        populations, |psi|^2 for amplitudes psi. A dense operand as (None,
-        blocks), its entries mat[(a, e), (b, e)] as an array [a, b, e]."""
+        """A product pair as (system, pop): its system factor, or a stack of
+        them, and environment populations, |psi|^2 for amplitudes psi. A
+        dense operand as (None, blocks), its entries mat[(a, e), (b, e)] as an
+        array [a, b, e]."""
         if ds * de != self.dim:
             raise ValueError(f"factors ({ds}, {de}) do not match dimension {self.dim}")
         if isinstance(mat, tuple):
             system, env = (np.asarray(f) for f in mat)
-            if system.shape == (ds, ds) and env.shape in ((de,), (de, de)):
+            if system.shape[-2:] == (ds, ds) and env.shape in ((de,), (de, de)):
                 return system, np.abs(env) ** 2 if env.ndim == 1 else np.diagonal(env)
         elif np.shape(mat) == (self.dim, self.dim):
             return None, np.einsum("aebe->abe", np.reshape(mat, (ds, de, ds, de)))
@@ -322,10 +323,16 @@ class DiagonalPropagator:
         """Tr_E[U(t) mat U(t)^dagger] at every t of ``times``, with shape
         ``np.shape(times) + (ds, ds)``: the coherences of the level blocks of a
         Hermitian ``mat``, or ``system * c`` for a product pair, with c those of
-        its populations, one (T, de) @ (de,) product per level pair a < b."""
+        its populations, one (T, de) @ (de,) product per level pair a < b. A
+        stack of system factors against one environment shares c and gives
+        shape ``system.shape[:-2] + np.shape(times) + (ds, ds)``."""
         system, w = self._split(mat, ds, de)
         c = self._coherences(w, times, ds, de)
-        return c if system is None else system * c
+        if system is None:
+            return c
+        if system.ndim > 2:
+            system = system.reshape(system.shape[:-2] + (1,) * (c.ndim - 2) + (ds, ds))
+        return system * c
 
     def forecast(self, systems, mat, ts, tprimes, ds: int, de: int) -> np.ndarray:
         """Tr_E[U(t') (systems[k] (x) Tr_S[U(t) mat U(t)^dagger]) U(t')^dagger]
@@ -335,6 +342,8 @@ class DiagonalPropagator:
         times those of the factor for a product pair. A diagonal U moves no
         population, so one c serves every t and ``ts`` sets only the shape."""
         system, w = self._split(mat, ds, de)
+        if system is not None and system.ndim > 2:
+            raise ValueError(f"forecast takes one system factor, got shape {system.shape}")
         pop = np.einsum("aae->e", w) if system is None else np.trace(system) * w
         systems = np.asarray(systems)
         if systems.shape != np.shape(ts) + (ds, ds):

@@ -111,15 +111,30 @@ def partial_trace(
     raise ValueError(f"keep must be 'system' or 'environment', got {keep!r}")
 
 
-def magnitude_maxima(m) -> tuple[np.ndarray, np.ndarray]:
-    """Largest entry magnitude of each row and of each column of ``m``, or of
-    each matrix of a stack. A product passed as its factor pair, or a pair of
-    stacks, is read from the factors, whose maxima multiply to the product's.
-    A 1-d ``m`` is a pure state's amplitudes psi and stands for psi psi^dagger,
-    whose row and column maxima are both |psi| max|psi|."""
+def magnitude_maxima(m) -> np.ndarray:
+    """Largest entry magnitude in row i or column i of ``m``, for each index i,
+    or of each matrix of a stack; its maximum over i is the largest entry.
+
+    A product passed as its factor pair, or a pair of stacks, is read from the
+    factors, whose row and whose column maxima multiply to the product's. A
+    1-d ``m`` is a pure state's amplitudes psi and stands for psi psi^dagger,
+    whose row and column maxima are both |psi| max|psi|; against such an
+    environment the product is formed once, from the larger of each system
+    index's row and column maxima."""
     if isinstance(m, tuple):
-        products = (s[..., :, None] * e[..., None, :] for s, e in zip(*map(magnitude_maxima, m)))
-        return tuple(p.reshape(p.shape[:-2] + (-1,)) for p in products)
+        (s_rows, s_cols), (e_rows, e_cols) = map(_row_column_maxima, m)
+        if e_rows is e_cols:  # max(a e, b e) = max(a, b) e for e >= 0, exactly
+            p = np.maximum(s_rows, s_cols)[..., :, None] * e_rows[..., None, :]
+        else:
+            p = np.maximum(s_rows[..., :, None] * e_rows[..., None, :],
+                           s_cols[..., :, None] * e_cols[..., None, :])
+        return p.reshape(p.shape[:-2] + (-1,))
+    return np.maximum(*_row_column_maxima(m))
+
+
+def _row_column_maxima(m) -> tuple[np.ndarray, np.ndarray]:
+    """Largest entry magnitude of each row and of each column of ``m``; for
+    amplitudes psi, one array |psi| max|psi| standing for both."""
     mag = np.abs(m)
     if mag.ndim == 1:
         return (mag * mag.max(),) * 2

@@ -134,13 +134,23 @@ def scenario(
 
     The environment is passed as its amplitude vector e_0, so a call pays
     only for its pair: the two system factors and one O(2^N) norm check.
-    The propagator depends on the chain alone, so scenarios on equal
-    specs share one, read-only object.
+    The propagator and e_0 depend on the chain alone, so scenarios on equal
+    specs share one read-only object of each.
     """
     if pair is None:
         pair = plus_minus_pair()
-    state1, state2 = BipartiteState.products(pair, np.eye(1, 2**spec.sites)[0])
+    state1, state2 = BipartiteState.products(pair, _polarized(spec.sites))
     return ScenarioPair(state1=state1, state2=state2, propagator=_block_propagator(spec))
+
+
+@functools.lru_cache(maxsize=8)
+def _polarized(sites: int) -> np.ndarray:
+    """Amplitudes of the chain with every spin in |0>, read-only: equal
+    specs share one array, as they share the propagator."""
+    env = np.zeros(2**sites, dtype=complex)
+    env[0] = 1.0
+    env.flags.writeable = False
+    return env
 
 
 @functools.lru_cache(maxsize=8)

@@ -30,6 +30,13 @@ def validate_density_matrix(rho, name: str = "state") -> np.ndarray:
     eigensolved, to report its negative eigenvalue.
     """
     m = linalg.as_complex_matrix(rho)
+    _checked_block(m, name)
+    return m
+
+
+def _checked_block(m: np.ndarray, name: str) -> np.ndarray:
+    """The checks of ``validate_density_matrix`` on a complex matrix ``m``;
+    returns the Hermitian part H of its nonzero block, as it was checked."""
     if m.shape[0] != m.shape[1]:
         raise ValueError(f"{name} must be square, got shape {m.shape}")
     sym = linalg.require_hermitian(linalg.nonzero_block(m), name)
@@ -37,13 +44,15 @@ def validate_density_matrix(rho, name: str = "state") -> np.ndarray:
     if not abs(tr - 1.0) <= TRACE_TOL:
         raise ValueError(f"{name} has trace {tr:.12g}, expected 1")
     if len(sym) > 2:
+        diagonal = sym.diagonal().copy()
         sym.flat[:: len(sym) + 1] += PSD_TOL
         try:
             np.linalg.cholesky(sym)
         except np.linalg.LinAlgError:
             smallest = float(np.linalg.eigvalsh(sym)[0]) - PSD_TOL
             raise ValueError(f"{name} has negative eigenvalue {smallest:.3e}") from None
-        return m
+        sym.flat[:: len(sym) + 1] = diagonal  # H again, exactly
+        return sym
     if len(sym) == 2:
         tr, r = linalg._qubit_spectrum(sym)
         smallest = float(tr - r) / 2.0
@@ -51,7 +60,20 @@ def validate_density_matrix(rho, name: str = "state") -> np.ndarray:
         smallest = float(sym[0, 0].real)
     if not smallest >= -PSD_TOL:
         raise ValueError(f"{name} has negative eigenvalue {smallest:.3e}")
-    return m
+    return sym
+
+
+def _hermitian_factor(factor, name: str) -> np.ndarray:
+    """A checked density operator as its Hermitian part, read-only: the one
+    the check formed, with the zero rows and columns it dropped put back."""
+    m = linalg.as_complex_matrix(factor)
+    sym = _checked_block(m, name)
+    if sym.shape != m.shape:
+        keep = linalg._nonzero_mask(m)
+        sym, block = np.zeros_like(m), sym
+        sym[np.ix_(keep, keep)] = block
+    sym.flags.writeable = False
+    return sym
 
 
 class BipartiteState:
@@ -96,7 +118,7 @@ class BipartiteState:
         """
         env = np.array(environment, dtype=complex)
         if env.ndim == 2:
-            env = linalg.hermitian_part(validate_density_matrix(env, "environment factor"))
+            env = _hermitian_factor(env, "environment factor")
         elif env.ndim != 1:
             raise ValueError(f"environment factor must be 1-d or 2-d, got shape {env.shape}")
         env_trace = np.trace(env) if env.ndim == 2 else np.vdot(env, env)
@@ -105,8 +127,7 @@ class BipartiteState:
         env.flags.writeable = False
         out = []
         for system in systems:
-            factor = linalg.hermitian_part(validate_density_matrix(system, "system factor"))
-            factor.flags.writeable = False
+            factor = _hermitian_factor(system, "system factor")
             tr = complex(np.trace(factor) * env_trace)
             if not abs(tr - 1.0) <= TRACE_TOL:
                 raise ValueError(f"product state has trace {tr:.12g}, expected 1")

@@ -184,9 +184,9 @@ class EigenPropagator:
                 raise ValueError(f"operator shape {mat.shape} does not match dimension {self._dim}")
             inside = mat[..., self._support[:, None], self._support]
             outside = self._outside
-        rows, cols = linalg.magnitude_maxima(mat)
-        out = np.maximum(rows, cols)[..., outside].max(-1, initial=0.0)
-        if (out > SUPPORT_TOL * rows.max(-1)).any():
+        maxima = linalg.magnitude_maxima(mat)
+        out = maxima[..., outside].max(-1, initial=0.0)
+        if (out > SUPPORT_TOL * maxima.max(-1)).any():
             raise InvariantViolation(
                 f"operator has weight {float(np.max(out)):.3e} outside the propagator's "
                 f"{self._support.size}-dimensional subspace"
@@ -274,7 +274,10 @@ class ScenarioPair:
     ``reduced`` and ``forecast`` take a product state as its factor pair:
     ``mat`` is then the tuple (system, environment), and stands for their
     Kronecker product. The environment may be 1-d, a pure state's
-    amplitudes psi standing for psi psi^dagger.
+    amplitudes psi standing for psi psi^dagger. ``nm_measure_maximized``
+    passes a stack of system factors against one environment to
+    ``reduced``, for 1-d times, and takes shape
+    ``system.shape[:-2] + np.shape(times) + (ds, ds)`` back.
 
     A bare HermitianEigenSystem of a total Hamiltonian is wrapped
     automatically. The propagator must be time-homogeneous,

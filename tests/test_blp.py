@@ -10,6 +10,7 @@ from backflow.blp import (
     nm_measure_maximized,
 )
 from backflow.dephasing import (
+    DiagonalPropagator,
     DoubleLorentzian,
     SingleLorentzian,
     dephasing_function,
@@ -17,7 +18,8 @@ from backflow.dephasing import (
     full_model,
 )
 from backflow.spinchain import SpinChainSpec
-from backflow.states import pure_qubit
+from backflow.states import BipartiteState, pure_qubit
+from backflow.witness import EigenPropagator, ScenarioPair, reduced_distance
 
 from conftest import chain_transfer_amplitude_direct
 
@@ -223,3 +225,132 @@ class TestMaximizedMeasure:
     def test_empty_pairs_rejected(self):
         with pytest.raises(ValueError):
             nm_measure_maximized(lambda a, b: None, [0.0, 1.0], [])
+
+
+def recorded_profiles(monkeypatch):
+    """The distance curves ``nm_measure_maximized`` hands to
+    ``increasing_intervals``, pair by pair in scan order."""
+    curves = []
+    detect = blp.increasing_intervals
+
+    def recording(times, values, *args):
+        curves.append(np.array(values))
+        return detect(times, values, *args)
+
+    monkeypatch.setattr(blp, "increasing_intervals", recording)
+    return curves
+
+
+def counted_reduced(monkeypatch, cls):
+    """A list that grows by one on every ``cls.reduced`` call."""
+    calls = []
+    reduced = cls.reduced
+
+    def counting(self, *args):
+        calls.append(args)
+        return reduced(self, *args)
+
+    monkeypatch.setattr(cls, "reduced", counting)
+    return calls
+
+
+def random_bloch_pairs(rng, count):
+    angles = rng.uniform([0.0, 0.0, 0.0, 0.0], [np.pi, 2 * np.pi, np.pi, 2 * np.pi], (count, 4))
+    return [((a, b), (c, d)) for a, b, c, d in angles.tolist()]
+
+
+class TestQubitMap:
+    """The maximized measure reads every pair off the qubit's reduced map,
+    built by one propagator call per environment."""
+
+    @pytest.mark.parametrize("model", ["chain-4", "chain-7", "modes-48"])
+    def test_equals_the_per_pair_reduced_distance(self, rng, monkeypatch, model):
+        if model.startswith("chain"):
+            spec = SpinChainSpec(sites=int(model[-1]), exchange=1.0, probe_exchange=0.7, field=0.3)
+            make = lambda r1, r2: spinchain.scenario(spec, pair=(r1, r2))
+        else:
+            env = discretize(SPLIT_CENTERS, modes=48, window=15.0)
+            make = lambda r1, r2: full_model(env, pair=(r1, r2))
+        ts = np.linspace(0.0, 3.0, 30)
+        pairs = random_bloch_pairs(rng, 8)
+        curves = recorded_profiles(monkeypatch)
+        value, _ = nm_measure_maximized(make, ts, pairs)
+        assert len(curves) == len(pairs)
+        for curve, ((th1, ph1), (th2, ph2)) in zip(curves, sorted(pairs)):
+            sc = make(pure_qubit(th1, ph1), pure_qubit(th2, ph2))
+            np.testing.assert_allclose(curve, reduced_distance(sc, ts), rtol=0, atol=1e-12)
+        per_pair = max(increasing_intervals(ts, c).total_increase() for c in curves)
+        assert value == per_pair
+
+    def test_one_propagator_call_per_environment(self, monkeypatch):
+        spec = SpinChainSpec(sites=7, exchange=1.0, probe_exchange=1.0, field=0.01)
+        ts, pairs = np.linspace(0.0, 3.0, 40), bloch_pair_grid(3, 2)
+        calls = counted_reduced(monkeypatch, EigenPropagator)
+        nm_measure_maximized(lambda r1, r2: spinchain.scenario(spec, (r1, r2)), ts, pairs)
+        assert len(calls) == 1
+        basis, env = calls[0][0]
+        assert basis.shape == (4, 2, 2) and env.shape == (2**7,)
+        # an environment that changes between pairs rebuilds the map at each change
+        psi = np.zeros(2**7)
+        psi[0] = psi[1] = np.sqrt(0.5)
+        envs = iter([psi, psi, spinchain._polarized(7)] * 2)
+        propagator = spinchain._block_propagator(spec)
+
+        def switching(r1, r2):
+            state1, state2 = BipartiteState.products((r1, r2), next(envs))
+            return ScenarioPair(state1, state2, propagator)
+
+        calls.clear()
+        nm_measure_maximized(switching, ts, pairs)
+        assert len(calls) == 4
+        # full_model builds a new propagator per pair, so each pair builds its map
+        env = discretize(SPLIT_CENTERS, modes=48, window=15.0)
+        calls = counted_reduced(monkeypatch, DiagonalPropagator)
+        nm_measure_maximized(lambda r1, r2: full_model(env, pair=(r1, r2)), ts, pairs)
+        assert len(calls) == len(pairs)
+
+    def test_equal_environments_need_not_be_one_array(self, rng):
+        spec = SpinChainSpec(sites=4, exchange=1.0, probe_exchange=1.0, field=0.01)
+        env = np.eye(1, 2**4)[0]
+        propagator = spinchain._block_propagator(spec)
+
+        def apart(r1, r2):
+            return ScenarioPair(BipartiteState.product(r1, env), BipartiteState.product(r2, env),
+                                propagator)
+
+        ts, pairs = np.linspace(0.0, 2.0, 20), random_bloch_pairs(rng, 4)
+        shared = nm_measure_maximized(lambda r1, r2: spinchain.scenario(spec, (r1, r2)), ts, pairs)
+        assert nm_measure_maximized(apart, ts, pairs) == shared
+
+    def test_no_map_without_one_shared_environment(self, rng):
+        spec = SpinChainSpec(sites=3, exchange=1.0, probe_exchange=1.0, field=0.01)
+        propagator = spinchain._block_propagator(spec)
+        other = np.zeros(2**3)
+        other[1] = 1.0
+
+        def dense(r1, r2):
+            sc = spinchain.scenario(spec, (r1, r2))
+            return ScenarioPair(BipartiteState(sc.state1.op, 2, 8),
+                                BipartiteState(sc.state2.op, 2, 8), propagator)
+
+        def different(r1, r2):
+            sc = spinchain.scenario(spec, (r1, r2))
+            return ScenarioPair(sc.state1, BipartiteState.product(r2, other), propagator)
+
+        for make in (dense, different):
+            with pytest.raises(ValueError, match="shared environment factor"):
+                nm_measure_maximized(make, [0.0, 1.0], bloch_pair_grid(3, 2))
+
+    def test_antipodal_equatorial_pairs_tie_exactly(self, monkeypatch):
+        """The benchmark pins the argmax of the 6-pair lattice, where the
+        equatorial pair and its swap tie: their curves must be equal bit for
+        bit, so that the first one in scan order wins."""
+        spec = SpinChainSpec(sites=7, exchange=1.0, probe_exchange=1.0, field=0.01)
+        curves = recorded_profiles(monkeypatch)
+        pairs = bloch_pair_grid(3, 2)
+        nm_measure_maximized(lambda r1, r2: spinchain.scenario(spec, (r1, r2)),
+                             np.linspace(0.0, 3.0, 40), pairs)
+        by_pair = dict(zip(sorted(pairs), curves))
+        forward = by_pair[((np.pi / 2, 0.0), (np.pi / 2, np.pi))]
+        assert np.array_equal(forward, by_pair[((np.pi / 2, np.pi), (np.pi / 2, 0.0))])
+        assert forward.max() > 0.5

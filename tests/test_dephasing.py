@@ -339,6 +339,24 @@ class TestDiagonalPropagator:
         with pytest.raises(ValueError, match="times"):
             prop.forecast(np.stack([np.eye(2)] * 2), mat, [0.5], [0.1], 2, 3)
 
+    @pytest.mark.parametrize("env_kind", ["amplitudes", "density"])
+    def test_reduced_on_a_system_stack_equals_the_member_calls(self, rng, env_kind):
+        """A stack of system factors against one environment, as the
+        maximized measure passes the qubit's Pauli basis: bit for bit the
+        member calls, with the stack's axis first."""
+        prop = DiagonalPropagator(rng.normal(scale=3.0, size=2 * 6))
+        psi = rng.normal(size=6) + 1j * rng.normal(size=6)
+        psi /= np.linalg.norm(psi)
+        env = psi if env_kind == "amplitudes" else random_density_direct(6, rng)
+        stack = np.stack([np.eye(2), [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+        for times in (np.linspace(0.0, 3.0, 7), np.linspace(0.0, 3.0, 6).reshape(2, 3)):
+            got = prop.reduced((stack, env), times, 2, 6)
+            assert got.shape == (4,) + times.shape + (2, 2)
+            for member, image in zip(stack, got):
+                assert np.array_equal(image, prop.reduced((member, env), times, 2, 6))
+        with pytest.raises(ValueError, match="one system factor"):
+            prop.forecast(np.eye(2)[None] / 2, (stack, env), [0.5], [0.1], 2, 6)
+
 
 class TestFullModel:
     def setup_method(self):

@@ -91,24 +91,41 @@ class TestPartialTrace:
             linalg.partial_trace(np.eye(4), 2, 2, keep="both")
 
 
+def dense_index_maxima(dense):
+    """Largest entry magnitude in row i or column i, read off the dense matrix."""
+    mag = np.abs(dense)
+    return np.maximum(mag.max(1), mag.max(0))
+
+
 class TestMagnitudeMaxima:
     def test_product_pair_matches_the_dense_product(self, rng):
-        a = rng.normal(size=(2, 3)) + 1j * rng.normal(size=(2, 3))
-        b = rng.normal(size=(4, 5)) + 1j * rng.normal(size=(4, 5))
-        dense = np.abs(np.kron(a, b))
-        for got, want in zip(linalg.magnitude_maxima((a, b)), (dense.max(1), dense.max(0))):
-            np.testing.assert_allclose(got, want, rtol=1e-15, atol=0)
+        a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+        b = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
+        np.testing.assert_allclose(linalg.magnitude_maxima((a, b)),
+                                   dense_index_maxima(np.kron(a, b)), rtol=1e-15, atol=0)
 
     def test_pair_of_stacks_matches_each_dense_product(self, rng):
         a = rng.normal(size=(3, 2, 2)) + 1j * rng.normal(size=(3, 2, 2))
         b = rng.normal(size=(3, 4, 4)) + 1j * rng.normal(size=(3, 4, 4))
-        rows, cols = linalg.magnitude_maxima((a, b))
-        assert rows.shape == cols.shape == (3, 8)
+        maxima = linalg.magnitude_maxima((a, b))
+        assert maxima.shape == (3, 8)
         for k in range(3):
-            dense = np.abs(np.kron(a[k], b[k]))
-            np.testing.assert_allclose(rows[k], dense.max(1), rtol=1e-15, atol=0)
-            np.testing.assert_allclose(cols[k], dense.max(0), rtol=1e-15, atol=0)
+            np.testing.assert_allclose(maxima[k], dense_index_maxima(np.kron(a[k], b[k])),
+                                       rtol=1e-15, atol=0)
 
+    def test_amplitudes_stand_for_their_projector(self, rng):
+        """A stack of non-Hermitian system factors against amplitudes psi,
+        whose row and column maxima the product forms once."""
+        a = rng.normal(size=(4, 2, 2)) + 1j * rng.normal(size=(4, 2, 2))
+        psi = rng.normal(size=6) + 1j * rng.normal(size=6)
+        maxima = linalg.magnitude_maxima((a, psi))
+        assert maxima.shape == (4, 12)
+        for k in range(4):
+            dense = np.kron(a[k], np.outer(psi, psi.conj()))
+            np.testing.assert_allclose(maxima[k], dense_index_maxima(dense), rtol=1e-15, atol=0)
+        np.testing.assert_allclose(linalg.magnitude_maxima(psi),
+                                   dense_index_maxima(np.outer(psi, psi.conj())),
+                                   rtol=1e-15, atol=0)
 
 class TestTraceNorm:
     def test_zero(self):

@@ -86,13 +86,13 @@ class TestProductState:
         systems = [random_density_direct(2, rng) for _ in range(3)]
         rho_e = random_density_direct(4, rng)
         names = []
-        validate = states.validate_density_matrix
+        validate = states._hermitian_factor
 
         def recording_validate(m, name="state", *args, **kwargs):
             names.append(name)
             return validate(m, name, *args, **kwargs)
 
-        monkeypatch.setattr(states, "validate_density_matrix", recording_validate)
+        monkeypatch.setattr(states, "_hermitian_factor", recording_validate)
         made = BipartiteState.products(systems, rho_e)
         assert names.count("environment factor") == 1
         assert all(s.factors[1] is made[0].factors[1] for s in made)
@@ -102,6 +102,23 @@ class TestProductState:
             assert np.array_equal(s.factors[1], single.factors[1])
         with pytest.raises(ValueError, match="read-only"):
             made[0].factors[1][0, 0] = 1.0
+
+    def test_factors_are_the_hermitian_parts_their_checks_formed(self, rng, monkeypatch):
+        """No second Hermitian part is formed: each factor is the check's
+        own, equal bit for bit to (m + m^dagger)/2, with the zero rows and
+        columns the check drops put back and the diagonal that a larger
+        factor's positivity check shifts restored."""
+        monkeypatch.setattr(linalg, "hermitian_part", None)
+        drift = 1e-12j * rng.normal(size=(3, 3))
+        factors = [pure_qubit(0.0, 0.4), pure_qubit(0.9, 2.1) + drift[:2, :2],
+                   random_density_direct(3, rng) + drift, np.diag([0.0, 0.25, 0.75])]
+        for m in factors:
+            want = (m + m.conj().T) / 2.0
+            as_system = BipartiteState.product(m, np.eye(2) / 2).factors[0]
+            as_environment = BipartiteState.product(np.eye(2) / 2, m).factors[1]
+            for factor in (as_system, as_environment):
+                assert np.array_equal(factor, want)
+                assert not factor.flags.writeable
 
     def test_products_reject_a_bad_system_factor(self, rng):
         with pytest.raises(ValueError, match="system factor .*trace"):
@@ -175,13 +192,13 @@ class TestAmplitudeEnvironment:
         """The amplitudes are checked by their norm alone: only the system
         factor goes through the density-matrix check."""
         names = []
-        validate = states.validate_density_matrix
+        validate = states._hermitian_factor
 
         def recording_validate(m, name="state", *args, **kwargs):
             names.append(name)
             return validate(m, name, *args, **kwargs)
 
-        monkeypatch.setattr(states, "validate_density_matrix", recording_validate)
+        monkeypatch.setattr(states, "_hermitian_factor", recording_validate)
         BipartiteState.product(np.eye(2) / 2, random_amplitudes(64, rng))
         assert names == ["system factor"]
 
