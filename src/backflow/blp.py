@@ -11,7 +11,8 @@ shared environment factor rho_E. The reduced dynamics is then a linear map
 Lambda_t on the qubit alone (Wissmann et al., PRA 86, 062108, 2012), found
 by one propagator call on the Pauli basis against rho_E, and each pair costs
 one contraction of that map and one batched trace norm. The map is reused
-while the scenarios share one propagator object and an equal rho_E.
+while the scenarios share one propagator object and rho_E, which
+``states._shared_environment`` decides for every pair of states here.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import linalg, witness
-from .states import pure_qubit
+from .states import _shared_environment, pure_qubit
 from .witness import ScenarioPair
 
 DEFAULT_RISE_TOL = 1e-10
@@ -138,8 +139,8 @@ def nm_measure_maximized(
     over the whole time grid, and a pair writes s1 - s2 = sum_k c_k B_k with
     real c_k and takes D(t) = |sum_k c_k Lambda_t(B_k)|_1 / 2, one contraction
     and one batched trace norm. The map is reused while the scenarios keep
-    the same propagator object and an equal environment factor, else rebuilt
-    from the pair's own scenario; nothing outlives the call.
+    the same propagator object and the environment of the ``state1`` it was
+    built from, else rebuilt; nothing outlives the call.
 
     ``make_scenario`` is called once per pair, and each pair is measured
     before the next one is built. The result is a lower estimate of the
@@ -156,11 +157,18 @@ def nm_measure_maximized(
     for pair in sorted(pairs):
         (th1, ph1), (th2, ph2) = pair
         sc = make_scenario(pure_qubit(th1, ph1), pure_qubit(th2, ph2))
-        s1, s2, env = _shared_product(sc)
-        if source is None or not (sc.propagator is source[0] and _same(env, source[1])):
-            source = sc.propagator, env
+        env = _shared_environment(sc.state1, sc.state2)
+        if sc.ds != 2 or env is None:
+            raise ValueError(
+                "the measure is maximized through the qubit's reduced map, which needs both "
+                "states to be products of a qubit factor and one shared environment factor"
+            )
+        same_map = source is not None and sc.propagator is source.propagator
+        if not (same_map and _shared_environment(sc.state1, source.state1) is not None):
+            source = sc
             qubit_map = sc.propagator.reduced((_PAULI_BASIS, env), ts, 2, sc.de)
-        (d00, _), (d10, d11) = (s1 - s2).tolist()  # Hermitian: d01 = conj(d10)
+        # Hermitian: d01 = conj(d10)
+        (d00, _), (d10, d11) = (sc.state1.system() - sc.state2.system()).tolist()
         coefficients = ((d00.real + d11.real) / 2, d10.real, d10.imag, (d00.real - d11.real) / 2)
         delta = sum(c * image for c, image in zip(coefficients, qubit_map))
         value = increasing_intervals(ts, 0.5 * linalg.trace_norm(delta)).total_increase()
@@ -169,19 +177,3 @@ def nm_measure_maximized(
             best_pair = pair
     assert best_pair is not None
     return best_value, best_pair
-
-
-def _shared_product(sc: ScenarioPair) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The two qubit factors and the environment factor of a scenario whose
-    states are products sharing one environment; ValueError otherwise."""
-    f1, f2 = sc.state1.factors, sc.state2.factors
-    if sc.ds != 2 or not (f1 and f2 and _same(f1[1], f2[1])):
-        raise ValueError(
-            "the measure is maximized through the qubit's reduced map, which needs both "
-            "states to be products of a qubit factor and one shared environment factor"
-        )
-    return f1[0], f2[0], f1[1]
-
-
-def _same(a: np.ndarray, b: np.ndarray) -> bool:
-    return a is b or np.array_equal(a, b)

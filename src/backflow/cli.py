@@ -247,11 +247,15 @@ def _parse_scenario(scenario: dict, grids: dict) -> Preset:
 
 
 def parse_config(path: str | Path) -> RunConfig:
-    """Read a run configuration from a flat INI file."""
-    cp = configparser.ConfigParser()
-    read = cp.read(path)
-    if not read:
-        raise ConfigError(f"cannot read config file {path}")
+    """Read a run configuration from a flat UTF-8 INI file, values taken
+    literally; a file that is unreadable or not INI raises ConfigError."""
+    cp = configparser.ConfigParser(interpolation=None)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            cp.read_file(fh)
+    except (OSError, UnicodeDecodeError, configparser.Error) as exc:
+        # one line: configparser's messages span several
+        raise ConfigError(f"cannot read config file {path}: {' '.join(str(exc).split())}") from exc
     unknown = set(cp.sections()) - _KNOWN_SECTIONS
     if unknown:
         raise ConfigError(f"unknown config sections: {sorted(unknown)}")
@@ -450,7 +454,10 @@ def _run_check_job(cfg: RunConfig, out_dir: Path) -> dict:
 def run(cfg: RunConfig) -> int:
     """Execute a run; returns the process exit status."""
     out_dir = Path(cfg.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except (FileExistsError, NotADirectoryError) as exc:
+        raise ConfigError(f"cannot make output directory {out_dir}: {exc.strerror}") from exc
     _remove_tables(out_dir)
     try:
         if cfg.preset.kind == "surface":

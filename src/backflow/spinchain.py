@@ -132,25 +132,15 @@ def scenario(
     That block of H is written straight from the hopping rule, and the
     states stay factor pairs, so no total operator is formed.
 
-    The environment is passed as its amplitude vector e_0, so a call pays
-    only for its pair: the two system factors and one O(2^N) norm check.
-    The propagator and e_0 depend on the chain alone, so scenarios on equal
-    specs share one read-only object of each.
+    The environment is passed as its amplitude vector e_0, one read-only
+    array that both states share; a call pays for its two system factors
+    and one O(2^N) build and norm check of e_0. The propagator depends on
+    the chain alone, so scenarios on equal specs share one read-only object.
     """
     if pair is None:
         pair = plus_minus_pair()
-    state1, state2 = BipartiteState.products(pair, _polarized(spec.sites))
+    state1, state2 = BipartiteState.products(pair, np.eye(1, 2**spec.sites, dtype=complex)[0])
     return ScenarioPair(state1=state1, state2=state2, propagator=_block_propagator(spec))
-
-
-@functools.lru_cache(maxsize=8)
-def _polarized(sites: int) -> np.ndarray:
-    """Amplitudes of the chain with every spin in |0>, read-only: equal
-    specs share one array, as they share the propagator."""
-    env = np.zeros(2**sites, dtype=complex)
-    env[0] = 1.0
-    env.flags.writeable = False
-    return env
 
 
 @functools.lru_cache(maxsize=8)

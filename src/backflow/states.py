@@ -159,6 +159,15 @@ class BipartiteState:
         return linalg.partial_trace(self.op, self.ds, self.de, "environment")
 
 
+def _shared_environment(state1: BipartiteState, state2: BipartiteState) -> np.ndarray | None:
+    """The environment factor that two product states share, as one array or
+    equal arrays; None otherwise. Identity is tested first, so the states of
+    one ``products`` call compare no arrays."""
+    e1, e2 = state1.factors and state1.factors[1], state2.factors and state2.factors[1]
+    shared = e1 is not None and e2 is not None and (e1 is e2 or np.array_equal(e1, e2))
+    return e1 if shared else None
+
+
 @dataclass(frozen=True, eq=False)
 class CorrelationDecomposition:
     """Marginals plus the traceless correlation remainder of a joint state.

@@ -20,7 +20,8 @@ gives both for a whole (t, t') grid, ``reduced`` at the distinct times t
 and t + t' and ``forecast`` every f, with no product or environment
 marginal formed in full; a product state reaches both as its factor pair,
 and two sharing one environment factor take one ``reduced`` call, on
-(rho_S1 - rho_S2, rho_E). D(t), g, f and g - f take one batched trace norm.
+(rho_S1 - rho_S2, rho_E), as ``states._shared_environment`` decides.
+D(t), g, f and g - f take one batched trace norm.
 """
 
 from __future__ import annotations
@@ -476,9 +477,9 @@ def _reduced_differences(sc: ScenarioPair, times: np.ndarray) -> np.ndarray:
     difference formed: one call on (system1 - system2, environment) for two
     products sharing one environment factor, else two reduced states."""
     reduce = sc.propagator.reduced
-    f1, f2 = sc.state1.factors, sc.state2.factors
-    if f1 and f2 and f1[1] is f2[1]:
-        return reduce((f1[0] - f2[0], f1[1]), times, sc.ds, sc.de)
+    env = states._shared_environment(sc.state1, sc.state2)
+    if env is not None:
+        return reduce((sc.state1.system() - sc.state2.system(), env), times, sc.ds, sc.de)
     r1, r2 = (reduce(_operand(s), times, sc.ds, sc.de) for s in (sc.state1, sc.state2))
     return r1 - r2
 
@@ -499,8 +500,8 @@ def _grid_norms(sc: ScenarioPair, ts, tprimes, diffs) -> np.ndarray:
 def reduced_distance(sc: ScenarioPair, t):
     """Trace distance between the two reduced system states at time t.
 
-    Array times give an array, from one reduced-state call per state and
-    one batched trace norm.
+    Array times give an array, from the reduced-state calls of
+    ``_reduced_differences`` and one batched trace norm.
     """
     ts = _require_times(t)
     dist = 0.5 * linalg.trace_norm(_reduced_differences(sc, ts).reshape(-1, sc.ds, sc.ds))

@@ -293,7 +293,7 @@ class TestQubitMap:
         # an environment that changes between pairs rebuilds the map at each change
         psi = np.zeros(2**7)
         psi[0] = psi[1] = np.sqrt(0.5)
-        envs = iter([psi, psi, spinchain._polarized(7)] * 2)
+        envs = iter([psi, psi, np.eye(1, 2**7)[0]] * 2)
         propagator = spinchain._block_propagator(spec)
 
         def switching(r1, r2):

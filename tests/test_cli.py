@@ -295,6 +295,7 @@ class TestConfigErrors:
             ("[scenario]\npreset = fig2a\nomega0 = 1\n" + OUTPUT, "no extra scenario keys"),
             ("[scenario]\nsites = 3\n" + OUTPUT, "either 'preset' or 'model'"),
             ("[scenario]\nmodel = ising\n" + OUTPUT, "unknown model 'ising'"),
+            ("[scenario]\npreset = fig%2b\n" + OUTPUT, "unknown preset 'fig%2b'"),
             ("[t_grid]\nmin = 0\nmax = 1\ncount = 3\n" + OUTPUT, "[scenario] section"),
             ("[scenario]\npreset = fig2b\n\n[tolerances]\nbogus = 1\n" + OUTPUT,
              "unknown tolerance keys"),
@@ -303,8 +304,8 @@ class TestConfigErrors:
              "output format must be csv or json"),
         ],
         ids=["float-unparsable", "int-unparsable", "grid-keys", "preset-extra-keys",
-             "no-preset-or-model", "unknown-model", "no-scenario", "unknown-tolerance",
-             "unknown-output-key", "format-xml"],
+             "no-preset-or-model", "unknown-model", "percent-read-literally", "no-scenario",
+             "unknown-tolerance", "unknown-output-key", "format-xml"],
     )
     def test_bad_config_rejected(self, tmp_path, capsys, text, expected):
         out = tmp_path / "out"
@@ -315,6 +316,42 @@ class TestConfigErrors:
         assert err.count("\n") == 1 and err.startswith("error: ")
         assert expected in err
         assert not (out / "summary.json").exists()
+
+    @pytest.mark.parametrize(
+        "content, expected",
+        [
+            (b"preset = fig2b\n", "no section headers"),
+            (b"[scenario]\npreset = fig2b\npreset = fig2a\n", "option 'preset'"),
+            (b"[scenario]\npreset = fig2b\n\n[scenario]\n", "section 'scenario'"),
+            (b"[scenario]\npreset = fig2b\nfoo\n", "parsing errors"),
+            (b"\xff\xfe[scenario]\npreset = fig2b\n", "can't decode byte 0xff"),
+        ],
+        ids=["no-section-header", "duplicate-option", "duplicate-section", "bare-line",
+             "not-utf-8"],
+    )
+    def test_malformed_file_rejected(self, tmp_path, capsys, content, expected):
+        cfg, out = tmp_path / "bad.ini", tmp_path / "out"
+        cfg.write_bytes(content)
+        assert main(["run", str(cfg), "--out", str(out)]) == EXIT_CONFIG_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot read config file {cfg}: ") and err.count("\n") == 1
+        assert expected in err and "Traceback" not in err, err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("given", ["option", "config"])
+    @pytest.mark.parametrize("below", [False, True], ids=["the-file", "below-the-file"])
+    def test_output_path_through_a_file_rejected(self, tmp_path, capsys, given, below):
+        afile = tmp_path / "afile"
+        afile.write_text("kept\n")
+        out = afile / "sub" if below else afile
+        cfg = tmp_path / "run.ini"
+        cfg.write_text(f"[scenario]\npreset = bell-check\n\n[output]\npath = {out}\n")
+        via = {"option": ["--preset", "bell-check", "--out", str(out)], "config": [str(cfg)]}
+        assert main(["run", *via[given]]) == EXIT_CONFIG_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot make output directory {out}: ")
+        assert err.count("\n") == 1 and "Traceback" not in err, err
+        assert afile.read_text() == "kept\n"
 
     @pytest.mark.parametrize(
         "text, expected",

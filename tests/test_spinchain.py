@@ -304,16 +304,14 @@ class TestSharedPropagator:
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 0
 
-
-    def test_equal_specs_share_one_polarized_environment(self):
-        env = spinchain._polarized(self.SPEC["sites"])
-        assert spinchain._polarized(self.SPEC["sites"]) is env
+    def test_both_states_share_one_read_only_polarized_environment(self):
+        sc = scenario(SpinChainSpec(**self.SPEC))
+        env = sc.state1.factors[1]
+        np.testing.assert_array_equal(env, np.eye(1, 2 ** self.SPEC["sites"])[0])
         with pytest.raises(ValueError, match="read-only"):
             env[0] = 0
-        np.testing.assert_array_equal(env, np.eye(1, 2 ** self.SPEC["sites"])[0])
-        sc = scenario(SpinChainSpec(**self.SPEC))
-        assert np.array_equal(sc.state1.factors[1], env)
-        assert sc.state2.factors[1] is sc.state1.factors[1]
+        assert sc.state2.factors[1] is env
+
 
 class TestFixedCharges:
     """The chain's propagator on charges 0, 1 and 2 against the full-space

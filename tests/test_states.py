@@ -219,6 +219,43 @@ class TestAmplitudeEnvironment:
             BipartiteState.products([np.eye(2) / 2], psi)
 
 
+class TestSharedEnvironment:
+    """``_shared_environment`` on the five kinds of pair: the states of one
+    ``products`` call, products of equal or of different environment
+    arrays, two dense states, and a product with a dense state."""
+
+    @staticmethod
+    def pair(kind, rng):
+        psi, systems = random_amplitudes(4, rng), (np.eye(2) / 2, pure_qubit(0.3, 0.1))
+        one = BipartiteState.products(systems, psi)
+        dense = [BipartiteState(s.op, 2, 4) for s in one]
+        other = random_amplitudes(4, rng) if kind == "different-arrays" else psi.copy()
+        return {
+            "same-array": one,
+            "equal-arrays": [one[0], BipartiteState.product(systems[1], other)],
+            "different-arrays": [one[0], BipartiteState.product(systems[1], other)],
+            "dense": dense,
+            "product-and-dense": [one[0], dense[1]],
+        }[kind]
+
+    @pytest.mark.parametrize("kind, shared", [
+        ("same-array", True), ("equal-arrays", True), ("different-arrays", False),
+        ("dense", False), ("product-and-dense", False),
+    ])
+    def test_returns_the_first_states_environment_or_none(self, rng, kind, shared):
+        state1, state2 = self.pair(kind, rng)
+        for first, second in ((state1, state2), (state2, state1)):
+            got = states._shared_environment(first, second)
+            assert got is (first.factors[1] if shared else None)
+        if kind == "equal-arrays":
+            assert state1.factors[1] is not state2.factors[1]
+
+    def test_one_array_is_not_compared(self, rng, monkeypatch):
+        state1, state2 = self.pair("same-array", rng)
+        monkeypatch.setattr(np, "array_equal", lambda *args: pytest.fail("arrays compared"))
+        assert states._shared_environment(state1, state2) is state1.factors[1]
+
+
 def _non_finite(bad, where):
     m = np.diag([0.5, 0.5, 0.0, 0.0]).astype(complex)
     if where == "diagonal":

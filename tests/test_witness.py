@@ -816,8 +816,9 @@ class CountingPropagator:
 
 
 class TestOneCallDifference:
-    """Two products sharing one environment factor take one reduced-state
-    call on (rho_S1 - rho_S2, rho_E); any other pair takes two."""
+    """Two products sharing one environment factor, one array or equal
+    arrays, take one reduced-state call on (rho_S1 - rho_S2, rho_E); any
+    other pair takes two."""
 
     @staticmethod
     def pairs(rng, diagonal, ds=2, de=3):
@@ -857,7 +858,20 @@ class TestOneCallDifference:
         separate = BipartiteState.product(shared[1].system(), shared[1].factors[1])
         apart = ScenarioPair(shared[0], separate, propagator=CountingPropagator(prop))
         assert np.max(np.abs(witness._reduced_differences(apart, ts) - one)) <= 1e-14
-        assert apart.propagator.reduced_calls == 2  # equal environments, not one factor
+        assert apart.propagator.reduced_calls == 1  # equal environments share the one call
+
+    @pytest.mark.parametrize("diagonal", [False, True], ids=["eigen", "diagonal"])
+    def test_different_environments_take_two_calls(self, rng, diagonal):
+        prop, shared, dense = self.pairs(rng, diagonal)
+        psi = rng.normal(size=3) + 1j * rng.normal(size=3)
+        other = BipartiteState.product(shared[1].system(), psi / np.linalg.norm(psi))
+        ts = np.linspace(0.0, 3.0, 7)
+        sc = ScenarioPair(shared[0], other, propagator=CountingPropagator(prop))
+        got = witness._reduced_differences(sc, ts)
+        assert sc.propagator.reduced_calls == 2
+        dense_other = BipartiteState(other.op, 2, 3)
+        want = witness._reduced_differences(ScenarioPair(dense[0], dense_other, propagator=prop), ts)
+        assert np.max(np.abs(got - want)) <= 1e-14
 
     @pytest.mark.parametrize("diagonal", [False, True], ids=["eigen", "diagonal"])
     def test_swapped_pair_gives_the_exact_negation(self, rng, diagonal):
