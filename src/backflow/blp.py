@@ -9,10 +9,12 @@ indices, with no sub-grid refinement.
 The maximization needs scenarios whose two states are products with one
 shared environment factor rho_E. The reduced dynamics is then a linear map
 Lambda_t on the qubit alone (Wissmann et al., PRA 86, 062108, 2012), found
-by one propagator call on the Pauli basis against rho_E, and each pair costs
-one contraction of that map and one batched trace norm. The map is reused
-while the scenarios share one propagator object and rho_E, which
-``states._shared_environment`` decides for every pair of states here.
+by one propagator call on the Pauli basis against rho_E. The map is checked
+for Hermiticity once and kept as the real Bloch coordinates of its images,
+so a pair costs one matrix-vector product with its four real coefficients
+and the closed-form qubit norm. The map is reused while the scenarios share
+one propagator object and rho_E, which ``states._shared_environment``
+decides for every pair of states here.
 """
 
 from __future__ import annotations
@@ -136,9 +138,11 @@ def nm_measure_maximized(
     dynamics is then a linear map Lambda_t on the qubit alone, so the pairs
     are measured through it: one propagator ``reduced`` call on the stack of
     (I, sigma_x, sigma_y, sigma_z) against rho_E gives Lambda_t on that basis
-    over the whole time grid, and a pair writes s1 - s2 = sum_k c_k B_k with
-    real c_k and takes D(t) = |sum_k c_k Lambda_t(B_k)|_1 / 2, one contraction
-    and one batched trace norm. The map is reused while the scenarios keep
+    over the whole time grid. The map passes ``linalg.require_hermitian`` once
+    and is kept as the Bloch coordinates of its images; a pair writes
+    s1 - s2 = sum_k c_k B_k with real c_k, and one product of the coordinates
+    with the c_k gives those of Lambda_t(s1 - s2), normed in closed form as in
+    ``linalg.trace_norm``. The map is reused while the scenarios keep
     the same propagator object and the environment of the ``state1`` it was
     built from, else rebuilt; nothing outlives the call.
 
@@ -153,7 +157,7 @@ def nm_measure_maximized(
     ts = witness._require_times(times)
     best_value = -np.inf
     best_pair: BlochPair | None = None
-    source = qubit_map = None
+    source = bloch = None
     for pair in sorted(pairs):
         (th1, ph1), (th2, ph2) = pair
         sc = make_scenario(pure_qubit(th1, ph1), pure_qubit(th2, ph2))
@@ -166,12 +170,15 @@ def nm_measure_maximized(
         same_map = source is not None and sc.propagator is source.propagator
         if not (same_map and _shared_environment(sc.state1, source.state1) is not None):
             source = sc
-            qubit_map = sc.propagator.reduced((_PAULI_BASIS, env), ts, 2, sc.de)
+            images = sc.propagator.reduced((_PAULI_BASIS, env), ts, 2, sc.de)
+            images = linalg.require_hermitian(images, "qubit map")
+            # row 4 i + j: coordinate j of the four images at ts[i]
+            bloch = np.moveaxis(linalg._bloch_coordinates(images), 0, -1).reshape(-1, 4)
         # Hermitian: d01 = conj(d10)
         (d00, _), (d10, d11) = (sc.state1.system() - sc.state2.system()).tolist()
         coefficients = ((d00.real + d11.real) / 2, d10.real, d10.imag, (d00.real - d11.real) / 2)
-        delta = sum(c * image for c, image in zip(coefficients, qubit_map))
-        value = increasing_intervals(ts, 0.5 * linalg.trace_norm(delta)).total_increase()
+        distances = 0.5 * linalg._qubit_norm((bloch @ coefficients).reshape(-1, 4))
+        value = increasing_intervals(ts, distances).total_increase()
         if value > best_value:
             best_value = value
             best_pair = pair

@@ -158,21 +158,35 @@ def nonzero_block(m: np.ndarray) -> np.ndarray:
     return m if keep.all() else m[np.ix_(keep, keep)]
 
 
-def _qubit_spectrum(h) -> tuple:
-    """(tr H, r) of a Hermitian 2 x 2 H, or of each of a stack: its eigenvalues
-    are (tr H +- r)/2 with r = hypot(h00 - h11, 2|h01|)."""
-    h00, h11 = h[..., 0, 0].real, h[..., 1, 1].real
-    return h00 + h11, np.hypot(h00 - h11, 2 * np.abs(h[..., 0, 1]))
+# Rows: Re and Im of h00, h01, h10 and h11; columns: tr H, z, x and y. On a
+# finite H every product is exact, so tr H and z are h00 +- h11 rounded once.
+_BLOCH = np.zeros((8, 4))
+_BLOCH[[0, 6, 0, 6, 4, 5], [0, 0, 1, 1, 2, 3]] = 1.0, 1.0, 1.0, -1.0, 2.0, 2.0
+_BLOCH.flags.writeable = False
+
+
+def _bloch_coordinates(h: np.ndarray) -> np.ndarray:
+    """Real (tr H, z, x, y) of a finite Hermitian 2 x 2 H, or of each of a
+    stack, on a new last axis: H = (tr H + z sigma_z + x sigma_x + y sigma_y)/2."""
+    return h.reshape(h.shape[:-2] + (4,)).view(float) @ _BLOCH
+
+
+def _qubit_norm(bloch: np.ndarray) -> np.ndarray:
+    """Trace norm max(|tr H|, r), r = hypot(z, |x + iy|), of H from its Bloch
+    coordinates, on a C-contiguous last axis. |x + iy| is numpy's complex abs
+    of a view of (x, y), so it equals 2|h01| exactly; np.hypot may round apart."""
+    r = np.hypot(bloch[..., 1], np.abs(bloch[..., 2:].view(complex)[..., 0]))
+    return np.maximum(np.abs(bloch[..., 0]), r)
 
 
 def trace_norm(a):
     """Sum of absolute eigenvalues of the Hermitian part H of ``a``, which
-    passes ``require_hermitian`` first. A 2 x 2 H has eigenvalues (tr H +- r)/2,
-    r = hypot(h00 - h11, 2|h01|), so its norm is max(|tr H|, r); a larger one
-    is eigensolved. A single matrix gives a float; its check and norm see only
-    its rows and columns that are not exactly zero, as a dropped index, zero in
-    row and column, adds no defect and a zero eigenvalue. A stack of shape
-    ``(..., n, n)`` gives an array of shape ``(...)``, checked per matrix.
+    passes ``require_hermitian`` first. A 2 x 2 H is normed in closed form from
+    its Bloch coordinates; a larger one is eigensolved. A single matrix gives a
+    float; its check and norm see only its rows and columns that are not exactly
+    zero, as a dropped index, zero in row and column, adds no defect and a zero
+    eigenvalue. A stack of shape ``(..., n, n)`` gives an array of shape
+    ``(...)``, checked per matrix.
     """
     m = np.asarray(a, dtype=complex)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
@@ -181,8 +195,7 @@ def trace_norm(a):
         m = nonzero_block(m)
     sym = require_hermitian(m)
     if sym.shape[-1] == 2:
-        tr, r = _qubit_spectrum(sym)
-        norms = np.maximum(np.abs(tr), r)
+        norms = _qubit_norm(_bloch_coordinates(sym))
     elif sym.size:
         norms = np.abs(np.linalg.eigvalsh(sym)).sum(axis=-1)
     else:

@@ -8,72 +8,88 @@ The qubit basis is fixed globally as H -> |0>, V -> |1>, and |0> is the
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import linalg
-from .linalg import PSD_TOL, TRACE_TOL
+from .linalg import HERMITICITY_TOL, PSD_TOL, TRACE_TOL
 
 
 def validate_density_matrix(rho, name: str = "state") -> np.ndarray:
     """Check Hermiticity, unit trace and positivity; return the input array.
 
-    Only the nonzero rows and columns are read past the trace: a dropped
-    index has a zero row and column, so it adds no Hermiticity defect and a
-    zero eigenvalue, while NaN and inf count as nonzero and fail
-    ``linalg.require_hermitian``. Positive means that the Hermitian part H of
-    that block has no eigenvalue below -PSD_TOL. A 1 x 1 or 2 x 2 H is checked
-    by its smallest eigenvalue in closed form, h00 or (tr H - r)/2 with
-    r = hypot(h00 - h11, 2|h01|); a larger one passes when H plus PSD_TOL on
-    the diagonal has a Cholesky factor, and only a rejected one is
-    eigensolved, to report its negative eigenvalue.
+    Positive means that the Hermitian part H has no eigenvalue below -PSD_TOL.
+    A 2 x 2 matrix is checked from its four entries, read once as Python
+    scalars, with the smallest eigenvalue (tr H - r)/2, r = hypot(h00 - h11,
+    2|h01|). A larger one is read past the trace on its rows and columns that
+    are not exactly zero, which add no Hermiticity defect and zero eigenvalues
+    (NaN and inf count as nonzero and fail ``linalg.require_hermitian``); it
+    passes when H plus PSD_TOL on the diagonal has a Cholesky factor, and only
+    a rejected one is eigensolved, to report its negative eigenvalue.
     """
     m = linalg.as_complex_matrix(rho)
     _checked_block(m, name)
     return m
 
 
-def _checked_block(m: np.ndarray, name: str) -> np.ndarray:
+def _checked_block(m: np.ndarray, name: str) -> tuple[np.ndarray, float]:
     """The checks of ``validate_density_matrix`` on a complex matrix ``m``;
-    returns the Hermitian part H of its nonzero block, as it was checked."""
+    returns the Hermitian part H of its nonzero block, as it was checked,
+    and the trace of H."""
     if m.shape[0] != m.shape[1]:
         raise ValueError(f"{name} must be square, got shape {m.shape}")
+    if m.shape == (2, 2):
+        return _checked_qubit(m, name)
     sym = linalg.require_hermitian(linalg.nonzero_block(m), name)
     tr = complex(np.trace(m))
     if not abs(tr - 1.0) <= TRACE_TOL:
         raise ValueError(f"{name} has trace {tr:.12g}, expected 1")
-    if len(sym) > 2:
-        diagonal = sym.diagonal().copy()
-        sym.flat[:: len(sym) + 1] += PSD_TOL
-        try:
-            np.linalg.cholesky(sym)
-        except np.linalg.LinAlgError:
-            smallest = float(np.linalg.eigvalsh(sym)[0]) - PSD_TOL
-            raise ValueError(f"{name} has negative eigenvalue {smallest:.3e}") from None
-        sym.flat[:: len(sym) + 1] = diagonal  # H again, exactly
-        return sym
-    if len(sym) == 2:
-        tr, r = linalg._qubit_spectrum(sym)
-        smallest = float(tr - r) / 2.0
-    else:
-        smallest = float(sym[0, 0].real)
+    diagonal = sym.diagonal().copy()
+    sym.flat[:: len(sym) + 1] += PSD_TOL
+    try:
+        np.linalg.cholesky(sym)
+    except np.linalg.LinAlgError:
+        smallest = float(np.linalg.eigvalsh(sym)[0]) - PSD_TOL
+        raise ValueError(f"{name} has negative eigenvalue {smallest:.3e}") from None
+    sym.flat[:: len(sym) + 1] = diagonal  # H again, exactly
+    return sym, tr.real
+
+
+def _checked_qubit(m: np.ndarray, name: str) -> tuple[np.ndarray, float]:
+    """``_checked_block`` on a 2 x 2 ``m`` in Python scalars, with the general
+    path's tolerances and messages; H equals (m + m^dagger)/2 bit for bit."""
+    (a, b), (c, d) = m.tolist()
+    gaps = (abs(a - a.conjugate()), abs(b - c.conjugate()), abs(d - d.conjugate()))
+    if not all(gap <= HERMITICITY_TOL for gap in gaps):  # NaN fails too
+        defect = float(np.max(gaps))  # NaN wherever it sits; max() depends on the order
+        raise ValueError(f"{name} is not Hermitian: defect {defect:.3e} "
+                         f"exceeds {HERMITICITY_TOL:.1e}")
+    tr = a + d
+    if not abs(tr - 1.0) <= TRACE_TOL:
+        raise ValueError(f"{name} has trace {tr:.12g}, expected 1")
+    h00, h11 = a.real, d.real
+    h01 = complex((b.real + c.real) / 2, (b.imag - c.imag) / 2)
+    h10 = complex((c.real + b.real) / 2, (c.imag - b.imag) / 2)
+    smallest = (h00 + h11 - math.hypot(h00 - h11, 2 * abs(h01))) / 2
     if not smallest >= -PSD_TOL:
         raise ValueError(f"{name} has negative eigenvalue {smallest:.3e}")
-    return sym
+    return np.array([[h00, h01], [h10, h11]], dtype=complex), h00 + h11
 
 
-def _hermitian_factor(factor, name: str) -> np.ndarray:
+def _hermitian_factor(factor, name: str) -> tuple[np.ndarray, float]:
     """A checked density operator as its Hermitian part, read-only: the one
-    the check formed, with the zero rows and columns it dropped put back."""
+    the check formed, with the zero rows and columns it dropped put back;
+    and the trace of that part, as checked."""
     m = linalg.as_complex_matrix(factor)
-    sym = _checked_block(m, name)
+    sym, tr = _checked_block(m, name)
     if sym.shape != m.shape:
         keep = linalg._nonzero_mask(m)
         sym, block = np.zeros_like(m), sym
         sym[np.ix_(keep, keep)] = block
     sym.flags.writeable = False
-    return sym
+    return sym, tr
 
 
 class BipartiteState:
@@ -118,17 +134,18 @@ class BipartiteState:
         """
         env = np.array(environment, dtype=complex)
         if env.ndim == 2:
-            env = _hermitian_factor(env, "environment factor")
-        elif env.ndim != 1:
+            env, env_trace = _hermitian_factor(env, "environment factor")
+        elif env.ndim == 1:
+            env_trace = np.vdot(env, env)
+        else:
             raise ValueError(f"environment factor must be 1-d or 2-d, got shape {env.shape}")
-        env_trace = np.trace(env) if env.ndim == 2 else np.vdot(env, env)
         if not abs(env_trace - 1.0) <= TRACE_TOL:  # NaN and inf fail too
             raise ValueError(f"environment factor has trace {env_trace:.12g}, expected 1")
         env.flags.writeable = False
         out = []
         for system in systems:
-            factor = _hermitian_factor(system, "system factor")
-            tr = complex(np.trace(factor) * env_trace)
+            factor, factor_trace = _hermitian_factor(system, "system factor")
+            tr = complex(factor_trace * env_trace)
             if not abs(tr - 1.0) <= TRACE_TOL:
                 raise ValueError(f"product state has trace {tr:.12g}, expected 1")
             state = object.__new__(cls)

@@ -1,7 +1,9 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
-from backflow import blp, spinchain
+from backflow import blp, linalg, spinchain
 from backflow.blp import (
     bloch_pair_grid,
     distance_profile,
@@ -354,3 +356,40 @@ class TestQubitMap:
         forward = by_pair[((np.pi / 2, 0.0), (np.pi / 2, np.pi))]
         assert np.array_equal(forward, by_pair[((np.pi / 2, np.pi), (np.pi / 2, 0.0))])
         assert forward.max() > 0.5
+
+    def test_bloch_form_equals_the_explicit_delta_stack(self, monkeypatch):
+        """Each pair's curve, read off the map's Bloch coordinates, against
+        half the trace norm of sum_k c_k Lambda_t(B_k) formed as matrices."""
+        spec = SpinChainSpec(sites=7, exchange=1.0, probe_exchange=1.0, field=0.01)
+        ts, pairs = np.linspace(0.0, 3.0, 40), bloch_pair_grid(9, 8)
+        make = lambda r1, r2: spinchain.scenario(spec, (r1, r2))
+        curves = recorded_profiles(monkeypatch)
+        nm_measure_maximized(make, ts, pairs)
+        images = spinchain._block_propagator(spec).reduced(
+            (blp._PAULI_BASIS, np.eye(1, 2**7)[0]), ts, 2, 2**7)
+        assert len(curves) == len(pairs)
+        for curve, ((th1, ph1), (th2, ph2)) in zip(curves, sorted(pairs)):
+            d = pure_qubit(th1, ph1) - pure_qubit(th2, ph2)
+            coefficients = [(d[0, 0] + d[1, 1]).real / 2, d[1, 0].real, d[1, 0].imag,
+                            (d[0, 0] - d[1, 1]).real / 2]
+            delta = sum(c * image for c, image in zip(coefficients, images))
+            np.testing.assert_allclose(curve, 0.5 * linalg.trace_norm(delta), rtol=0, atol=1e-12)
+
+    def test_the_map_is_checked_for_hermiticity(self):
+        """The Hermiticity check of each pair's difference moved to the map
+        the pairs are read from: a map with an anti-Hermitian part fails."""
+        spec = SpinChainSpec(sites=4, exchange=1.0, probe_exchange=1.0, field=0.01)
+        inner = spinchain._block_propagator(spec)
+
+        def skewed_reduced(*args):
+            return inner.reduced(*args) + 0.5e-6 * np.array([[0, 1], [-1, 0]])
+
+        skewed = SimpleNamespace(dim=inner.dim, evolve=inner.evolve, reduced=skewed_reduced,
+                                 forecast=inner.forecast)
+
+        def make(r1, r2):
+            sc = spinchain.scenario(spec, (r1, r2))
+            return ScenarioPair(sc.state1, sc.state2, skewed)
+
+        with pytest.raises(ValueError, match="not Hermitian: defect 1.000e-06"):
+            nm_measure_maximized(make, np.linspace(0.0, 2.0, 20), bloch_pair_grid(3, 2))

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -332,6 +334,87 @@ class TestPositivity:
         with pytest.raises(ValueError, match="negative eigenvalue") as info:
             states.validate_density_matrix(rho)
         assert float(str(info.value).split()[-1]) == pytest.approx(smallest, rel=1e-3)
+
+
+def general_qubit_check(m, name="state"):
+    """The general rule on a 2 x 2 matrix: ``linalg.require_hermitian``, the
+    trace, and the smallest eigenvalue of H by ``eigvalsh``."""
+    sym = linalg.require_hermitian(m, name)
+    tr = complex(np.trace(m))
+    if not abs(tr - 1.0) <= linalg.TRACE_TOL:
+        raise ValueError(f"{name} has trace {tr:.12g}, expected 1")
+    smallest = float(np.linalg.eigvalsh(sym)[0])
+    if not smallest >= -linalg.PSD_TOL:
+        raise ValueError(f"{name} has negative eigenvalue {smallest:.3e}")
+    return sym
+
+
+def _qubit_with_smallest(smallest):
+    """A rotated 2 x 2 Hermitian matrix of unit trace and smallest eigenvalue
+    ``smallest``."""
+    q = np.array([[0.6, 0.8j], [0.8j, 0.6]])
+    return (q * [1.0 - smallest, smallest]) @ q.conj().T
+
+
+def _shifted(where, shift):
+    """A valid qubit state with ``shift`` added to one entry."""
+    m = np.array([[0.7, 0.2 - 0.1j], [0.2 + 0.1j, 0.3]])
+    m[where] += shift
+    return m
+
+
+# (id, matrix, accepted by both rules)
+QUBIT_CASES = [
+    *[(f"{bad} at {where}", _shifted(where, bad), False)
+      for where in [(0, 0), (0, 1), (1, 1)] for bad in (np.nan, np.inf, -np.inf)],
+    ("defect 5e-11", _shifted((0, 1), 5e-11), True),
+    ("defect 2e-10", _shifted((0, 1), 2e-10), False),
+    ("trace 1+2e-9", _shifted((1, 1), 2e-9), False),
+    ("trace 1-2e-9", _shifted((1, 1), -2e-9), False),
+    ("trace 1+5e-10", _shifted((1, 1), 5e-10), True),
+    ("smallest -5e-10", _qubit_with_smallest(-5e-10), True),
+    ("smallest -2e-9", _qubit_with_smallest(-2e-9), False),
+    ("smallest 0", _qubit_with_smallest(0.0), True),
+    ("|0><0|", np.diag([1.0, 0.0]).astype(complex), True),
+    ("|1><1|", np.diag([0.0, 1.0]).astype(complex), True),
+]
+
+
+class TestQubitCheck:
+    """A 2 x 2 matrix is checked from its four entries in closed form; the
+    closed form keeps the general rule's verdicts and messages."""
+
+    @pytest.mark.parametrize("m, accepted", [case[1:] for case in QUBIT_CASES],
+                             ids=[case[0] for case in QUBIT_CASES])
+    def test_agrees_with_the_general_rule(self, m, accepted):
+        if accepted:
+            general_qubit_check(m)
+            assert states.validate_density_matrix(m) is not None
+            return
+        with pytest.raises(ValueError) as general:
+            general_qubit_check(m)
+        with pytest.raises(ValueError) as closed_form:
+            states.validate_density_matrix(m)
+        prefix = lambda info: re.match(r"\D*", str(info.value)).group()
+        assert prefix(closed_form) == prefix(general)
+
+    def test_skips_the_general_path(self, monkeypatch):
+        for name in ("require_hermitian", "nonzero_block"):
+            monkeypatch.setattr(linalg, name, None)
+        for m in (pure_qubit(0.0, 0.0), pure_qubit(np.pi, 0.0), pure_qubit(1.1, 0.4)):
+            states.validate_density_matrix(m)
+
+    def test_hermitian_part_is_bit_exact_and_read_only(self):
+        rng = np.random.default_rng(7)
+        for _ in range(200):
+            m = random_density_direct(2, rng)
+            m = m + 5e-12 * (rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
+            m = m / np.trace(m).real
+            factor, trace = states._hermitian_factor(m, "system factor")
+            want = (m + m.conj().T) / 2.0
+            assert factor.tobytes() == want.tobytes()
+            assert trace == np.trace(want).real
+            assert not factor.flags.writeable
 
 
 class TestDecompose:
