@@ -75,8 +75,7 @@ def increasing_intervals(times, values, rise_tol: float = DEFAULT_RISE_TOL) -> M
     compares false both ways, so it would pass the ascending check or hide
     a rise. ``rise_tol`` must be finite and nonnegative.
     """
-    if not 0.0 <= rise_tol < np.inf:
-        raise ValueError(f"rise_tol must be finite and nonnegative, got {rise_tol}")
+    linalg._require_nonnegative(rise_tol, "rise_tol")
     ts = np.asarray(times, dtype=float)
     vs = np.asarray(values, dtype=float)
     if ts.ndim != 1 or vs.shape != ts.shape:

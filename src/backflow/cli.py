@@ -21,7 +21,6 @@ import configparser
 import csv
 import io
 import json
-import math
 import os
 import sys
 from dataclasses import asdict, dataclass, fields, replace
@@ -60,19 +59,16 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class GridSpec:
+    """``count`` times from ``lo`` to ``hi``, checked by ``witness._require_grid``."""
+
     lo: float
     hi: float
     count: int
 
     def __post_init__(self):
-        if self.count < 1:
-            raise ConfigError(f"grid count must be >= 1, got {self.count}")
-        if not 0 <= self.lo < math.inf:
-            raise ConfigError(f"grid minimum must be nonnegative and finite, got {self.lo}")
-        if not self.lo <= self.hi < math.inf:
-            raise ConfigError(f"grid maximum {self.hi} is below minimum {self.lo} or not finite")
-        if self.count > 1 and self.hi == self.lo:
-            raise ConfigError(f"a grid of {self.count} points needs a maximum above {self.lo}")
+        name = f"grid of {self.count} points on [{self.lo}, {self.hi}]"
+        witness._require_times((self.lo, self.hi), name)  # before np.linspace can warn
+        witness._require_grid(self.points(), name)
 
     def points(self) -> np.ndarray:
         return np.linspace(self.lo, self.hi, self.count)
@@ -102,8 +98,8 @@ class Preset:
     ``surface`` evaluates the (t, t') grid, in closed form for a frequency
     distribution and by explicit evolution for a chain; ``sweep`` ramps the
     component ratio of a double Lorentzian; ``check`` runs the
-    correlation-split oracle and has no model.
-    """
+    correlation-split oracle and has no model. The grids' last times must
+    have a finite sum, as the library requires of every t + t'."""
 
     name: str
     description: str
@@ -111,6 +107,10 @@ class Preset:
     model: SingleLorentzian | DoubleLorentzian | SpinChainSpec | None = None
     t_grid: GridSpec = DEFAULT_GRID
     tprime_grid: GridSpec = DEFAULT_GRID
+
+    def __post_init__(self):
+        last = self.t_grid.points()[-1].item() + self.tprime_grid.points()[-1].item()
+        witness._require_times(last, "t + t'")
 
 
 @dataclass(frozen=True)
@@ -122,6 +122,14 @@ class RunConfig:
     rise_tol: float = blp.DEFAULT_RISE_TOL
     out_dir: str = "out"
     fmt: str = "csv"
+
+    def __post_init__(self):
+        linalg._require_nonnegative(self.class_eps, "class_eps")
+        linalg._require_nonnegative(self.rise_tol, "rise_tol")
+        if not self.out_dir:
+            raise ValueError("output path must not be empty")
+        if self.fmt not in ("csv", "json"):
+            raise ValueError(f"output format must be csv or json, got {self.fmt!r}")
 
 
 PRESETS: dict[str, Preset] = {
@@ -176,44 +184,39 @@ PRESETS: dict[str, Preset] = {
 # config parsing
 # --------------------------------------------------------------------------
 
-_KNOWN_SECTIONS = {"scenario", "t_grid", "tprime_grid", "tolerances", "output"}
+# The field that each INI key sets: of GridSpec in a grid section, else of RunConfig.
+_GRID_KEYS = {"min": "lo", "max": "hi", "count": "count"}
+_RUN_KEYS = {
+    "tolerances": {"class_eps": "class_eps", "rise_tol": "rise_tol"},
+    "output": {"path": "out_dir", "format": "fmt"},
+}
 # Sections a kind of job has no use for: the sweep runs at the fixed
 # SWEEP_TPRIME, and the check job evaluates no grid and no tolerance.
 _UNUSED_SECTIONS = {"sweep": {"tprime_grid"}, "check": {"t_grid", "tprime_grid", "tolerances"}}
+# How a value is read for a field of each declared type.
+_PARSERS = {"int": (int, "an integer"), "float": (float, "a number"), "str": (str, "text")}
 
 
-def _parse_float(raw: str, where: str) -> float:
-    try:
-        value = float(raw)
-    except ValueError as exc:
-        raise ConfigError(f"{where}: cannot parse {raw!r} as a number") from exc
-    if not math.isfinite(value):
-        raise ConfigError(f"{where}: {raw!r} is not a finite number")
-    return value
-
-
-def _parse_int(raw: str, where: str) -> int:
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise ConfigError(f"{where}: cannot parse {raw!r} as an integer") from exc
-
-
-def _parse_grid(section: configparser.SectionProxy, name: str) -> GridSpec:
-    keys = set(section.keys())
-    if keys != {"min", "max", "count"}:
-        raise ConfigError(f"[{name}] must define exactly min, max, count (got {sorted(keys)})")
-    return GridSpec(
-        lo=_parse_float(section["min"], f"[{name}] min"),
-        hi=_parse_float(section["max"], f"[{name}] max"),
-        count=_parse_int(section["count"], f"[{name}] count"),
-    )
-
-
-def _find_preset(name: str) -> Preset:
-    if name not in PRESETS:
-        raise ConfigError(f"unknown preset {name!r}; run list-presets to see choices")
-    return PRESETS[name]
+def _read_section(section, where: str, record, keys: dict, required: bool) -> dict:
+    """The fields of ``record`` that an INI ``section`` sets, each value parsed
+    by the field's declared type; ``keys`` maps each INI key to its field. A
+    key not in ``keys`` is an error, and so is a missing one if ``required``.
+    The record's own checks judge the values."""
+    unknown = sorted(set(section) - set(keys))
+    if unknown:
+        raise ConfigError(f"{where} has unknown keys {unknown}")
+    missing = [key for key in keys if key not in section]
+    if required and missing:
+        raise ConfigError(f"{where} must define exactly {', '.join(keys)}; missing {missing}")
+    declared = {f.name: f.type for f in fields(record)}
+    values = {}
+    for key, raw in section.items():
+        parse, what = _PARSERS[declared[keys[key]]]
+        try:
+            values[keys[key]] = parse(raw)
+        except ValueError:
+            raise ConfigError(f"{where} {key}: cannot parse {raw!r} as {what}") from None
+    return values
 
 
 def _parse_scenario(scenario: dict, grids: dict) -> Preset:
@@ -223,32 +226,25 @@ def _parse_scenario(scenario: dict, grids: dict) -> Preset:
         name = scenario.pop("preset")
         if scenario:
             raise ConfigError(f"preset runs take no extra scenario keys: {sorted(scenario)}")
-        return replace(_find_preset(name), **grids)
+        if name not in PRESETS:
+            raise ConfigError(f"unknown preset {name!r}; run list-presets to see choices")
+        return replace(PRESETS[name], **grids)
     if "model" not in scenario:
         raise ConfigError("scenario needs either 'preset' or 'model'")
     name = scenario.pop("model")
     if name not in _MODELS:
         raise ConfigError(f"unknown model {name!r}; choose from {sorted(_MODELS)}")
-    model_fields = fields(_MODELS[name])
-    extra = set(scenario) - {f.name for f in model_fields}
-    if extra:
-        raise ConfigError(f"unknown parameters for {name}: {sorted(extra)}")
-    values = {}
-    for f in model_fields:
-        if f.name not in scenario:
-            raise ConfigError(f"scenario {name}: missing parameter {f.name!r}")
-        parse = _parse_int if f.type in ("int", int) else _parse_float
-        values[f.name] = parse(scenario[f.name], f"scenario {name} {f.name}")
-    try:
-        model = _MODELS[name](**values)
-    except ValueError as exc:
-        raise ConfigError(f"scenario {name}: {exc}") from exc
-    return Preset(name, f"{name} from a config file", "surface", model, **grids)
+    model = _MODELS[name]
+    keys = {f.name: f.name for f in fields(model)}
+    values = _read_section(scenario, f"[scenario] model {name}", model, keys, required=True)
+    return Preset(name, f"{name} from a config file", "surface", model(**values), **grids)
 
 
 def parse_config(path: str | Path) -> RunConfig:
     """Read a run configuration from a flat UTF-8 INI file, values taken
-    literally; a file that is unreadable or not INI raises ConfigError."""
+    literally. A file that is unreadable, not INI, or has a key, section or
+    value the run cannot read raises ConfigError; a value that the config's
+    records reject raises their ValueError."""
     cp = configparser.ConfigParser(interpolation=None)
     try:
         with open(path, encoding="utf-8") as fh:
@@ -256,36 +252,25 @@ def parse_config(path: str | Path) -> RunConfig:
     except (OSError, UnicodeDecodeError, configparser.Error) as exc:
         # one line: configparser's messages span several
         raise ConfigError(f"cannot read config file {path}: {' '.join(str(exc).split())}") from exc
-    unknown = set(cp.sections()) - _KNOWN_SECTIONS
+    unknown = set(cp.sections()) - {"scenario", "t_grid", "tprime_grid", *_RUN_KEYS}
     if unknown:
         raise ConfigError(f"unknown config sections: {sorted(unknown)}")
     if "scenario" not in cp:
         raise ConfigError("config must have a [scenario] section")
-    grids = {name: _parse_grid(cp[name], name) for name in ("t_grid", "tprime_grid") if name in cp}
+    grids = {
+        name: GridSpec(**_read_section(cp[name], f"[{name}]", GridSpec, _GRID_KEYS, required=True))
+        for name in ("t_grid", "tprime_grid") if name in cp
+    }
     preset = _parse_scenario(dict(cp["scenario"]), grids)
     unused = sorted(_UNUSED_SECTIONS.get(preset.kind, set()) & set(cp.sections()))
     if unused:
         listed = ", ".join(f"[{name}]" for name in unused)
         raise ConfigError(f"preset {preset.name} does not use the section(s) {listed}")
-
-    tolerances = dict(cp["tolerances"]) if "tolerances" in cp else {}
-    extra = set(tolerances) - {"class_eps", "rise_tol"}
-    if extra:
-        raise ConfigError(f"unknown tolerance keys: {sorted(extra)}")
-    for key, raw in tolerances.items():
-        tolerances[key] = value = _parse_float(raw, f"[tolerances] {key}")
-        if value < 0:
-            raise ConfigError(f"[tolerances] {key} must be nonnegative, got {value}")
-
-    output = dict(cp["output"]) if "output" in cp else {}
-    extra = set(output) - {"path", "format"}
-    if extra:
-        raise ConfigError(f"unknown output keys: {sorted(extra)}")
-    cfg = RunConfig(preset, **tolerances)
-    cfg = replace(cfg, out_dir=output.get("path", cfg.out_dir), fmt=output.get("format", cfg.fmt))
-    if cfg.fmt not in ("csv", "json"):
-        raise ConfigError(f"output format must be csv or json, got {cfg.fmt!r}")
-    return cfg
+    settings = {}
+    for name, keys in _RUN_KEYS.items():
+        if name in cp:
+            settings.update(_read_section(cp[name], f"[{name}]", RunConfig, keys, required=False))
+    return RunConfig(preset, **settings)
 
 
 # --------------------------------------------------------------------------
@@ -472,11 +457,6 @@ def run(cfg: RunConfig) -> int:
         return EXIT_INVARIANT
     _write_summary(out_dir, summary)
     return EXIT_OK
-
-
-def list_presets() -> str:
-    lines = [f"{name:<11} {preset.description}" for name, preset in PRESETS.items()]
-    return "\n".join(lines)
 
 
 # --------------------------------------------------------------------------
@@ -721,25 +701,27 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("config", nargs="?", help="path to an INI run configuration")
     run_p.add_argument("--preset", help="named preset (see list-presets)")
     run_p.add_argument("--out", help="output directory (default: out)")
-    run_p.add_argument("--format", choices=("csv", "json"), help="table format (default: csv)")
+    run_p.add_argument("--format", help="table format, csv or json (default: csv)")
     sub.add_parser("list-presets", help="show available presets")
     sub.add_parser("audit", help="run the invariant battery and print pass/fail")
     return parser
 
 
 def _cmd_run(args) -> int:
-    if args.config and args.preset:
-        raise ConfigError("give either a config file or --preset, not both")
-    if args.config:
-        cfg = parse_config(args.config)
-    elif args.preset:
-        cfg = RunConfig(preset=_find_preset(args.preset))
-    else:
-        raise ConfigError("run needs a config file or --preset")
-    if args.out:
-        cfg = replace(cfg, out_dir=args.out)
-    if args.format:
-        cfg = replace(cfg, fmt=args.format)
+    try:
+        if args.config and args.preset:
+            raise ConfigError("give either a config file or --preset, not both")
+        if args.config:
+            cfg = parse_config(args.config)
+        elif args.preset:
+            cfg = RunConfig(preset=_parse_scenario({"preset": args.preset}, {}))
+        else:
+            raise ConfigError("run needs a config file or --preset")
+        given = {"out_dir": args.out, "fmt": args.format}.items()
+        cfg = replace(cfg, **{field: value for field, value in given if value is not None})
+    except ValueError as exc:
+        # the one place where the records' own checks become config errors
+        raise ConfigError(str(exc)) from exc
     return run(cfg)
 
 
@@ -750,7 +732,7 @@ def main(argv=None) -> int:
         if args.command == "run":
             return _cmd_run(args)
         if args.command == "list-presets":
-            print(list_presets())
+            print("\n".join(f"{name:<11} {p.description}" for name, p in PRESETS.items()))
             return EXIT_OK
         if args.command == "audit":
             return run_audit()

@@ -65,8 +65,7 @@ class DoubleLorentzian:
             raise ValueError(
                 f"widths must be positive and finite, got ({self.delta1}, {self.delta2})"
             )
-        if not 0 <= self.r < math.inf:
-            raise ValueError(f"component ratio must be nonnegative and finite, got {self.r}")
+        linalg._require_nonnegative(self.r, "component ratio")
 
 
 @dataclass(frozen=True, eq=False)
@@ -177,10 +176,11 @@ def analytic_witnesses(
     All four reduce to moduli of k: D = |k(t)|, F = |k(t)k(t')|,
     B = |k(t+t') - k(t)k(t')| and delta_d = |k(t+t')| - |k(t)|. Array
     times broadcast against each other and give arrays. Negative or
-    non-finite times raise ValueError.
+    non-finite times, or a sum t + t' that overflows, raise ValueError.
     """
-    witness._require_times(t, "t")
-    witness._require_times(tprime, "t'")
+    ts, tps = witness._require_times(t, "t"), witness._require_times(tprime, "t'")
+    # the largest sum, of Python floats: an overflow gives inf, with no warning
+    witness._require_times(ts.max(initial=0.0).item() + tps.max(initial=0.0).item(), "t + t'")
     kt = dephasing_function(dist, t)
     ktp = dephasing_function(dist, tprime)
     knext = dephasing_function(dist, t + tprime)

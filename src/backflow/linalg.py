@@ -35,6 +35,12 @@ def _require_integer(value, name: str) -> int:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
+def _require_nonnegative(value, name: str) -> None:
+    """A ValueError naming ``name`` unless ``value`` is finite and nonnegative (not NaN)."""
+    if not 0.0 <= value < np.inf:
+        raise ValueError(f"{name} must be finite and nonnegative, got {value}")
+
+
 def as_complex_matrix(a) -> np.ndarray:
     m = np.asarray(a, dtype=complex)
     if m.ndim != 2:

@@ -40,17 +40,17 @@ class SpinChainSpec:
         object.__setattr__(self, "sites", linalg._require_integer(self.sites, "sites"))
         if not self.sites >= 1:
             raise ValueError(f"need at least one environment site, got {self.sites}")
-        if not 0 < self.exchange < math.inf:
-            raise ValueError(f"chain exchange must be positive and finite, got {self.exchange}")
-        if not (math.isfinite(self.probe_exchange) and math.isfinite(self.field)):
-            raise ValueError(
-                f"probe exchange and field must be finite, "
-                f"got ({self.probe_exchange}, {self.field})"
-            )
         cap = linalg.DENSE_DIM_CAP
         # compares exponents, so a huge site count never builds 2^(sites + 1)
         if self.sites + 1 >= cap.bit_length():
             raise ValueError(f"total dimension 2^{self.sites + 1} exceeds cap {cap}")
+        if not self.exchange > 0:
+            raise ValueError(f"chain exchange must be positive, got {self.exchange}")
+        # H's Gershgorin radius on one excitation; J0 first, as max keeps it against a NaN
+        radius = 8 * max(abs(self.probe_exchange), self.exchange) + 2 * self.sites * abs(self.field)
+        if not math.isfinite(radius):
+            raise ValueError(f"couplings (J, J0, B) = ({self.exchange}, {self.probe_exchange}, "
+                             f"{self.field}) give H a bound {radius} that is not finite")
 
     @property
     def dim(self) -> int:

@@ -408,8 +408,7 @@ def classify_values(influence, d_t, forecast, eps: float = DEFAULT_CLASS_EPS):
     values, cell by cell the same as for scalars. ``eps`` must be finite and
     nonnegative.
     """
-    if not 0.0 <= eps < np.inf:
-        raise ValueError(f"eps must be finite and nonnegative, got {eps}")
+    linalg._require_nonnegative(eps, "eps")
     impossible = influence < d_t - forecast - eps
     increase = influence > d_t + forecast + eps
     degenerate = (influence <= eps) & (d_t <= eps) & (forecast <= eps)
@@ -494,7 +493,16 @@ def _grid_norms(sc: ScenarioPair, ts, tprimes, diffs) -> np.ndarray:
     one batched trace norm.
     """
     f = sc.propagator.forecast(diffs[:, 0], _operand(sc.state1), ts, tprimes, sc.ds, sc.de)
-    return 0.5 * linalg.trace_norm(np.concatenate([diffs, f, diffs[:, 1:] - f], axis=1))
+    return _half_norms(np.concatenate([diffs, f, diffs[:, 1:] - f], axis=1))
+
+
+def _half_norms(ops: np.ndarray) -> np.ndarray:
+    """Half trace norms of a stack of reduced operators; one that ``linalg.trace_norm``
+    rejects, not finite or not Hermitian, is an InvariantViolation, not a bad input."""
+    try:
+        return 0.5 * linalg.trace_norm(ops)
+    except ValueError as exc:
+        raise InvariantViolation(f"reduced operators are not finite and Hermitian: {exc}") from exc
 
 
 def reduced_distance(sc: ScenarioPair, t):
@@ -504,7 +512,7 @@ def reduced_distance(sc: ScenarioPair, t):
     ``_reduced_differences`` and one batched trace norm.
     """
     ts = _require_times(t)
-    dist = 0.5 * linalg.trace_norm(_reduced_differences(sc, ts).reshape(-1, sc.ds, sc.ds))
+    dist = _half_norms(_reduced_differences(sc, ts).reshape(-1, sc.ds, sc.ds))
     return float(dist[0]) if ts.ndim == 0 else dist.reshape(ts.shape)
 
 
@@ -555,7 +563,9 @@ def evaluate_point(
     other environment.
     """
     ts, tps = _require_times(t).reshape(1), _require_times(tprime, "time step").reshape(1)
-    diffs = _reduced_differences(sc, np.concatenate([ts, ts + tps]))
+    # summed as Python floats: an overflow gives inf, which the check rejects, with no warning
+    _require_times(step := ts.item() + tps.item(), "t + t'")
+    diffs = _reduced_differences(sc, np.array([ts.item(), step]))
     # Python floats: the window check costs less on them than on 1-element arrays
     d_t, d_next, forecast, influence = _grid_norms(sc, ts, tps, diffs[None])[0].tolist()
     window = check_window(t, tps[0], d_t, d_next, forecast, influence, eps)
@@ -584,6 +594,7 @@ def evaluate_surface(
     """
     ts = _require_grid(t_grid, "t grid")
     tps = _require_grid(tprime_grid, "t' grid")
+    _require_times(ts[-1].item() + tps[-1].item(), "t + t'")  # the largest sum on ascending grids
     times = np.concatenate([ts[:, None], ts[:, None] + tps], axis=1)
     distinct, inverse = np.unique(times, return_inverse=True)
     diffs = _reduced_differences(sc, distinct)[inverse.reshape(times.shape)]

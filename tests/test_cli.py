@@ -222,6 +222,7 @@ path = {out}
 
 
 OUTPUT = "\n[output]\npath = {out}\n"
+BIG_GRIDS = "[t_grid]\nmin = 0\nmax = 1e308\ncount = 3\n[tprime_grid]\nmin = 0\nmax = 1e308\ncount = 3\n"
 
 
 class TestConfigErrors:
@@ -257,6 +258,51 @@ class TestConfigErrors:
         assert main(["run", str(cfg), "--out", str(out)]) == EXIT_CONFIG_ERROR
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            ("[scenario]\npreset = fig2b\n\n[t_grid]\nmin = 1\nmax = 1.0000000000000002\n"
+             "count = 3\n", "must be strictly ascending"),
+            ("[scenario]\npreset = fig3\n" + BIG_GRIDS, "t + t' must be finite, got inf"),
+            ("[scenario]\npreset = fig2b\n" + BIG_GRIDS, "t + t' must be finite, got inf"),
+            ("[scenario]\nmodel = spin_chain\nsites = 2\nexchange = 1\nprobe_exchange = 1\n"
+             "field = 1e308\n", "that is not finite"),
+        ],
+        ids=["grid-collapses-under-rounding", "fig3-step-overflow", "fig2b-step-overflow",
+             "chain-field-overflows-h"],
+    )
+    def test_library_rule_is_a_config_error(self, tmp_path, capsys, text, expected):
+        # warnings are errors here, so an overflow warning would fail the test too
+        cfg, out = tmp_path / "bad.ini", tmp_path / "out"
+        cfg.write_text(text)
+        assert main(["run", str(cfg), "--out", str(out)]) == EXIT_CONFIG_ERROR
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert expected in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("given", ["option", "config"])
+    def test_empty_output_path_rejected(self, tmp_path, monkeypatch, capsys, given):
+        # an empty path would name the current directory and clear its tables
+        monkeypatch.chdir(tmp_path)
+        earlier = {name: f"{name} of an earlier run\n"
+                   for name in ("surface.csv", "profile.json", "summary.json")}
+        for name, text in earlier.items():
+            (tmp_path / name).write_text(text)
+        cfg = tmp_path / "run.ini"
+        cfg.write_text("[scenario]\npreset = fig2a\n\n[output]\npath =\n")
+        via = {"option": ["--preset", "fig2a", "--out", ""], "config": [str(cfg)]}
+        assert main(["run", *via[given]]) == EXIT_CONFIG_ERROR
+        assert capsys.readouterr().err == "error: output path must not be empty\n"
+        for name, text in earlier.items():
+            assert (tmp_path / name).read_text() == text
+
+    def test_format_option_checked_as_the_config_key(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["run", "--preset", "fig2a", "--out", str(out), "--format", "xml"]) == 1
+        assert capsys.readouterr().err == "error: output format must be csv or json, got 'xml'\n"
         assert not out.exists()
 
     def test_unknown_model_parameter(self, tmp_path):
@@ -298,8 +344,9 @@ class TestConfigErrors:
             ("[scenario]\npreset = fig%2b\n" + OUTPUT, "unknown preset 'fig%2b'"),
             ("[t_grid]\nmin = 0\nmax = 1\ncount = 3\n" + OUTPUT, "[scenario] section"),
             ("[scenario]\npreset = fig2b\n\n[tolerances]\nbogus = 1\n" + OUTPUT,
-             "unknown tolerance keys"),
-            ("[scenario]\npreset = fig2b\n" + OUTPUT + "colour = red\n", "unknown output keys"),
+             "[tolerances] has unknown keys ['bogus']"),
+            ("[scenario]\npreset = fig2b\n" + OUTPUT + "colour = red\n",
+             "[output] has unknown keys ['colour']"),
             ("[scenario]\npreset = fig2b\n" + OUTPUT + "format = xml\n",
              "output format must be csv or json"),
         ],
@@ -446,6 +493,23 @@ class TestInvariantExit:
         assert "outside" in read_summary(out)["error"]
         assert "Traceback" not in capsys.readouterr().err
 
+    def test_non_finite_chain_values_exit_2(self, tmp_path, capsys):
+        # t + t' stays finite, but the phases exp(-i w t) overflow at t = 1e308:
+        # the norm step reports it as the dephasing model's bound check does
+        cfg = tmp_path / "phase.ini"
+        cfg.write_text(
+            "[scenario]\nmodel = spin_chain\nsites = 3\nexchange = 1.0\n"
+            "probe_exchange = 1.0\nfield = 0.0\n\n"
+            "[t_grid]\nmin = 0.0\nmax = 1e308\ncount = 2\n\n"
+            "[tprime_grid]\nmin = 0.0\nmax = 0.0\ncount = 1\n"
+        )
+        out = tmp_path / "phase"
+        with np.errstate(over="ignore", invalid="ignore"):  # numpy's overflow warnings
+            assert main(["run", str(cfg), "--out", str(out)]) == EXIT_INVARIANT
+        err = capsys.readouterr().err
+        assert err.startswith("invariant violation: ") and err.count("\n") == 1, err
+        assert "not finite and Hermitian" in read_summary(out)["error"]
+
     def test_failed_run_leaves_no_stale_tables(self, tmp_path, monkeypatch):
         cfg = tmp_path / "chain.ini"
         cfg.write_text(
@@ -467,12 +531,15 @@ class TestInvariantExit:
 
 class TestParseConfig:
     def test_grid_spec_validation(self):
-        with pytest.raises(cli.ConfigError):
+        # the library's grid check applies, with its ValueError
+        with pytest.raises(ValueError, match="nonnegative"):
             GridSpec(lo=-1.0, hi=1.0, count=5)
-        with pytest.raises(cli.ConfigError):
+        with pytest.raises(ValueError, match="nonempty"):
             GridSpec(lo=0.0, hi=1.0, count=0)
-        with pytest.raises(cli.ConfigError, match="maximum above"):
+        with pytest.raises(ValueError, match="strictly ascending"):
             GridSpec(lo=1.0, hi=1.0, count=3)
+        with pytest.raises(ValueError, match="strictly ascending"):  # collapses under rounding
+            GridSpec(lo=1.0, hi=1.0000000000000002, count=3)
         np.testing.assert_array_equal(GridSpec(lo=1.0, hi=1.0, count=1).points(), [1.0])
 
     def test_tolerances_parsed(self, tmp_path):

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -253,6 +254,14 @@ class TestAnalyticWitnesses:
                 # at t' = 0 the bounds collapse onto the boundary
                 assert point.label is Classification.INCONCLUSIVE
         assert surf.max_bound_violation() == 0.0
+
+    def test_step_overflow_raises(self):
+        # t + t' overflows: rejected before k(t + t') is formed, with no warning
+        for tprime, t in ((1e308, 1e308), (np.array([0.0, 1e308]), np.array([[1.0], [1e308]]))):
+            with pytest.raises(ValueError, match=re.escape("t + t' must be finite")):
+                analytic_witnesses(SPLIT_CENTERS, tprime, t)
+        with pytest.raises(ValueError, match=re.escape("t + t' must be finite")):
+            analytic_surface(SPLIT_CENTERS, [0.0, 1e308], [0.0, 1e308])
 
 
 class TestDiscretize:

@@ -106,6 +106,20 @@ class TestHamiltonian:
         with pytest.raises(ValueError):
             SpinChainSpec(sites=2, exchange=0.0)
 
+    @pytest.mark.parametrize(
+        "couplings",
+        [dict(exchange=1e308), dict(probe_exchange=-1e308), dict(field=1e308),
+         dict(field=-1e307), dict(probe_exchange=np.nan), dict(field=np.nan)],
+        ids=["exchange", "probe-exchange", "field", "field-times-sites", "probe-nan", "field-nan"],
+    )
+    def test_couplings_that_overflow_h_rejected(self, couplings):
+        # H's bound 8 max(|J|, |J0|) + 2 N |B| must be finite; 1e307 overflows once
+        # it is multiplied by 2 N = 20
+        with pytest.raises(ValueError, match="not finite"):
+            SpinChainSpec(sites=10, **couplings)
+        # the largest couplings whose bound stays finite are accepted
+        SpinChainSpec(sites=10, exchange=1e307, probe_exchange=-1e307, field=1e306)
+
 
 class TestScenario:
     def setup_method(self):

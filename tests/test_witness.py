@@ -363,6 +363,44 @@ class TestSurface:
             evaluate_point(sc, bad, 0.7)
 
 
+class TestStepOverflow:
+    """A sum t + t' that overflows is rejected where the step times are
+    formed, with no overflow warning (warnings are errors here)."""
+
+    def test_point(self, rng):
+        with pytest.raises(ValueError, match=re.escape("t + t' must be finite, got inf")):
+            evaluate_point(random_scenario(rng), 1e308, 1e308)
+
+    def test_surface(self, rng):
+        with pytest.raises(ValueError, match=re.escape("t + t' must be finite, got inf")):
+            evaluate_surface(random_scenario(rng), [0.0, 1e308], [0.0, 1e308])
+
+
+class NanPropagator:
+    """Delegates to a propagator, but its reduced states are NaN, as an
+    overflowing phase exp(-i w t) makes them."""
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def __getattr__(self, name):
+        return getattr(self.inner, name)
+
+    def reduced(self, mat, times, ds, de):
+        return np.full_like(self.inner.reduced(mat, times, ds, de), np.nan)
+
+
+class TestNonFiniteReducedStates:
+    def test_norm_step_raises_invariant_violation(self, rng):
+        sc = random_scenario(rng)
+        sc = ScenarioPair(sc.state1, sc.state2, NanPropagator(sc.propagator))
+        for evaluate in (lambda: reduced_distance(sc, [0.0, 0.5]), lambda: reduced_distance(sc, 0.5),
+                         lambda: evaluate_surface(sc, [0.0, 0.5], [0.0, 0.5]),
+                         lambda: evaluate_point(sc, 0.5, 0.5)):
+            with pytest.raises(witness.InvariantViolation, match="not finite and Hermitian"):
+                evaluate()
+
+
 class TestReducedDistance:
     def test_array_times_match_scalar_calls(self, rng):
         sc = random_scenario(rng)
