@@ -15,6 +15,11 @@ so a pair costs one matrix-vector product with its four real coefficients
 and the closed-form qubit norm. The map is reused while the scenarios share
 one propagator object and rho_E, which ``states._shared_environment``
 decides for every pair of states here.
+
+One private rule, ``_rises``, finds the rising runs of a curve and sums
+them: ``increasing_intervals`` and ``MonotonicityProfile.total_increase``
+use it, and so does every pair of the maximization, which checks its time
+grid once and builds no profile.
 """
 
 from __future__ import annotations
@@ -52,8 +57,9 @@ class MonotonicityProfile:
     intervals: tuple[tuple[int, int], ...]
 
     def total_increase(self) -> float:
-        """Sum of rises over the detected intervals; the measure for this curve."""
-        return float(sum(self.values[b] - self.values[a] for a, b in self.intervals))
+        """Sum of rises over the detected intervals; the measure for this curve,
+        summed as ``_rises`` sums it."""
+        return _increase(self.values.tolist(), self.intervals)
 
     def interval_times(self) -> tuple[tuple[float, float], ...]:
         return tuple((float(self.times[a]), float(self.times[b])) for a, b in self.intervals)
@@ -71,26 +77,47 @@ def increasing_intervals(times, values, rise_tol: float = DEFAULT_RISE_TOL) -> M
 
     A step counts as an increase only when it exceeds ``rise_tol``, so
     numerical jitter cannot fabricate growth. Consecutive rising steps
-    merge into one interval. Non-finite times or values are rejected: a NaN
-    compares false both ways, so it would pass the ascending check or hide
-    a rise. ``rise_tol`` must be finite and nonnegative.
+    merge into one interval. Times must be finite and strictly ascending,
+    and values finite: a NaN compares false both ways, so it would pass the
+    ascending check or hide a rise. ``rise_tol`` must be finite and
+    nonnegative. The runs and their sum follow ``_rises``, the one rule of
+    the measure.
     """
     linalg._require_nonnegative(rise_tol, "rise_tol")
     ts = np.asarray(times, dtype=float)
     vs = np.asarray(values, dtype=float)
     if ts.ndim != 1 or vs.shape != ts.shape:
         raise ValueError(f"times and values must match, got {ts.shape} vs {vs.shape}")
-    if not (np.isfinite(ts).all() and np.isfinite(vs).all()):
-        raise ValueError("times and values must be finite")
+    if not np.isfinite(ts).all():
+        raise ValueError("times must be finite")
     if not (ts[1:] > ts[:-1]).all():
         raise ValueError("times must be strictly ascending")
+    intervals, _ = _rises(vs, rise_tol)
+    return MonotonicityProfile(times=ts, values=vs, intervals=intervals)
+
+
+def _rises(values: np.ndarray, rise_tol: float) -> tuple[tuple[tuple[int, int], ...], float]:
+    """The maximal runs of a 1-d float curve whose steps each rise by more
+    than ``rise_tol``, as (start, stop) index pairs in order, and the sum of
+    values[stop] - values[start] over them, in that order and in Python
+    floats. A non-finite value raises ValueError."""
+    if not np.isfinite(values).all():
+        raise ValueError("values must be finite")
     # A run of rising steps i..j-1 starts at edge i and stops at edge j of the
     # mask padded with False at both ends.
-    rising = np.zeros(ts.size + 1, dtype=bool)
-    rising[1:-1] = vs[1:] - vs[:-1] > rise_tol
-    edges = np.flatnonzero(rising[1:] != rising[:-1])
-    intervals = tuple(zip(edges[::2].tolist(), edges[1::2].tolist()))
-    return MonotonicityProfile(times=ts, values=vs, intervals=intervals)
+    rising = np.zeros(values.size + 1, dtype=bool)
+    rising[1:-1] = values[1:] - values[:-1] > rise_tol
+    edges = np.flatnonzero(rising[1:] != rising[:-1]).tolist()
+    intervals = tuple(zip(edges[::2], edges[1::2]))
+    return intervals, _increase(values.tolist(), intervals)
+
+
+def _increase(values: list[float], intervals) -> float:
+    """Sum of values[b] - values[a] over the intervals (a, b), in their order."""
+    total = 0.0
+    for a, b in intervals:
+        total += values[b] - values[a]
+    return total
 
 
 def nm_measure_fixed_pair(sc: ScenarioPair, times) -> float:
@@ -145,6 +172,12 @@ def nm_measure_maximized(
     the same propagator object and the environment of the ``state1`` it was
     built from, else rebuilt; nothing outlives the call.
 
+    ``times`` must be a 1-d grid of finite, nonnegative, strictly ascending
+    times, and is checked once, before the first scenario is built. Each
+    pair's distances then go straight to ``_rises``, the rule of
+    ``increasing_intervals`` and ``MonotonicityProfile.total_increase``,
+    with ``DEFAULT_RISE_TOL``; no profile is built per pair.
+
     ``make_scenario`` is called once per pair, and each pair is measured
     before the next one is built. The result is a lower estimate of the
     measure (grid approximation). Pairs are scanned in lexicographic angle
@@ -153,7 +186,11 @@ def nm_measure_maximized(
     """
     if not pairs:
         raise ValueError("need at least one initial pair")
-    ts = witness._require_times(times)
+    ts = witness._require_times(times, "times")
+    if ts.ndim != 1:
+        raise ValueError(f"times must be a 1-d array, got shape {ts.shape}")
+    if not (ts[1:] > ts[:-1]).all():
+        raise ValueError("times must be strictly ascending")
     best_value = -np.inf
     best_pair: BlochPair | None = None
     source = bloch = None
@@ -177,7 +214,7 @@ def nm_measure_maximized(
         (d00, _), (d10, d11) = (sc.state1.system() - sc.state2.system()).tolist()
         coefficients = ((d00.real + d11.real) / 2, d10.real, d10.imag, (d00.real - d11.real) / 2)
         distances = 0.5 * linalg._qubit_norm((bloch @ coefficients).reshape(-1, 4))
-        value = increasing_intervals(ts, distances).total_increase()
+        _, value = _rises(distances, DEFAULT_RISE_TOL)
         if value > best_value:
             best_value = value
             best_pair = pair

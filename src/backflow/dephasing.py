@@ -115,7 +115,8 @@ def dephasing_function(dist: FrequencyDistribution, t):
     """
     tt = np.asarray(t, dtype=float)
     centers, widths, weights = _lines(dist)
-    out = np.exp(np.multiply.outer(tt, 1j * centers - widths)) @ weights
+    z = 1j * centers - widths
+    out = linalg._exp_outer(tt, z, float(np.abs(z).max())) @ weights
     return out if tt.ndim else complex(out)
 
 
@@ -269,7 +270,11 @@ class DiagonalPropagator:
             raise ValueError("rates must be a nonempty 1-d array")
         if not np.all(np.isfinite(r)):
             raise ValueError("rates must be finite")
-        self._rates = r
+        # bounds every rate difference, so no phase or difference overflows unseen
+        self._spread = float(r.max()) - float(r.min())
+        if not math.isfinite(self._spread):
+            raise ValueError(f"rates must span a finite range, got {r.min()} to {r.max()}")
+        self._rates, self._i_rates = r, 1j * r
 
     @property
     def dim(self) -> int:
@@ -284,7 +289,7 @@ class DiagonalPropagator:
         mat = np.asarray(mat)
         if mat.shape[-2:] != (self.dim, self.dim):
             raise ValueError(f"operator shape {mat.shape} does not match dimension {self.dim}")
-        p = np.exp(1j * self._rates * float(t))
+        p = np.exp(self._i_rates * float(t))
         return mat * np.outer(p, p.conj())
 
     def _split(self, mat, ds: int, de: int):
@@ -308,12 +313,12 @@ class DiagonalPropagator:
         (a, b), so exponentials are taken for a < b only: c_ba = conj(c_ab),
         and c_aa = sum_e w[a, a, e] does not turn."""
         ts = np.asarray(times, dtype=float)
-        rates = self._rates.reshape(ds, de)
+        i_rates = self._i_rates.reshape(ds, de)
         c = np.empty(ts.shape + (ds, ds), dtype=complex)
         np.einsum("...aa->...a", c)[...] = w.sum() if w.ndim == 1 else np.einsum("aae->a", w)
         for a in range(ds - 1):
-            turns = np.multiply.outer(1j * ts, rates[a] - rates[a + 1:])  # (..., ds - a - 1, de)
-            np.exp(turns, out=turns)
+            # shape (..., ds - a - 1, de)
+            turns = linalg._exp_outer(ts, i_rates[a] - i_rates[a + 1:], self._spread)
             row = turns @ w if w.ndim == 1 else np.einsum("...be,be->...b", turns, w[a, a + 1:])
             c[..., a, a + 1:] = row
             c[..., a + 1:, a] = row.conj()

@@ -9,6 +9,7 @@ functions are pure; arrays passed in are never mutated.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 from typing import Literal
@@ -253,6 +254,24 @@ def hermitian_eigensystem(a) -> HermitianEigenSystem:
             f"{EIG_RESIDUAL_TOL:.1e} * max|A| = {EIG_RESIDUAL_TOL * scale:.3e}"
         )
     return eig
+
+
+def _exp_outer(times: np.ndarray, exponents: np.ndarray, rate: float) -> np.ndarray:
+    """exp(t z) for every t of ``times``, on the leading axes, and z of
+    ``exponents``, where each part of each product t z is at most |t| ``rate``
+    in size and its real part is not positive.
+
+    While the sum of all |t|, times ``rate``, is a finite float, no product
+    t z can overflow; that test costs Python scalars only. Otherwise the same
+    products are formed with numpy's overflow and invalid warnings silenced:
+    a phase whose t z overflows comes out NaN, and what is built from it
+    fails the callers' checks with one InvariantViolation, with or without
+    warnings turned into errors.
+    """
+    if math.isfinite(rate * sum(map(abs, times.ravel().tolist()))):
+        return np.exp(np.multiply.outer(times, exponents))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.exp(np.multiply.outer(times, exponents))
 
 
 def unitary_at(eig: HermitianEigenSystem, t: float) -> np.ndarray:

@@ -139,7 +139,9 @@ def scenario(
     """
     if pair is None:
         pair = plus_minus_pair()
-    state1, state2 = BipartiteState.products(pair, np.eye(1, 2**spec.sites, dtype=complex)[0])
+    polarized = np.zeros(2**spec.sites, dtype=complex)
+    polarized[0] = 1.0
+    state1, state2 = BipartiteState.products(pair, polarized)
     return ScenarioPair(state1=state1, state2=state2, propagator=_block_propagator(spec))
 
 

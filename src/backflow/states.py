@@ -62,7 +62,8 @@ def _checked_qubit(m: np.ndarray, name: str) -> tuple[np.ndarray, float]:
     path's tolerances and messages; H equals (m + m^dagger)/2 bit for bit."""
     (a, b), (c, d) = m.tolist()
     gaps = (abs(a - a.conjugate()), abs(b - c.conjugate()), abs(d - d.conjugate()))
-    if not all(gap <= HERMITICITY_TOL for gap in gaps):  # NaN fails too
+    if not (gaps[0] <= HERMITICITY_TOL and gaps[1] <= HERMITICITY_TOL
+            and gaps[2] <= HERMITICITY_TOL):  # NaN fails too
         defect = float(np.max(gaps))  # NaN wherever it sits; max() depends on the order
         raise ValueError(f"{name} is not Hermitian: defect {defect:.3e} "
                          f"exceeds {HERMITICITY_TOL:.1e}")
@@ -136,7 +137,7 @@ class BipartiteState:
         if env.ndim == 2:
             env, env_trace = _hermitian_factor(env, "environment factor")
         elif env.ndim == 1:
-            env_trace = np.vdot(env, env)
+            env_trace = complex(np.vdot(env, env))  # later products stay in Python scalars
         else:
             raise ValueError(f"environment factor must be 1-d or 2-d, got shape {env.shape}")
         if not abs(env_trace - 1.0) <= TRACE_TOL:  # NaN and inf fail too
@@ -145,7 +146,7 @@ class BipartiteState:
         out = []
         for system in systems:
             factor, factor_trace = _hermitian_factor(system, "system factor")
-            tr = complex(factor_trace * env_trace)
+            tr = factor_trace * env_trace
             if not abs(tr - 1.0) <= TRACE_TOL:
                 raise ValueError(f"product state has trace {tr:.12g}, expected 1")
             state = object.__new__(cls)
@@ -224,11 +225,20 @@ def decompose(state: BipartiteState) -> CorrelationDecomposition:
 
 
 def pure_qubit(theta: float, phi: float) -> np.ndarray:
-    """Projector onto cos(theta/2)|0> + e^{i phi} sin(theta/2)|1>."""
-    amp = np.array(
-        [np.cos(theta / 2.0), np.exp(1j * phi) * np.sin(theta / 2.0)], dtype=complex
-    )
-    return np.outer(amp, amp.conj())
+    """Projector onto cos(theta/2)|0> + e^{i phi} sin(theta/2)|1>.
+
+    Built from ``math`` trig on Python floats, entry by entry as the outer
+    product of the amplitudes (c, x + iy), x + iy = e^{i phi} s, with its
+    conjugate: c^2, c (x - iy), (x + iy) c and x^2 + y^2. A non-finite angle
+    raises ValueError naming it.
+    """
+    if not math.isfinite(theta):
+        raise ValueError(f"theta must be finite, got {theta}")
+    if not math.isfinite(phi):
+        raise ValueError(f"phi must be finite, got {phi}")
+    c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
+    x, y = math.cos(phi) * s, math.sin(phi) * s
+    return np.array([[c * c, complex(c * x, -(c * y))], [complex(x * c, y * c), x * x + y * y]])
 
 
 def plus_minus_pair() -> tuple[np.ndarray, np.ndarray]:

@@ -112,6 +112,7 @@ class EigenPropagator:
         self._modes = np.vstack([eig.vectors, np.zeros(eig.dim)])
         self._vh = np.ascontiguousarray(eig.vectors.conj().T)
         self._minus_iw = -1j * eig.values
+        self._rate = float(np.abs(eig.values).max(initial=0.0))  # bounds the phases w t
         self._layouts: dict[int, _Layout] = {}
         self._kernels: dict[int, np.ndarray] = {}
 
@@ -225,7 +226,7 @@ class EigenPropagator:
         """
         layout = self._layout(ds, de)
         x, keep = self._rotated(mat, layout)
-        phi = np.exp(np.multiply.outer(np.asarray(times, dtype=float), self._minus_iw[keep]))
+        phi = linalg._exp_outer(np.asarray(times, dtype=float), self._minus_iw[keep], self._rate)
         conj = phi.conj()
         kernels = iter(self._kernels[ds][:, keep][..., keep])
         out = np.empty(x.shape[:-2] + phi.shape[:-1] + (ds, ds), dtype=complex)
@@ -250,7 +251,7 @@ class EigenPropagator:
         if np.shape(systems) != np.shape(ts) + (ds, ds):
             raise ValueError(f"systems of shape {np.shape(systems)} do not match times and factors")
         x, keep = self._rotated(mat, layout)
-        phi = np.exp(np.multiply.outer(np.asarray(ts, dtype=float), self._minus_iw[keep]))
+        phi = linalg._exp_outer(np.asarray(ts, dtype=float), self._minus_iw[keep], self._rate)
         modes = self._modes[:, keep]
         rho = modes @ (x * phi[..., :, None] * phi[..., None, :].conj()) @ modes.conj().T
         rho = sum(rho[..., p[:, None], p] for p in layout.levels)  # Tr_S; frees the evolved block
@@ -300,7 +301,8 @@ class ScenarioPair:
         if isinstance(prop, HermitianEigenSystem):
             prop = EigenPropagator(prop)
             object.__setattr__(self, "propagator", prop)
-        if not all(hasattr(prop, name) for name in ("dim", "evolve", "reduced", "forecast")):
+        if not (hasattr(prop, "dim") and hasattr(prop, "evolve") and hasattr(prop, "reduced")
+                and hasattr(prop, "forecast")):
             raise TypeError(
                 "propagator must expose 'dim', 'evolve(mat, t)', 'reduced(mat, times, ds, de)' "
                 "and 'forecast(systems, mat, ts, tprimes, ds, de)'"

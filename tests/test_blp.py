@@ -1,7 +1,10 @@
+import sys
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from backflow import blp, linalg, spinchain
 from backflow.blp import (
@@ -228,19 +231,114 @@ class TestMaximizedMeasure:
         with pytest.raises(ValueError):
             nm_measure_maximized(lambda a, b: None, [0.0, 1.0], [])
 
+    @pytest.mark.parametrize("times, match", [
+        ([0.0, 1.0, 1.0], "strictly ascending"),
+        ([0.0, 2.0, 1.0], "strictly ascending"),
+        ([0.0, np.nan, 2.0], "finite"),
+        ([0.0, np.inf], "finite"),
+        ([-1.0, 0.0, 1.0], "nonnegative"),
+        ([[0.0, 1.0]], "1-d"),
+    ])
+    def test_grid_checked_before_any_scenario(self, times, match):
+        calls = []
 
-def recorded_profiles(monkeypatch):
-    """The distance curves ``nm_measure_maximized`` hands to
-    ``increasing_intervals``, pair by pair in scan order."""
+        def make(r1, r2):
+            calls.append((r1, r2))
+            raise AssertionError("a scenario was built")
+
+        with pytest.raises(ValueError, match=match):
+            nm_measure_maximized(make, times, bloch_pair_grid(3, 2))
+        assert calls == []
+
+    def test_makes_no_increasing_intervals_call(self, monkeypatch):
+        """The grid is checked once and each pair's curve goes straight to
+        the shared rise rule: no per-pair profile or interval detection."""
+        def forbidden(*args, **kwargs):
+            raise AssertionError("called per pair")
+
+        monkeypatch.setattr(blp, "increasing_intervals", forbidden)
+        monkeypatch.setattr(blp, "MonotonicityProfile", forbidden)
+        spec = SpinChainSpec(sites=3, exchange=1.0, probe_exchange=1.0, field=0.01)
+        value, _ = nm_measure_maximized(lambda r1, r2: spinchain.scenario(spec, (r1, r2)),
+                                        np.linspace(0.0, 3.0, 40), bloch_pair_grid(3, 2))
+        assert value > 0
+
+
+def recorded_profiles(monkeypatch, totals=None):
+    """The distance curves ``nm_measure_maximized`` hands to ``blp._rises``,
+    pair by pair in scan order, and the totals it gets back, appended to
+    ``totals`` when given. Calls from anywhere else, such as the tests' own
+    ``increasing_intervals``, are not recorded."""
     curves = []
-    detect = blp.increasing_intervals
+    rises = blp._rises
 
-    def recording(times, values, *args):
-        curves.append(np.array(values))
-        return detect(times, values, *args)
+    def recording(values, rise_tol):
+        found = rises(values, rise_tol)
+        if sys._getframe(1).f_code is nm_measure_maximized.__code__:
+            curves.append(np.array(values))
+            if totals is not None:
+                totals.append(found[1])
+        return found
 
-    monkeypatch.setattr(blp, "increasing_intervals", recording)
+    monkeypatch.setattr(blp, "_rises", recording)
     return curves
+
+
+class ScaledBloch:
+    """A propagator whose reduced map keeps the identity and scales sigma_x,
+    sigma_y and sigma_z by ``scale[i]`` at the i-th time, so that an antipodal
+    pair's distance curve is |scale|."""
+
+    dim = 4
+    evolve = forecast = None  # the measure calls ``reduced`` only
+
+    def __init__(self, scale):
+        self.scale = scale
+
+    def reduced(self, mat, times, ds, de):
+        basis, _ = mat
+        factors = np.stack([np.ones_like(self.scale)] + [self.scale] * 3)
+        return factors[:, :, None, None] * basis[:, None]
+
+
+# steps of a curve: rises and falls, and plateaus whose jitter is within the
+# rise tolerance, at it or just above it
+CURVE_STEPS = st.lists(
+    st.one_of(st.floats(-0.3, 0.3), st.floats(-2e-10, 2e-10),
+              st.sampled_from([0.0, blp.DEFAULT_RISE_TOL, -blp.DEFAULT_RISE_TOL])),
+    max_size=30,
+)
+
+
+class TestSharedRiseRule:
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(steps=CURVE_STEPS)
+    def test_per_pair_totals_equal_the_profile_total(self, steps):
+        """Each pair's total in the maximization equals, bit for bit, the
+        total of ``increasing_intervals`` on that pair's curve, and the sum
+        over its intervals in numpy floats, the rule it replaced."""
+        scale = 1.0 + np.cumsum([0.0, *steps])
+        ts = np.arange(scale.size, dtype=float)
+        prop = ScaledBloch(scale)
+        env = np.array([1.0, 0.0])
+        pairs = [((np.pi / 2, 0.0), (np.pi / 2, np.pi)), ((0.0, 0.0), (np.pi, np.pi)),
+                 ((1.0, 0.5), (np.pi - 1.0, 0.5 + np.pi))]
+        totals = []
+        with pytest.MonkeyPatch.context() as mp:
+            curves = recorded_profiles(mp, totals)
+            value, _ = nm_measure_maximized(
+                lambda r1, r2: ScenarioPair(*BipartiteState.products((r1, r2), env), prop), ts, pairs)
+        assert len(totals) == len(pairs)
+        for curve, total in zip(curves, totals):
+            profile = increasing_intervals(ts, curve)
+            assert total == profile.total_increase()
+            assert total == float(sum(curve[b] - curve[a] for a, b in profile.intervals))
+        assert value == max(totals)
+
+    def test_rule_rejects_a_non_finite_curve(self):
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="values must be finite"):
+                blp._rises(np.array([0.1, bad, 0.3]), blp.DEFAULT_RISE_TOL)
 
 
 def counted_reduced(monkeypatch, cls):

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -504,11 +505,25 @@ class TestInvariantExit:
             "[tprime_grid]\nmin = 0.0\nmax = 0.0\ncount = 1\n"
         )
         out = tmp_path / "phase"
-        with np.errstate(over="ignore", invalid="ignore"):  # numpy's overflow warnings
-            assert main(["run", str(cfg), "--out", str(out)]) == EXIT_INVARIANT
+        assert main(["run", str(cfg), "--out", str(out)]) == EXIT_INVARIANT
         err = capsys.readouterr().err
         assert err.startswith("invariant violation: ") and err.count("\n") == 1, err
         assert "not finite and Hermitian" in read_summary(out)["error"]
+
+    @pytest.mark.parametrize("preset", ["fig3", "fig2b"])
+    def test_overflowing_phases_exit_2_without_a_warning(self, tmp_path, capsys, preset):
+        cfg = tmp_path / "phase.ini"
+        cfg.write_text(
+            f"[scenario]\npreset = {preset}\n\n"
+            "[t_grid]\nmin = 0.0\nmax = 1e308\ncount = 3\n\n"
+            "[tprime_grid]\nmin = 0.0\nmax = 0.0\ncount = 1\n"
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["run", str(cfg), "--out", str(tmp_path / "phase")])
+        err = capsys.readouterr().err
+        assert code == EXIT_INVARIANT
+        assert err.startswith("invariant violation: ") and err.count("\n") == 1, err
 
     def test_failed_run_leaves_no_stale_tables(self, tmp_path, monkeypatch):
         cfg = tmp_path / "chain.ini"

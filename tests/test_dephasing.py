@@ -1,5 +1,6 @@
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -70,6 +71,21 @@ class TestDephasingFunction:
             assert dephasing_function(SINGLE, t + tp) == pytest.approx(
                 dephasing_function(SINGLE, t) * dephasing_function(SINGLE, tp), abs=1e-14
             )
+
+
+class TestPhaseOverflow:
+    def test_dephasing_function_is_nan_without_a_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            k = dephasing_function(SPLIT_CENTERS, np.array([0.0, 1e308]))
+            scalar = dephasing_function(SPLIT_CENTERS, 1e308)
+        assert k[0] == 1.0 and np.isnan(k[1]) and np.isnan(scalar)
+
+    def test_analytic_surface_gives_an_invariant_violation(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(witness.InvariantViolation, match="bound violated"):
+                analytic_surface(SPLIT_CENTERS, [0.0, 1e308], [0.0])
 
 
 class TestDistributionValidation:
@@ -335,6 +351,18 @@ class TestDiagonalPropagator:
     def test_non_finite_rates_rejected(self, bad):
         with pytest.raises(ValueError, match="rates must be finite"):
             DiagonalPropagator(np.array([0.0, 1.0, bad, 2.0]))
+
+    def test_rates_spanning_an_infinite_range_rejected(self):
+        # every difference r_ae - r_be must be a finite float
+        with pytest.raises(ValueError, match="rates must span a finite range"):
+            DiagonalPropagator(np.array([-1e308, 0.0, 1e308]))
+
+    def test_overflowing_phases_give_an_invariant_violation(self):
+        sc = full_model(discretize(SPLIT_CENTERS, modes=64, window=20.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(witness.InvariantViolation, match="not finite and Hermitian"):
+                witness.evaluate_point(sc, 0.0, 1e308)
 
     def test_forecast_rejects_mismatched_factors(self, rng):
         prop = DiagonalPropagator(rng.normal(size=6))

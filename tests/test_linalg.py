@@ -1,4 +1,5 @@
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -416,6 +417,26 @@ class TestUnitaryAt:
         eig = linalg.hermitian_eigensystem(random_hermitian_direct(6, rng))
         u = linalg.unitary_at(eig, 1.37)
         assert np.max(np.abs(u @ u.conj().T - np.eye(6))) <= 1e-9
+
+
+class TestPhases:
+    """exp(t z) as the propagators and the dephasing function form it."""
+
+    def test_equals_the_plain_product_bit_for_bit(self, rng):
+        z = 1j * rng.normal(scale=5.0, size=7) - rng.uniform(0.0, 2.0, 7)
+        for times in (np.linspace(0.0, 3.0, 11), np.array(0.7), rng.uniform(0, 3, (2, 3)),
+                      np.array([]), 1j * np.linspace(0.0, 3.0, 5)):
+            expected = np.exp(np.multiply.outer(times, z))
+            assert np.array_equal(linalg._exp_outer(times, z, float(np.abs(z).max())), expected)
+
+    def test_overflowing_phases_are_nan_without_a_warning(self):
+        z = np.array([0.0, -1j, -4j])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            phases = linalg._exp_outer(np.array([0.5, 1e308]), z, 4.0)
+        assert np.array_equal(phases[0], np.exp(0.5 * z))
+        # only the product 4e308 overflows
+        assert phases[1, 0] == 1.0 and np.isfinite(phases[1, 1]) and np.isnan(phases[1, 2])
 
 
 class TestConjugate:

@@ -496,6 +496,21 @@ class TestPureQubit:
             assert np.trace(rho) == pytest.approx(1.0, abs=1e-14)
             assert np.trace(rho @ rho).real == pytest.approx(1.0, abs=1e-13)
 
+    def test_equals_the_outer_product_of_its_amplitudes(self, rng):
+        for theta, phi in rng.uniform([-10.0, -10.0], [10.0, 10.0], (200, 2)).tolist():
+            amp = np.array([np.cos(theta / 2), np.exp(1j * phi) * np.sin(theta / 2)])
+            rho = pure_qubit(theta, phi)
+            np.testing.assert_allclose(rho, np.outer(amp, amp.conj()), rtol=0, atol=1e-15)
+            assert np.array_equal(rho, rho.conj().T)  # Hermitian exactly, real diagonal
+
+    @pytest.mark.parametrize("theta, phi, name", [
+        (np.inf, 0.0, "theta"), (-np.inf, 0.0, "theta"), (np.nan, 0.0, "theta"),
+        (0.0, np.inf, "phi"), (0.0, np.nan, "phi"),
+    ])
+    def test_non_finite_angles_rejected(self, theta, phi, name):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            pure_qubit(theta, phi)
+
 
 class TestPlusMinusPair:
     def test_trace_distance_one(self):

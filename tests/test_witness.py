@@ -1,4 +1,5 @@
 import re
+import warnings
 from dataclasses import asdict
 
 import numpy as np
@@ -399,6 +400,35 @@ class TestNonFiniteReducedStates:
                          lambda: evaluate_point(sc, 0.5, 0.5)):
             with pytest.raises(witness.InvariantViolation, match="not finite and Hermitian"):
                 evaluate()
+
+
+class TestPhaseOverflow:
+    """Phases exp(-i w t) that overflow at a finite t make reduced states
+    that are not finite: one InvariantViolation, and no numpy warning on
+    the way (each test turns warnings into errors itself)."""
+
+    def test_eigen_propagator(self, rng):
+        sc = random_scenario(rng)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for evaluate in (lambda: evaluate_point(sc, 0.0, 1e308),
+                             lambda: evaluate_surface(sc, [0.0, 1e308], [0.0]),
+                             lambda: reduced_distance(sc, 1e308)):
+                with pytest.raises(witness.InvariantViolation, match="not finite and Hermitian"):
+                    evaluate()
+
+    def test_diagonal_propagator(self, rng):
+        rates = rng.normal(scale=3.0, size=6)
+        s1, s2 = BipartiteState.products((random_density_direct(2, rng),
+                                          random_density_direct(2, rng)),
+                                         random_density_direct(3, rng))
+        sc = ScenarioPair(s1, s2, DiagonalPropagator(rates))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(witness.InvariantViolation, match="not finite and Hermitian"):
+                evaluate_point(sc, 0.0, 1e308)
+            with pytest.raises(witness.InvariantViolation, match="not finite and Hermitian"):
+                evaluate_point(sc, 1e308, 0.0)
 
 
 class TestReducedDistance:
