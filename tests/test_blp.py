@@ -264,21 +264,17 @@ class TestMaximizedMeasure:
         assert value > 0
 
 
-def recorded_profiles(monkeypatch, totals=None):
+def recorded_profiles(monkeypatch):
     """The distance curves ``nm_measure_maximized`` hands to ``blp._rises``,
-    pair by pair in scan order, and the totals it gets back, appended to
-    ``totals`` when given. Calls from anywhere else, such as the tests' own
-    ``increasing_intervals``, are not recorded."""
+    pair by pair in scan order. Calls from anywhere else, such as the
+    tests' own ``increasing_intervals``, are not recorded."""
     curves = []
     rises = blp._rises
 
     def recording(values, rise_tol):
-        found = rises(values, rise_tol)
         if sys._getframe(1).f_code is nm_measure_maximized.__code__:
             curves.append(np.array(values))
-            if totals is not None:
-                totals.append(found[1])
-        return found
+        return rises(values, rise_tol)
 
     monkeypatch.setattr(blp, "_rises", recording)
     return curves
@@ -302,38 +298,37 @@ class ScaledBloch:
 
 
 # steps of a curve: rises and falls, and plateaus whose jitter is within the
-# rise tolerance, at it or just above it
+# rise tolerance, at it or just above it. The large steps are quotients by a
+# prime, since Hypothesis favours floats whose sums are exact.
 CURVE_STEPS = st.lists(
-    st.one_of(st.floats(-0.3, 0.3), st.floats(-2e-10, 2e-10),
+    st.one_of(st.integers(-30000, 30000).map(lambda k: k / 100003), st.floats(-2e-10, 2e-10),
               st.sampled_from([0.0, blp.DEFAULT_RISE_TOL, -blp.DEFAULT_RISE_TOL])),
-    max_size=30,
+    max_size=40,
 )
 
 
 class TestSharedRiseRule:
-    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
     @given(steps=CURVE_STEPS)
     def test_per_pair_totals_equal_the_profile_total(self, steps):
-        """Each pair's total in the maximization equals, bit for bit, the
-        total of ``increasing_intervals`` on that pair's curve, and the sum
-        over its intervals in numpy floats, the rule it replaced."""
-        scale = 1.0 + np.cumsum([0.0, *steps])
+        """Each pair's total in the maximization, read as the value of a
+        one-pair call, equals bit for bit the total of ``increasing_intervals``
+        on that pair's curve, and the sum over its intervals in numpy floats,
+        the rule it replaced."""
+        scale = np.cumsum([0.0, *steps])  # crosses binades, so sums can round apart
         ts = np.arange(scale.size, dtype=float)
         prop = ScaledBloch(scale)
         env = np.array([1.0, 0.0])
-        pairs = [((np.pi / 2, 0.0), (np.pi / 2, np.pi)), ((0.0, 0.0), (np.pi, np.pi)),
-                 ((1.0, 0.5), (np.pi - 1.0, 0.5 + np.pi))]
-        totals = []
-        with pytest.MonkeyPatch.context() as mp:
-            curves = recorded_profiles(mp, totals)
-            value, _ = nm_measure_maximized(
-                lambda r1, r2: ScenarioPair(*BipartiteState.products((r1, r2), env), prop), ts, pairs)
-        assert len(totals) == len(pairs)
-        for curve, total in zip(curves, totals):
+        make = lambda r1, r2: ScenarioPair(*BipartiteState.products((r1, r2), env), prop)
+        for pair in [((np.pi / 2, 0.0), (np.pi / 2, np.pi)), ((0.0, 0.0), (np.pi, np.pi)),
+                     ((1.0, 0.5), (np.pi - 1.0, 0.5 + np.pi))]:
+            with pytest.MonkeyPatch.context() as mp:
+                curves = recorded_profiles(mp)
+                value, _ = nm_measure_maximized(make, ts, [pair])
+            (curve,) = curves
             profile = increasing_intervals(ts, curve)
-            assert total == profile.total_increase()
-            assert total == float(sum(curve[b] - curve[a] for a, b in profile.intervals))
-        assert value == max(totals)
+            assert value == profile.total_increase()
+            assert value == float(sum(curve[b] - curve[a] for a, b in profile.intervals))
 
     def test_rule_rejects_a_non_finite_curve(self):
         for bad in (np.nan, np.inf):
