@@ -164,8 +164,9 @@ def nm_measure_maximized(
     dynamics is then a linear map Lambda_t on the qubit alone, so the pairs
     are measured through it: one propagator ``reduced`` call on the stack of
     (I, sigma_x, sigma_y, sigma_z) against rho_E gives Lambda_t on that basis
-    over the whole time grid. The map passes ``linalg.require_hermitian`` once
-    and is kept as the Bloch coordinates of its images; a pair writes
+    over the whole time grid. The map passes ``linalg.require_hermitian`` once,
+    where a rejection is an InvariantViolation, since the map is computed, and
+    is kept as the Bloch coordinates of its images; a pair writes
     s1 - s2 = sum_k c_k B_k with real c_k, and one product of the coordinates
     with the c_k gives those of Lambda_t(s1 - s2), normed in closed form as in
     ``linalg.trace_norm``. The map is reused while the scenarios keep
@@ -207,7 +208,10 @@ def nm_measure_maximized(
         if not (same_map and _shared_environment(sc.state1, source.state1) is not None):
             source = sc
             images = sc.propagator.reduced((_PAULI_BASIS, env), ts, 2, sc.de)
-            images = linalg.require_hermitian(images, "qubit map")
+            try:
+                images = linalg.require_hermitian(images, "qubit map")
+            except ValueError as exc:  # a computed map, not a bad input
+                raise witness.InvariantViolation(str(exc)) from exc
             # row 4 i + j: coordinate j of the four images at ts[i]
             bloch = np.moveaxis(linalg._bloch_coordinates(images), 0, -1).reshape(-1, 4)
         # Hermitian: d01 = conj(d10)

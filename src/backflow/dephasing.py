@@ -14,6 +14,7 @@ directly. The two routes must agree, which makes them mutually validating.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Union
@@ -122,15 +123,17 @@ def dephasing_function(dist: FrequencyDistribution, t):
 
 def _log_derivative(dist: FrequencyDistribution, t: float) -> complex:
     """d/dt ln k(t): a single line's exponent at every t; for more lines the
-    ratio k'/k, rejecting times where k has numerically vanished."""
+    ratio k'/k, rejecting times where k has numerically vanished or is not finite."""
     centers, widths, weights = _lines(dist)
     z = 1j * centers - widths
     if z.size == 1:
         return complex(z[0])
-    e = np.exp(z * t)
+    e = linalg._exp_outer(np.asarray(t), z, float(np.abs(z).max()))
     k = complex(weights @ e)
-    if abs(k) < SINGULAR_TOL:
-        raise SingularPointError(f"dephasing function vanishes at t={t:.12g}")
+    # k is NaN where a phase z t overflows, and abs() of a complex NaN can raise
+    # a stale OverflowError, so finiteness is tested first
+    if not (cmath.isfinite(k) and abs(k) >= SINGULAR_TOL):
+        raise SingularPointError(f"dephasing function vanishes or is not finite at t={t:.12g}")
     return complex(weights @ (z * e)) / k
 
 
@@ -140,8 +143,9 @@ def tcl_coefficients(dist: FrequencyDistribution, t: float) -> tuple[float, floa
     epsilon drives the sigma_z rotation and gamma the coherence decay, with
     coherence evolving as d/dt ln k. A single Lorentzian gives the constant
     pair (omega0/2, delta/2); a negative gamma anywhere signals coherence
-    revival. Times where |k| < 1e-12 are rejected as singular instead of
-    returning huge rates, and so are non-finite times.
+    revival. Times where |k| < 1e-12, or where k is not finite because a
+    phase z t overflows, are rejected as singular instead of returning huge
+    rates; non-finite times are rejected as bad input.
     """
     t = float(t)
     if not math.isfinite(t):
@@ -285,11 +289,14 @@ class DiagonalPropagator:
         return self._rates
 
     def evolve(self, mat: np.ndarray, t: float) -> np.ndarray:
-        """U(t) mat U(t)^dagger; a stack of matrices is evolved in one call."""
+        """U(t) mat U(t)^dagger; a stack of matrices is evolved in one call.
+        InvariantViolation where a phase r t overflows."""
         mat = np.asarray(mat)
         if mat.shape[-2:] != (self.dim, self.dim):
             raise ValueError(f"operator shape {mat.shape} does not match dimension {self.dim}")
-        p = np.exp(self._i_rates * float(t))
+        rate = float(np.abs(self._rates).max())
+        phases = linalg._exp_outer(np.asarray(float(t)), self._i_rates, rate)
+        p = witness._finite_unitary(phases, t)
         return mat * np.outer(p, p.conj())
 
     def _split(self, mat, ds: int, de: int):

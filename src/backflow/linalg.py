@@ -275,8 +275,10 @@ def _exp_outer(times: np.ndarray, exponents: np.ndarray, rate: float) -> np.ndar
 
 
 def unitary_at(eig: HermitianEigenSystem, t: float) -> np.ndarray:
-    """exp(-i H t) from the eigensystem of H (hbar = 1)."""
-    phases = np.exp(-1j * eig.values * float(t))
+    """exp(-i H t) from the eigensystem of H (hbar = 1); NaN entries, and no
+    warning, where a phase w t overflows, as ``_exp_outer`` forms it."""
+    rate = float(np.abs(eig.values).max(initial=0.0))
+    phases = _exp_outer(np.asarray(float(t)), -1j * eig.values, rate)
     return (eig.vectors * phases) @ eig.vectors.conj().T
 
 

@@ -53,6 +53,14 @@ class InvariantViolation(RuntimeError):
     """A computed point escaped its two-sided bound beyond tolerance."""
 
 
+def _finite_unitary(u: np.ndarray, t: float) -> np.ndarray:
+    """``u``, U(t) or its diagonal, unless an entry is not finite, as where a
+    phase w t overflows: an InvariantViolation, not a bad input."""
+    if not np.isfinite(u).all():
+        raise InvariantViolation(f"U(t) at t={t:.12g} is not finite")
+    return u
+
+
 def _positions(indices: np.ndarray, dim: int, name: str) -> np.ndarray:
     """Position of each of ``dim`` basis indices in ``indices``, -1 outside;
     ValueError unless ``indices`` is a 1-d array of distinct integers below ``dim``."""
@@ -131,8 +139,9 @@ class EigenPropagator:
         return self._eig
 
     def unitary(self, t: float) -> np.ndarray:
-        """U(t) on the subspace, in the basis ``support``."""
-        return linalg.unitary_at(self._eig, t)
+        """U(t) on the subspace, in the basis ``support``; InvariantViolation
+        where a phase w t overflows."""
+        return _finite_unitary(linalg.unitary_at(self._eig, t), t)
 
     def _layout(self, ds: int, de: int) -> _Layout:
         """The layout of the split ds x de. Its first call also fills the

@@ -1,4 +1,5 @@
 import sys
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -24,7 +25,7 @@ from backflow.dephasing import (
 )
 from backflow.spinchain import SpinChainSpec
 from backflow.states import BipartiteState, pure_qubit
-from backflow.witness import EigenPropagator, ScenarioPair, reduced_distance
+from backflow.witness import EigenPropagator, InvariantViolation, ScenarioPair, reduced_distance
 
 from conftest import chain_transfer_amplitude_direct
 
@@ -249,6 +250,19 @@ class TestMaximizedMeasure:
         with pytest.raises(ValueError, match=match):
             nm_measure_maximized(make, times, bloch_pair_grid(3, 2))
         assert calls == []
+
+    @pytest.mark.parametrize("action", ["error", "ignore"])
+    def test_overflowing_phases_give_an_invariant_violation(self, action):
+        # the map is computed, so a NaN in it is no bad input; distance_profile agrees
+        spec = SpinChainSpec(sites=3)
+        make = lambda r1, r2: spinchain.scenario(spec, (r1, r2))
+        times = [0.0, 1.0, 1e308]
+        with warnings.catch_warnings():
+            warnings.simplefilter(action)
+            with pytest.raises(InvariantViolation, match="qubit map .* not Hermitian: defect nan"):
+                nm_measure_maximized(make, times, bloch_pair_grid(3, 2))
+            with pytest.raises(InvariantViolation, match="not finite and Hermitian"):
+                distance_profile(spinchain.scenario(spec), times)
 
     def test_makes_no_increasing_intervals_call(self, monkeypatch):
         """The grid is checked once and each pair's curve goes straight to
@@ -484,5 +498,5 @@ class TestQubitMap:
             sc = spinchain.scenario(spec, (r1, r2))
             return ScenarioPair(sc.state1, sc.state2, skewed)
 
-        with pytest.raises(ValueError, match="not Hermitian: defect 1.000e-06"):
+        with pytest.raises(InvariantViolation, match="not Hermitian: defect 1.000e-06"):
             nm_measure_maximized(make, np.linspace(0.0, 2.0, 20), bloch_pair_grid(3, 2))

@@ -36,6 +36,15 @@ def read_summary(out_dir):
         return json.load(fh)
 
 
+def run_python(*args, cwd=None, **env):
+    """This interpreter run on ``args`` in a new process that imports the
+    package from this checkout, with ``env`` added to the environment."""
+    src = str(Path(backflow.__file__).resolve().parents[1])
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, cwd=cwd,
+                          env={**os.environ, "PYTHONPATH": path, **env}, timeout=300)
+
+
 class TestListPresets:
     def test_contains_required_names(self, capsys):
         assert main(["list-presets"]) == EXIT_OK
@@ -224,6 +233,9 @@ path = {out}
 
 OUTPUT = "\n[output]\npath = {out}\n"
 BIG_GRIDS = "[t_grid]\nmin = 0\nmax = 1e308\ncount = 3\n[tprime_grid]\nmin = 0\nmax = 1e308\ncount = 3\n"
+# t + t' stays finite, but the phases exp(-i w t) overflow
+OVERFLOWING_PHASES = ("[scenario]\npreset = {}\n\n[t_grid]\nmin = 0\nmax = 1e308\ncount = 3\n\n"
+                      "[tprime_grid]\nmin = 0\nmax = 0\ncount = 1\n")
 
 
 class TestConfigErrors:
@@ -513,11 +525,7 @@ class TestInvariantExit:
     @pytest.mark.parametrize("preset", ["fig3", "fig2b"])
     def test_overflowing_phases_exit_2_without_a_warning(self, tmp_path, capsys, preset):
         cfg = tmp_path / "phase.ini"
-        cfg.write_text(
-            f"[scenario]\npreset = {preset}\n\n"
-            "[t_grid]\nmin = 0.0\nmax = 1e308\ncount = 3\n\n"
-            "[tprime_grid]\nmin = 0.0\nmax = 0.0\ncount = 1\n"
-        )
+        cfg.write_text(OVERFLOWING_PHASES.format(preset))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             code = main(["run", str(cfg), "--out", str(tmp_path / "phase")])
@@ -589,13 +597,7 @@ class TestAudit:
             "linalg.trace_norm = lambda a: 3.0 * norm(a)\n"
             "sys.exit(cli.main(['audit']))\n"
         )
-        src = str(Path(backflow.__file__).resolve().parents[1])
-        path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
-        env = {**os.environ, "PYTHONPATH": path}
-        proc = subprocess.run(
-            [sys.executable, "-O", "-c", script],
-            capture_output=True, text=True, env=env, timeout=300,
-        )
+        proc = run_python("-O", "-c", script)
         assert proc.returncode == EXIT_INVARIANT, proc.stdout + proc.stderr
         assert f"{len(cli.AUDIT_CHECKS) - 1}/{len(cli.AUDIT_CHECKS)} checks passed" in proc.stdout
 
@@ -608,10 +610,7 @@ def test_fig3_does_not_import_numpy_ma(tmp_path):
         f"assert cli.main(['run', '--preset', 'fig3', '--out', {str(tmp_path)!r}]) == 0\n"
         "sys.exit('numpy.ma' in sys.modules)\n"
     )
-    src = str(Path(backflow.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                          env=env, timeout=300)
+    proc = run_python("-c", script)
     assert proc.returncode == 0, proc.stderr
 
 
@@ -628,11 +627,47 @@ def test_nm_max_does_not_import_numpy_ma():
         "blp.nm_measure_maximized(make, np.linspace(0.0, 3.0, 40), blp.bloch_pair_grid(3, 2))\n"
         "sys.exit('numpy.ma' in sys.modules)\n"
     )
-    src = str(Path(backflow.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                          env=env, timeout=300)
+    proc = run_python("-c", script)
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize(
+    "args, config, code",
+    [
+        (["list-presets"], None, EXIT_OK),
+        (["run", "--preset", "bell-check", "--out", "out"], None, EXIT_OK),
+        (["run", "run.ini", "--out", "out"],
+         "[scenario]\npreset = fig2b\n\n[t_grid]\nmin = 1.0\nmax = 1.0\ncount = 3\n",
+         EXIT_CONFIG_ERROR),
+        (["run", "run.ini"],
+         "[scenario]\npreset = fig2b\n\n[t_grid]\nmin = 1\nmax = 1.0000000000000002\ncount = 3\n",
+         EXIT_CONFIG_ERROR),
+        (["run", "run.ini"], "[scenario]\npreset = fig2a\n\n[output]\npath =\n",
+         EXIT_CONFIG_ERROR),
+        (["run", "run.ini", "--out", "out"], "preset = fig2b\n", EXIT_CONFIG_ERROR),
+        (["run", "run.ini", "--out", "out"], OVERFLOWING_PHASES.format("fig3"), EXIT_INVARIANT),
+        (["run", "run.ini", "--out", "out"], OVERFLOWING_PHASES.format("fig2b"), EXIT_INVARIANT),
+        (["run", "--preset", "fig3", "--format", "json", "--out", "out"], None, EXIT_OK),
+    ],
+    ids=["list-presets", "bell-check", "flat-grid", "grid-collapses-under-rounding",
+         "empty-output-path", "no-section-header", "fig3-phases-overflow",
+         "fig2b-phases-overflow", "fig3-json"],
+)
+def test_module_entry_point(tmp_path, args, config, code):
+    """``python -m backflow`` in a new process with warnings turned into
+    errors: the exit code, no traceback, and one line on stderr for a failed
+    run; the fig3 run writes every point inside its window."""
+    if config is not None:
+        (tmp_path / "run.ini").write_text(config)
+    proc = run_python("-m", "backflow", *args, cwd=tmp_path, PYTHONWARNINGS="error")
+    assert proc.returncode == code, proc.stderr
+    assert "Traceback" not in proc.stderr, proc.stderr
+    if code != EXIT_OK:
+        prefix = "error: " if code == EXIT_CONFIG_ERROR else "invariant violation: "
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(prefix), proc.stderr
+    if "json" in args:
+        assert read_summary(tmp_path / "out")["max_bound_violation"] == 0.0
 
 
 def test_all_cheap_presets_run(tmp_path):

@@ -87,6 +87,22 @@ class TestPhaseOverflow:
             with pytest.raises(witness.InvariantViolation, match="bound violated"):
                 analytic_surface(SPLIT_CENTERS, [0.0, 1e308], [0.0])
 
+    @pytest.mark.parametrize("action", ["error", "ignore"])
+    def test_tcl_coefficients_give_a_singular_point(self, action):
+        # unfiltered, a stale errno from the overflow made abs(k) raise OverflowError
+        with warnings.catch_warnings():
+            warnings.simplefilter(action)
+            with pytest.raises(SingularPointError, match="not finite at t=1e"):
+                tcl_coefficients(SPLIT_CENTERS, 1e308)
+
+    @pytest.mark.parametrize("action", ["error", "ignore"])
+    def test_dense_evolution_gives_an_invariant_violation(self, action):
+        sc = full_model(discretize(SPLIT_CENTERS, modes=16))
+        with warnings.catch_warnings():
+            warnings.simplefilter(action)
+            with pytest.raises(witness.InvariantViolation, match=r"U\(t\) at t=1e\+308"):
+                sc.propagator.evolve(sc.state1.op, 1e308)
+
 
 class TestDistributionValidation:
     def test_positive_widths_required(self):

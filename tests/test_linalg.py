@@ -438,6 +438,13 @@ class TestPhases:
         # only the product 4e308 overflows
         assert phases[1, 0] == 1.0 and np.isfinite(phases[1, 1]) and np.isnan(phases[1, 2])
 
+    def test_unitary_at_is_nan_without_a_warning(self, rng):
+        eig = linalg.hermitian_eigensystem(10.0 * random_hermitian_direct(4, rng))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            u = linalg.unitary_at(eig, 1e308)
+        assert np.isnan(u).any()
+
 
 class TestConjugate:
     def test_identity(self, rng):

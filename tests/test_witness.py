@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from backflow import cli, linalg, states, witness
+from backflow import cli, linalg, spinchain, states, witness
 from backflow.dephasing import DiagonalPropagator
 from backflow.states import BipartiteState
 from backflow.witness import (
@@ -429,6 +429,18 @@ class TestPhaseOverflow:
                 evaluate_point(sc, 0.0, 1e308)
             with pytest.raises(witness.InvariantViolation, match="not finite and Hermitian"):
                 evaluate_point(sc, 1e308, 0.0)
+
+    @pytest.mark.parametrize("action", ["error", "ignore"])
+    def test_dense_evolution(self, action):
+        # the same library error whether numpy warnings abort or pass unseen
+        sc = spinchain.scenario(spinchain.SpinChainSpec(sites=3))
+        with warnings.catch_warnings():
+            warnings.simplefilter(action)
+            for evaluate in (lambda: weak_upper_bound(sc, 1e308),
+                             lambda: evolve_pair(sc, 1e308),
+                             lambda: sc.propagator.evolve(sc.state1.op, 1e308)):
+                with pytest.raises(witness.InvariantViolation, match=r"U\(t\) at t=1e\+308"):
+                    evaluate()
 
 
 class TestReducedDistance:
