@@ -77,21 +77,18 @@ def increasing_intervals(times, values, rise_tol: float = DEFAULT_RISE_TOL) -> M
 
     A step counts as an increase only when it exceeds ``rise_tol``, so
     numerical jitter cannot fabricate growth. Consecutive rising steps
-    merge into one interval. Times must be finite and strictly ascending,
-    and values finite: a NaN compares false both ways, so it would pass the
-    ascending check or hide a rise. ``rise_tol`` must be finite and
+    merge into one interval. ``times`` is a time grid, as
+    ``linalg._require_grid`` checks it: 1-d, finite, nonnegative and strictly
+    ascending, or empty. Values must be finite: a NaN compares false both
+    ways, so it would hide a rise. ``rise_tol`` must be finite and
     nonnegative. The runs and their sum follow ``_rises``, the one rule of
     the measure.
     """
-    linalg._require_nonnegative(rise_tol, "rise_tol")
-    ts = np.asarray(times, dtype=float)
+    linalg._require_times(rise_tol, "rise_tol")
+    ts = linalg._require_grid(times, "times")
     vs = np.asarray(values, dtype=float)
-    if ts.ndim != 1 or vs.shape != ts.shape:
+    if vs.shape != ts.shape:
         raise ValueError(f"times and values must match, got {ts.shape} vs {vs.shape}")
-    if not np.isfinite(ts).all():
-        raise ValueError("times must be finite")
-    if not (ts[1:] > ts[:-1]).all():
-        raise ValueError("times must be strictly ascending")
     intervals, _ = _rises(vs, rise_tol)
     return MonotonicityProfile(times=ts, values=vs, intervals=intervals)
 
@@ -127,10 +124,11 @@ def nm_measure_fixed_pair(sc: ScenarioPair, times) -> float:
 
 
 def distance_profile(sc: ScenarioPair, times) -> MonotonicityProfile:
-    """Reduced trace distance sampled along ``times``, with growth intervals
-    above ``DEFAULT_RISE_TOL``; for another tolerance, pass the distances to
-    ``increasing_intervals``."""
-    ts = np.asarray(times, dtype=float)
+    """Reduced trace distance sampled along ``times``, a time grid checked by
+    ``linalg._require_grid`` before any distance is computed, with growth
+    intervals above ``DEFAULT_RISE_TOL``; for another tolerance, pass the
+    distances to ``increasing_intervals``."""
+    ts = linalg._require_grid(times, "times")
     return increasing_intervals(ts, witness.reduced_distance(sc, ts))
 
 
@@ -173,11 +171,12 @@ def nm_measure_maximized(
     the same propagator object and the environment of the ``state1`` it was
     built from, else rebuilt; nothing outlives the call.
 
-    ``times`` must be a 1-d grid of finite, nonnegative, strictly ascending
-    times, and is checked once, before the first scenario is built. Each
-    pair's distances then go straight to ``_rises``, the rule of
-    ``increasing_intervals`` and ``MonotonicityProfile.total_increase``,
-    with ``DEFAULT_RISE_TOL``; no profile is built per pair.
+    ``times`` is a time grid, checked once by ``linalg._require_grid``, before
+    the first scenario is built: 1-d, finite, nonnegative and strictly
+    ascending, or empty. Each pair's distances then go straight to
+    ``_rises``, the rule of ``increasing_intervals`` and
+    ``MonotonicityProfile.total_increase``, with ``DEFAULT_RISE_TOL``; no
+    profile is built per pair.
 
     ``make_scenario`` is called once per pair, and each pair is measured
     before the next one is built. The result is a lower estimate of the
@@ -187,11 +186,7 @@ def nm_measure_maximized(
     """
     if not pairs:
         raise ValueError("need at least one initial pair")
-    ts = witness._require_times(times, "times")
-    if ts.ndim != 1:
-        raise ValueError(f"times must be a 1-d array, got shape {ts.shape}")
-    if not (ts[1:] > ts[:-1]).all():
-        raise ValueError("times must be strictly ascending")
+    ts = linalg._require_grid(times, "times")
     best_value = -np.inf
     best_pair: BlochPair | None = None
     source = bloch = None

@@ -59,7 +59,7 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class GridSpec:
-    """``count`` times from ``lo`` to ``hi``, checked by ``witness._require_grid``."""
+    """``count`` times from ``lo`` to ``hi``, checked by ``linalg._require_surface_grid``."""
 
     lo: float
     hi: float
@@ -67,8 +67,8 @@ class GridSpec:
 
     def __post_init__(self):
         name = f"grid of {self.count} points on [{self.lo}, {self.hi}]"
-        witness._require_times((self.lo, self.hi), name)  # before np.linspace can warn
-        witness._require_grid(self.points(), name)
+        linalg._require_times((self.lo, self.hi), name)  # before np.linspace can warn
+        linalg._require_surface_grid(self.points(), name)
 
     def points(self) -> np.ndarray:
         return np.linspace(self.lo, self.hi, self.count)
@@ -99,7 +99,8 @@ class Preset:
     distribution and by explicit evolution for a chain; ``sweep`` ramps the
     component ratio of a double Lorentzian; ``check`` runs the
     correlation-split oracle and has no model. The grids' last times must
-    have a finite sum, as the library requires of every t + t'."""
+    have a finite sum, ``linalg._require_step_sum``, as the library
+    requires of every t + t'."""
 
     name: str
     description: str
@@ -109,8 +110,7 @@ class Preset:
     tprime_grid: GridSpec = DEFAULT_GRID
 
     def __post_init__(self):
-        last = self.t_grid.points()[-1].item() + self.tprime_grid.points()[-1].item()
-        witness._require_times(last, "t + t'")
+        linalg._require_step_sum(self.t_grid.points(), self.tprime_grid.points())
 
 
 @dataclass(frozen=True)
@@ -124,8 +124,8 @@ class RunConfig:
     fmt: str = "csv"
 
     def __post_init__(self):
-        linalg._require_nonnegative(self.class_eps, "class_eps")
-        linalg._require_nonnegative(self.rise_tol, "rise_tol")
+        linalg._require_times(self.class_eps, "class_eps")
+        linalg._require_times(self.rise_tol, "rise_tol")
         if not self.out_dir:
             raise ValueError("output path must not be empty")
         if self.fmt not in ("csv", "json"):

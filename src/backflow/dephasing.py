@@ -66,7 +66,7 @@ class DoubleLorentzian:
             raise ValueError(
                 f"widths must be positive and finite, got ({self.delta1}, {self.delta2})"
             )
-        linalg._require_nonnegative(self.r, "component ratio")
+        linalg._require_times(self.r, "component ratio")
 
 
 @dataclass(frozen=True, eq=False)
@@ -109,12 +109,14 @@ def _lines(dist: FrequencyDistribution) -> tuple[np.ndarray, np.ndarray, np.ndar
 
 
 def dephasing_function(dist: FrequencyDistribution, t):
-    """k(t): the coherence multiplier after time t. k(0) = 1, |k| <= 1.
+    """k(t): the coherence multiplier after time t. k(0) = 1, and |k| <= 1
+    at every time it accepts.
 
     The weighted sum of exp((i omega_j - delta_j) t) over the lines of
-    ``dist``. Accepts scalar or array times.
+    ``dist``. Accepts scalar or array times, finite and nonnegative as
+    ``linalg._require_times`` checks them; others raise ValueError.
     """
-    tt = np.asarray(t, dtype=float)
+    tt = linalg._require_times(t)
     centers, widths, weights = _lines(dist)
     z = 1j * centers - widths
     out = linalg._exp_outer(tt, z, float(np.abs(z).max())) @ weights
@@ -145,11 +147,10 @@ def tcl_coefficients(dist: FrequencyDistribution, t: float) -> tuple[float, floa
     pair (omega0/2, delta/2); a negative gamma anywhere signals coherence
     revival. Times where |k| < 1e-12, or where k is not finite because a
     phase z t overflows, are rejected as singular instead of returning huge
-    rates; non-finite times are rejected as bad input.
+    rates; times that are not finite and nonnegative are rejected as bad
+    input by ``linalg._require_times``.
     """
-    t = float(t)
-    if not math.isfinite(t):
-        raise ValueError(f"time must be finite, got {t}")
+    linalg._require_times(t := float(t))
     logd = _log_derivative(dist, t)
     return 0.5 * logd.imag, -0.5 * logd.real
 
@@ -183,9 +184,7 @@ def analytic_witnesses(
     times broadcast against each other and give arrays. Negative or
     non-finite times, or a sum t + t' that overflows, raise ValueError.
     """
-    ts, tps = witness._require_times(t, "t"), witness._require_times(tprime, "t'")
-    # the largest sum, of Python floats: an overflow gives inf, with no warning
-    witness._require_times(ts.max(initial=0.0).item() + tps.max(initial=0.0).item(), "t + t'")
+    linalg._require_step_sum(linalg._require_times(t, "t"), linalg._require_times(tprime, "t'"))
     kt = dephasing_function(dist, t)
     ktp = dephasing_function(dist, tprime)
     knext = dephasing_function(dist, t + tprime)
@@ -214,8 +213,8 @@ def analytic_surface(
     eps: float = witness.DEFAULT_CLASS_EPS,
 ) -> WitnessSurface:
     """Closed-form witness surface over a (t, t') product grid."""
-    ts = witness._require_grid(t_grid, "t grid")
-    tps = witness._require_grid(tprime_grid, "t' grid")
+    ts = linalg._require_surface_grid(t_grid, "t grid")
+    tps = linalg._require_surface_grid(tprime_grid, "t' grid")
     d_t, forecast, influence, delta_d = analytic_witnesses(dist, tps[None, :], ts[:, None])
     return WitnessSurface(ts, tps, d_t[:, 0], d_t + delta_d, forecast, influence, eps)
 
@@ -251,7 +250,11 @@ def discretize(
     centers, widths, _ = _lines(dist)
     if not widths.all():
         raise ValueError("distribution is already discrete")
-    lo, hi = np.min(centers - window * widths), np.max(centers + window * widths)
+    # Python floats: an overflowing edge or span gives inf, with no warning
+    reach = [(c, float(window) * w) for c, w in zip(centers.tolist(), widths.tolist())]
+    lo, hi = min(c - r for c, r in reach), max(c + r for c, r in reach)
+    if not math.isfinite(hi - lo):
+        raise ValueError(f"a window of {window} widths spans {lo} to {hi}, not a finite range")
     freqs = np.linspace(lo, hi, modes)
     probs = frequency_density(dist, freqs)
     return Discrete(freqs=freqs, probs=probs / probs.sum())
@@ -279,6 +282,7 @@ class DiagonalPropagator:
         if not math.isfinite(self._spread):
             raise ValueError(f"rates must span a finite range, got {r.min()} to {r.max()}")
         self._rates, self._i_rates = r, 1j * r
+        self._rate = float(np.abs(r).max())  # bounds the phases r t
 
     @property
     def dim(self) -> int:
@@ -290,12 +294,13 @@ class DiagonalPropagator:
 
     def evolve(self, mat: np.ndarray, t: float) -> np.ndarray:
         """U(t) mat U(t)^dagger; a stack of matrices is evolved in one call.
-        InvariantViolation where a phase r t overflows."""
+        A ValueError for a time that is not finite and nonnegative
+        (``linalg._require_times``), and InvariantViolation where a phase r t
+        overflows."""
         mat = np.asarray(mat)
         if mat.shape[-2:] != (self.dim, self.dim):
             raise ValueError(f"operator shape {mat.shape} does not match dimension {self.dim}")
-        rate = float(np.abs(self._rates).max())
-        phases = linalg._exp_outer(np.asarray(float(t)), self._i_rates, rate)
+        phases = linalg._exp_outer(linalg._require_times(float(t)), self._i_rates, self._rate)
         p = witness._finite_unitary(phases, t)
         return mat * np.outer(p, p.conj())
 

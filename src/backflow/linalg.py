@@ -5,6 +5,10 @@ fixed basis order: the system factor is always the first (slow) tensor
 index, so an index pair (a, e) maps to the flat row a * dE + e. A product
 A (x) B is passed as the pair (A, B) where a function says so. All
 functions are pure; arrays passed in are never mutated.
+
+The package's one rule for times lives here too: every time, time step and
+grid a public function takes passes ``_require_times`` (finite and
+nonnegative) or ``_require_grid`` (also 1-d and strictly ascending).
 """
 
 from __future__ import annotations
@@ -36,10 +40,48 @@ def _require_integer(value, name: str) -> int:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
-def _require_nonnegative(value, name: str) -> None:
-    """A ValueError naming ``name`` unless ``value`` is finite and nonnegative (not NaN)."""
-    if not 0.0 <= value < np.inf:
-        raise ValueError(f"{name} must be finite and nonnegative, got {value}")
+def _require_times(times, name: str = "time") -> np.ndarray:
+    """Times, or a tolerance, as a float array; a ValueError naming ``name``
+    unless every entry is finite and nonnegative. A single time is checked
+    as a Python float, faster than by array reductions."""
+    ts = np.asarray(times, dtype=float)
+    if ts.ndim:
+        finite, negative = np.all(np.isfinite(ts)), np.any(ts < 0)
+    else:
+        finite, negative = math.isfinite(x := float(ts)), x < 0
+    if not finite:
+        raise ValueError(f"{name} must be finite, got {times}")
+    if negative:
+        raise ValueError(f"{name} must be nonnegative, got {times}")
+    return ts
+
+
+def _require_grid(grid, name: str) -> np.ndarray:
+    """A time grid as a 1-d float array of times, strictly ascending; empty
+    is allowed. A ValueError naming ``name`` otherwise."""
+    g = np.asarray(grid, dtype=float)
+    if g.ndim != 1:
+        raise ValueError(f"{name} must be a 1-d array, got shape {g.shape}")
+    _require_times(g, name)
+    if not (g[1:] > g[:-1]).all():
+        raise ValueError(f"{name} must be strictly ascending")
+    return g
+
+
+def _require_surface_grid(grid, name: str) -> np.ndarray:
+    """A time grid of a (t, t') surface: ``_require_grid``, and nonempty."""
+    g = _require_grid(grid, name)
+    if not g.size:
+        raise ValueError(f"{name} must be a nonempty 1-d array")
+    return g
+
+
+def _require_step_sum(t, tprime) -> None:
+    """A ValueError unless the largest of the checked times ``t`` plus the
+    largest of ``tprime`` is finite, and with it every step time t + t'; on
+    ascending grids that is the last t plus the last t'. The sum is of Python
+    floats, so an overflow gives inf, with no warning."""
+    _require_times(np.max(t, initial=0.0).item() + np.max(tprime, initial=0.0).item(), "t + t'")
 
 
 def as_complex_matrix(a) -> np.ndarray:
@@ -275,10 +317,12 @@ def _exp_outer(times: np.ndarray, exponents: np.ndarray, rate: float) -> np.ndar
 
 
 def unitary_at(eig: HermitianEigenSystem, t: float) -> np.ndarray:
-    """exp(-i H t) from the eigensystem of H (hbar = 1); NaN entries, and no
-    warning, where a phase w t overflows, as ``_exp_outer`` forms it."""
+    """exp(-i H t) from the eigensystem of H (hbar = 1). A time that is not
+    finite and nonnegative is a ValueError (``_require_times``); a finite t
+    where a phase w t overflows gives NaN entries, and no warning, as
+    ``_exp_outer`` forms it."""
     rate = float(np.abs(eig.values).max(initial=0.0))
-    phases = _exp_outer(np.asarray(float(t)), -1j * eig.values, rate)
+    phases = _exp_outer(_require_times(float(t)), -1j * eig.values, rate)
     return (eig.vectors * phases) @ eig.vectors.conj().T
 
 

@@ -26,7 +26,6 @@ D(t), g, f and g - f take one batched trace norm.
 
 from __future__ import annotations
 
-import math
 from dataclasses import InitVar, dataclass, field, fields
 from enum import Enum
 
@@ -139,8 +138,9 @@ class EigenPropagator:
         return self._eig
 
     def unitary(self, t: float) -> np.ndarray:
-        """U(t) on the subspace, in the basis ``support``; InvariantViolation
-        where a phase w t overflows."""
+        """U(t) on the subspace, in the basis ``support``; a ValueError for a
+        time that ``linalg.unitary_at`` rejects, and InvariantViolation where a
+        phase w t overflows."""
         return _finite_unitary(linalg.unitary_at(self._eig, t), t)
 
     def _layout(self, ds: int, de: int) -> _Layout:
@@ -294,6 +294,12 @@ class ScenarioPair:
     automatically. The propagator must be time-homogeneous,
     ``reduced(evolve(X, t), t', ...) == reduced(X, t + t', ...)``: the
     witnesses read the state at t + t' from the initial states.
+
+    The package's propagators check the time of ``evolve`` with
+    ``linalg._require_times``. Their ``reduced`` and ``forecast`` check no
+    time: they are kernels, given only times that an entry point
+    (``reduced_distance``, ``evaluate_point``, ``evaluate_surface``,
+    ``nm_measure_maximized``) has already checked.
     """
 
     state1: BipartiteState
@@ -419,7 +425,7 @@ def classify_values(influence, d_t, forecast, eps: float = DEFAULT_CLASS_EPS):
     values, cell by cell the same as for scalars. ``eps`` must be finite and
     nonnegative.
     """
-    linalg._require_nonnegative(eps, "eps")
+    linalg._require_times(eps, "eps")
     impossible = influence < d_t - forecast - eps
     increase = influence > d_t + forecast + eps
     degenerate = (influence <= eps) & (d_t <= eps) & (forecast <= eps)
@@ -455,26 +461,11 @@ def check_window(t, tprime, d_t, d_next, forecast, influence, eps: float = DEFAU
 
 def evolve_pair(sc: ScenarioPair, t: float) -> tuple[BipartiteState, BipartiteState]:
     """Both total states at time t; valid density operators by construction."""
-    if _require_times(t) == 0:
+    if linalg._require_times(t) == 0:
         return sc.state1, sc.state2
     return tuple(
         BipartiteState(sc.propagator.evolve(s.op, t), sc.ds, sc.de) for s in (sc.state1, sc.state2)
     )
-
-
-def _require_times(times, name: str = "time") -> np.ndarray:
-    """Times as a float array, rejecting non-finite and negative entries; a
-    single time is checked as a Python float, faster than by array reductions."""
-    ts = np.asarray(times, dtype=float)
-    if ts.ndim:
-        finite, negative = np.all(np.isfinite(ts)), np.any(ts < 0)
-    else:
-        finite, negative = math.isfinite(x := float(ts)), x < 0
-    if not finite:
-        raise ValueError(f"{name} must be finite, got {times}")
-    if negative:
-        raise ValueError(f"{name} must be nonnegative, got {times}")
-    return ts
 
 
 def _operand(state: BipartiteState):
@@ -522,7 +513,7 @@ def reduced_distance(sc: ScenarioPair, t):
     Array times give an array, from the reduced-state calls of
     ``_reduced_differences`` and one batched trace norm.
     """
-    ts = _require_times(t)
+    ts = linalg._require_times(t)
     dist = _half_norms(_reduced_differences(sc, ts).reshape(-1, sc.ds, sc.ds))
     return float(dist[0]) if ts.ndim == 0 else dist.reshape(ts.shape)
 
@@ -573,24 +564,15 @@ def evaluate_point(
     The forecast takes the environment of ``state1``; swap the pair for the
     other environment.
     """
-    ts, tps = _require_times(t).reshape(1), _require_times(tprime, "time step").reshape(1)
+    ts = linalg._require_times(t).reshape(1)
+    tps = linalg._require_times(tprime, "time step").reshape(1)
     # summed as Python floats: an overflow gives inf, which the check rejects, with no warning
-    _require_times(step := ts.item() + tps.item(), "t + t'")
+    linalg._require_times(step := ts.item() + tps.item(), "t + t'")
     diffs = _reduced_differences(sc, np.array([ts.item(), step]))
     # Python floats: the window check costs less on them than on 1-element arrays
     d_t, d_next, forecast, influence = _grid_norms(sc, ts, tps, diffs[None])[0].tolist()
     window = check_window(t, tps[0], d_t, d_next, forecast, influence, eps)
     return WitnessPoint(float(t), float(tps[0]), d_t, d_next, forecast, influence, *window)
-
-
-def _require_grid(grid, name: str) -> np.ndarray:
-    g = np.asarray(grid, dtype=float)
-    if g.ndim != 1 or g.size == 0:
-        raise ValueError(f"{name} must be a nonempty 1-d array")
-    _require_times(g, name)
-    if np.any(np.diff(g) <= 0):
-        raise ValueError(f"{name} must be strictly ascending")
-    return g
 
 
 def evaluate_surface(
@@ -603,9 +585,9 @@ def evaluate_surface(
     forecast takes the environment of ``state1``; swap the pair for the
     other environment.
     """
-    ts = _require_grid(t_grid, "t grid")
-    tps = _require_grid(tprime_grid, "t' grid")
-    _require_times(ts[-1].item() + tps[-1].item(), "t + t'")  # the largest sum on ascending grids
+    ts = linalg._require_surface_grid(t_grid, "t grid")
+    tps = linalg._require_surface_grid(tprime_grid, "t' grid")
+    linalg._require_step_sum(ts, tps)
     times = np.concatenate([ts[:, None], ts[:, None] + tps], axis=1)
     distinct, inverse = np.unique(times, return_inverse=True)
     diffs = _reduced_differences(sc, distinct)[inverse.reshape(times.shape)]

@@ -68,7 +68,8 @@ class TestIncreasingIntervals:
     @pytest.mark.parametrize("bad", [np.nan, -1.0, np.inf])
     def test_bad_rise_tolerance_rejected(self, bad):
         # NaN would find no rise at all, a negative tolerance would count a dip
-        with pytest.raises(ValueError, match="rise_tol must be finite and nonnegative"):
+        problem = "nonnegative" if bad < 0 else "finite"
+        with pytest.raises(ValueError, match=f"^rise_tol must be {problem}, got"):
             increasing_intervals(np.arange(3.0), [0.5, 0.4, 0.6], rise_tol=bad)
 
     def test_length_mismatch(self):

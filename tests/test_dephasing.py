@@ -273,7 +273,8 @@ class TestAnalyticWitnesses:
     @pytest.mark.parametrize("bad", [np.nan, -1.0, np.inf])
     def test_surface_rejects_bad_margin(self, bad):
         grid = np.linspace(0.0, 3.0, 5)
-        with pytest.raises(ValueError, match="eps must be finite and nonnegative"):
+        problem = "nonnegative" if bad < 0 else "finite"
+        with pytest.raises(ValueError, match=f"^eps must be {problem}, got"):
             analytic_surface(SPLIT_CENTERS, grid, grid, eps=bad)
 
     def test_semigroup_surface_classifications(self):
@@ -322,6 +323,16 @@ class TestDiscretize:
     def test_non_finite_window_rejected(self, window):
         with pytest.raises(ValueError, match="window must be positive and finite"):
             discretize(SINGLE, modes=16, window=window)
+
+    @pytest.mark.parametrize("action", ["error", "ignore"])
+    @pytest.mark.parametrize("dist", [DoubleLorentzian(1e308, 1.0, -1e308, 1.0, 1.0),
+                                      SingleLorentzian(0.0, 1e307)], ids=["centers", "width"])
+    def test_overflowing_span_rejected(self, dist, action):
+        # rejected before the grid is formed, naming the window, with no overflow warning
+        with warnings.catch_warnings():
+            warnings.simplefilter(action)
+            with pytest.raises(ValueError, match=r"^a window of 40\.0 widths spans .* finite"):
+                discretize(dist, modes=8)
 
     def test_discrete_input_rejected(self):
         env = discretize(SINGLE, modes=16, window=10.0)

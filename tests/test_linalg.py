@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from backflow import linalg, states
+from backflow import blp, dephasing, linalg, spinchain, states, witness
+from backflow.spinchain import SpinChainSpec
 
 from conftest import random_density_direct, random_hermitian_direct
 
@@ -24,6 +25,7 @@ def proj(vec):
 
 
 BELL = proj(ket(1, 0, 0, 1))
+SPLIT_CENTERS = dephasing.DoubleLorentzian(1.0, 1.0, 9.0, 1.0, 1.0)
 
 
 class TestTensorProduct:
@@ -444,6 +446,101 @@ class TestPhases:
             warnings.simplefilter("error")
             u = linalg.unitary_at(eig, 1e308)
         assert np.isnan(u).any()
+
+
+def _chain():
+    return spinchain.scenario(SpinChainSpec(sites=3))
+
+
+def _eig():
+    return linalg.hermitian_eigensystem(np.diag([1.0, -2.0]))
+
+
+# Each public entry point that takes a time or a time step, with the name
+# its error gives the time, and a call at the time x.
+TIME_ENTRY_POINTS = [
+    pytest.param("time", lambda x: linalg.unitary_at(_eig(), x), id="unitary_at"),
+    pytest.param("time", lambda x: witness.EigenPropagator(_eig()).unitary(x),
+                 id="EigenPropagator.unitary"),
+    pytest.param("time", lambda x: witness.EigenPropagator(_eig()).evolve(np.eye(2), x),
+                 id="EigenPropagator.evolve"),
+    pytest.param("time", lambda x: dephasing.DiagonalPropagator([0.0, 1.0]).evolve(np.eye(2), x),
+                 id="DiagonalPropagator.evolve"),
+    pytest.param("time", lambda x: witness.evolve_pair(_chain(), x), id="evolve_pair"),
+    pytest.param("time", lambda x: witness.reduced_distance(_chain(), x), id="reduced_distance"),
+    pytest.param("time", lambda x: witness.reduced_distance(_chain(), [0.0, x]),
+                 id="reduced_distance-array"),
+    pytest.param("time", lambda x: witness.weak_upper_bound(_chain(), x), id="weak_upper_bound"),
+    pytest.param("time", lambda x: witness.evaluate_point(_chain(), 0.3, x), id="evaluate_point-t"),
+    pytest.param("time step", lambda x: witness.evaluate_point(_chain(), x, 0.7),
+                 id="evaluate_point-tprime"),
+    pytest.param("time", lambda x: witness.forecast_distance(_chain(), 0.3, x),
+                 id="forecast_distance"),
+    pytest.param("time step", lambda x: witness.correlation_influence(_chain(), x, 0.7),
+                 id="correlation_influence"),
+    pytest.param("time", lambda x: witness.distance_change(_chain(), 0.3, x),
+                 id="distance_change"),
+    pytest.param("time", lambda x: dephasing.dephasing_function(SPLIT_CENTERS, x),
+                 id="dephasing_function"),
+    pytest.param("time", lambda x: dephasing.dephasing_function(SPLIT_CENTERS, [0.0, x]),
+                 id="dephasing_function-array"),
+    pytest.param("time", lambda x: dephasing.tcl_coefficients(SPLIT_CENTERS, x),
+                 id="tcl_coefficients"),
+    pytest.param("t", lambda x: dephasing.analytic_witnesses(SPLIT_CENTERS, 0.3, x),
+                 id="analytic_witnesses-t"),
+    pytest.param("t'", lambda x: dephasing.analytic_witnesses(SPLIT_CENTERS, x, 0.7),
+                 id="analytic_witnesses-tprime"),
+    pytest.param("t grid", lambda x: dephasing.analytic_point(SPLIT_CENTERS, 0.3, x),
+                 id="analytic_point-t"),
+    pytest.param("t' grid", lambda x: dephasing.analytic_point(SPLIT_CENTERS, x, 0.7),
+                 id="analytic_point-tprime"),
+]
+
+# Each public entry point that takes a time grid, with the name its error
+# gives the grid, and a call on the grid g.
+GRID_ENTRY_POINTS = [
+    pytest.param("t grid", lambda g: witness.evaluate_surface(_chain(), g, [0.0]),
+                 id="evaluate_surface-t"),
+    pytest.param("t' grid", lambda g: witness.evaluate_surface(_chain(), [0.0], g),
+                 id="evaluate_surface-tprime"),
+    pytest.param("t grid", lambda g: dephasing.analytic_surface(SPLIT_CENTERS, g, [0.0]),
+                 id="analytic_surface-t"),
+    pytest.param("t' grid", lambda g: dephasing.analytic_surface(SPLIT_CENTERS, [0.0], g),
+                 id="analytic_surface-tprime"),
+    pytest.param("times", lambda g: blp.increasing_intervals(g, [0.1, 0.2]),
+                 id="increasing_intervals"),
+    pytest.param("times", lambda g: blp.distance_profile(_chain(), g), id="distance_profile"),
+    pytest.param("times", lambda g: blp.nm_measure_fixed_pair(_chain(), g),
+                 id="nm_measure_fixed_pair"),
+    pytest.param("times", lambda g: blp.nm_measure_maximized(
+        lambda r1, r2: spinchain.scenario(SpinChainSpec(sites=3), pair=(r1, r2)), g,
+        blp.bloch_pair_grid(1, 1)), id="nm_measure_maximized"),
+]
+
+
+class TestTimeRule:
+    """Every time, time step and grid the library takes is finite and
+    nonnegative, and a grid strictly ascending: each entry point rejects
+    what breaks the rule with the ValueError of ``linalg._require_times`` or
+    ``linalg._require_grid``, under warnings as errors."""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -1.0])
+    @pytest.mark.parametrize("name, call", TIME_ENTRY_POINTS)
+    def test_bad_time_rejected(self, name, call, bad):
+        problem = "nonnegative" if bad < 0 else "finite"
+        with pytest.raises(ValueError, match=f"^{re.escape(name)} must be {problem}, got"):
+            call(bad)
+
+    @pytest.mark.parametrize("grid, problem", [
+        ([0.0, np.nan], "finite, got"),
+        ([0.0, np.inf], "finite, got"),
+        ([-1.0, 0.0], "nonnegative, got"),
+        ([1.0, 0.5], "strictly ascending"),
+    ], ids=["nan", "inf", "negative", "descending"])
+    @pytest.mark.parametrize("name, call", GRID_ENTRY_POINTS)
+    def test_bad_grid_rejected(self, name, call, grid, problem):
+        with pytest.raises(ValueError, match=f"^{re.escape(name)} must be {problem}"):
+            call(grid)
 
 
 class TestConjugate:

@@ -176,9 +176,10 @@ class TestClassify:
     @pytest.mark.parametrize("bad", [np.nan, -1.0, np.inf])
     def test_bad_margin_rejected(self, bad, rng):
         # NaN would label every cell Inconclusive, -1 and inf IncreaseImpossible
-        with pytest.raises(ValueError, match="eps must be finite and nonnegative"):
+        problem = "nonnegative" if bad < 0 else "finite"
+        with pytest.raises(ValueError, match=f"^eps must be {problem}, got"):
             classify_values(0.5, 0.5, 0.2, eps=bad)
-        with pytest.raises(ValueError, match="eps must be finite and nonnegative"):
+        with pytest.raises(ValueError, match=f"^eps must be {problem}, got"):
             evaluate_surface(random_scenario(rng), [0.0, 0.5], [0.0, 0.5], eps=bad)
 
     def test_on_point(self, rng):
