@@ -14,7 +14,6 @@ directly. The two routes must agree, which makes them mutually validating.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from typing import Union
@@ -114,7 +113,9 @@ def dephasing_function(dist: FrequencyDistribution, t):
 
     The weighted sum of exp((i omega_j - delta_j) t) over the lines of
     ``dist``. Accepts scalar or array times, finite and nonnegative as
-    ``linalg._require_times`` checks them; others raise ValueError.
+    ``linalg._require_times`` checks them; others raise ValueError. A finite
+    t where a phase overflows raises InvariantViolation
+    (``linalg._exp_outer``), so no k it returns is NaN.
     """
     tt = linalg._require_times(t)
     centers, widths, weights = _lines(dist)
@@ -125,17 +126,15 @@ def dephasing_function(dist: FrequencyDistribution, t):
 
 def _log_derivative(dist: FrequencyDistribution, t: float) -> complex:
     """d/dt ln k(t): a single line's exponent at every t; for more lines the
-    ratio k'/k, rejecting times where k has numerically vanished or is not finite."""
+    ratio k'/k, rejecting times where k has numerically vanished."""
     centers, widths, weights = _lines(dist)
     z = 1j * centers - widths
     if z.size == 1:
         return complex(z[0])
     e = linalg._exp_outer(np.asarray(t), z, float(np.abs(z).max()))
     k = complex(weights @ e)
-    # k is NaN where a phase z t overflows, and abs() of a complex NaN can raise
-    # a stale OverflowError, so finiteness is tested first
-    if not (cmath.isfinite(k) and abs(k) >= SINGULAR_TOL):
-        raise SingularPointError(f"dephasing function vanishes or is not finite at t={t:.12g}")
+    if abs(k) < SINGULAR_TOL:
+        raise SingularPointError(f"dephasing function vanishes at t={t:.12g}")
     return complex(weights @ (z * e)) / k
 
 
@@ -145,10 +144,10 @@ def tcl_coefficients(dist: FrequencyDistribution, t: float) -> tuple[float, floa
     epsilon drives the sigma_z rotation and gamma the coherence decay, with
     coherence evolving as d/dt ln k. A single Lorentzian gives the constant
     pair (omega0/2, delta/2); a negative gamma anywhere signals coherence
-    revival. Times where |k| < 1e-12, or where k is not finite because a
-    phase z t overflows, are rejected as singular instead of returning huge
-    rates; times that are not finite and nonnegative are rejected as bad
-    input by ``linalg._require_times``.
+    revival. Times where |k| < 1e-12 are rejected as singular instead of
+    returning huge rates; times that are not finite and nonnegative are
+    rejected as bad input by ``linalg._require_times``, and a finite t where
+    a phase z t overflows raises InvariantViolation (``linalg._exp_outer``).
     """
     linalg._require_times(t := float(t))
     logd = _log_derivative(dist, t)
@@ -250,11 +249,14 @@ def discretize(
     centers, widths, _ = _lines(dist)
     if not widths.all():
         raise ValueError("distribution is already discrete")
-    # Python floats: an overflowing edge or span gives inf, with no warning
-    reach = [(c, float(window) * w) for c, w in zip(centers.tolist(), widths.tolist())]
-    lo, hi = min(c - r for c, r in reach), max(c + r for c, r in reach)
-    if not math.isfinite(hi - lo):
-        raise ValueError(f"a window of {window} widths spans {lo} to {hi}, not a finite range")
+    # Python floats: an overflowing edge, offset or square gives inf, with no
+    # warning. Each line's squared offset is largest at an edge of the grid, so
+    # this is finite exactly where the denominators of frequency_density are.
+    reach = [(c, w, float(window) * w) for c, w in zip(centers.tolist(), widths.tolist())]
+    lo, hi = min(c - r for c, _, r in reach), max(c + r for c, _, r in reach)
+    if not all(math.isfinite(x * x + w * w) for c, w, _ in reach for x in (lo - c, hi - c)):
+        raise ValueError(f"a window of {window} widths spans {lo} to {hi}, where the squared "
+                         f"offsets from lines of widths {widths.tolist()} are not finite")
     freqs = np.linspace(lo, hi, modes)
     probs = frequency_density(dist, freqs)
     return Discrete(freqs=freqs, probs=probs / probs.sum())
@@ -296,12 +298,11 @@ class DiagonalPropagator:
         """U(t) mat U(t)^dagger; a stack of matrices is evolved in one call.
         A ValueError for a time that is not finite and nonnegative
         (``linalg._require_times``), and InvariantViolation where a phase r t
-        overflows."""
+        overflows (``linalg._exp_outer``)."""
         mat = np.asarray(mat)
         if mat.shape[-2:] != (self.dim, self.dim):
             raise ValueError(f"operator shape {mat.shape} does not match dimension {self.dim}")
-        phases = linalg._exp_outer(linalg._require_times(float(t)), self._i_rates, self._rate)
-        p = witness._finite_unitary(phases, t)
+        p = linalg._exp_outer(linalg._require_times(float(t)), self._i_rates, self._rate)
         return mat * np.outer(p, p.conj())
 
     def _split(self, mat, ds: int, de: int):

@@ -8,7 +8,9 @@ functions are pure; arrays passed in are never mutated.
 
 The package's one rule for times lives here too: every time, time step and
 grid a public function takes passes ``_require_times`` (finite and
-nonnegative) or ``_require_grid`` (also 1-d and strictly ascending).
+nonnegative) or ``_require_grid`` (also 1-d and strictly ascending). So
+does its one rule for phases: every exp(t z) is formed by ``_exp_outer``,
+which raises InvariantViolation where one overflows at a finite t.
 """
 
 from __future__ import annotations
@@ -32,6 +34,12 @@ EIG_RESIDUAL_TOL = 1e-9
 DENSE_DIM_CAP = 4096
 
 
+class InvariantViolation(RuntimeError):
+    """A computed value broke a property the library guarantees: a phase
+    exp(t z) that overflows at a finite t, a reduced operator that is not
+    Hermitian, or a point outside its two-sided bound beyond tolerance."""
+
+
 def _require_integer(value, name: str) -> int:
     """``value`` as an int; a ValueError naming ``name`` unless it is one."""
     try:
@@ -43,16 +51,17 @@ def _require_integer(value, name: str) -> int:
 def _require_times(times, name: str = "time") -> np.ndarray:
     """Times, or a tolerance, as a float array; a ValueError naming ``name``
     unless every entry is finite and nonnegative. A single time is checked
-    as a Python float, faster than by array reductions."""
+    as a Python float, faster than by array reductions. The message shows
+    the float array, which numpy summarises when it is long."""
     ts = np.asarray(times, dtype=float)
     if ts.ndim:
         finite, negative = np.all(np.isfinite(ts)), np.any(ts < 0)
     else:
         finite, negative = math.isfinite(x := float(ts)), x < 0
     if not finite:
-        raise ValueError(f"{name} must be finite, got {times}")
+        raise ValueError(f"{name} must be finite, got {ts}")
     if negative:
-        raise ValueError(f"{name} must be nonnegative, got {times}")
+        raise ValueError(f"{name} must be nonnegative, got {ts}")
     return ts
 
 
@@ -301,26 +310,28 @@ def hermitian_eigensystem(a) -> HermitianEigenSystem:
 def _exp_outer(times: np.ndarray, exponents: np.ndarray, rate: float) -> np.ndarray:
     """exp(t z) for every t of ``times``, on the leading axes, and z of
     ``exponents``, where each part of each product t z is at most |t| ``rate``
-    in size and its real part is not positive.
+    in size and its real part is not positive. Every phase of the package is
+    formed here.
 
     While the sum of all |t|, times ``rate``, is a finite float, no product
     t z can overflow; that test costs Python scalars only. Otherwise the same
-    products are formed with numpy's overflow and invalid warnings silenced:
-    a phase whose t z overflows comes out NaN, and what is built from it
-    fails the callers' checks with one InvariantViolation, with or without
-    warnings turned into errors.
+    products are formed with numpy's overflow and invalid warnings silenced,
+    and a phase that is not finite raises InvariantViolation naming the
+    largest |t|, with or without warnings turned into errors.
     """
     if math.isfinite(rate * sum(map(abs, times.ravel().tolist()))):
         return np.exp(np.multiply.outer(times, exponents))
     with np.errstate(over="ignore", invalid="ignore"):
-        return np.exp(np.multiply.outer(times, exponents))
+        phases = np.exp(np.multiply.outer(times, exponents))
+    if not np.isfinite(phases).all():  # |t z| grows with |t|: the largest |t| overflows
+        raise InvariantViolation(f"phase exp(t z) overflows at t = {np.abs(times).max():.12g}")
+    return phases
 
 
 def unitary_at(eig: HermitianEigenSystem, t: float) -> np.ndarray:
     """exp(-i H t) from the eigensystem of H (hbar = 1). A time that is not
     finite and nonnegative is a ValueError (``_require_times``); a finite t
-    where a phase w t overflows gives NaN entries, and no warning, as
-    ``_exp_outer`` forms it."""
+    where a phase w t overflows is an InvariantViolation (``_exp_outer``)."""
     rate = float(np.abs(eig.values).max(initial=0.0))
     phases = _exp_outer(_require_times(float(t)), -1j * eig.values, rate)
     return (eig.vectors * phases) @ eig.vectors.conj().T

@@ -32,7 +32,7 @@ from enum import Enum
 import numpy as np
 
 from . import linalg, states
-from .linalg import HermitianEigenSystem
+from .linalg import HermitianEigenSystem, InvariantViolation
 from .states import BipartiteState
 
 DEFAULT_CLASS_EPS = 1e-9
@@ -46,18 +46,6 @@ class Classification(str, Enum):
     GUARANTEED_INCREASE = "GuaranteedIncrease"
     INCREASE_IMPOSSIBLE = "IncreaseImpossible"
     INCONCLUSIVE = "Inconclusive"
-
-
-class InvariantViolation(RuntimeError):
-    """A computed point escaped its two-sided bound beyond tolerance."""
-
-
-def _finite_unitary(u: np.ndarray, t: float) -> np.ndarray:
-    """``u``, U(t) or its diagonal, unless an entry is not finite, as where a
-    phase w t overflows: an InvariantViolation, not a bad input."""
-    if not np.isfinite(u).all():
-        raise InvariantViolation(f"U(t) at t={t:.12g} is not finite")
-    return u
 
 
 def _positions(indices: np.ndarray, dim: int, name: str) -> np.ndarray:
@@ -138,10 +126,10 @@ class EigenPropagator:
         return self._eig
 
     def unitary(self, t: float) -> np.ndarray:
-        """U(t) on the subspace, in the basis ``support``; a ValueError for a
-        time that ``linalg.unitary_at`` rejects, and InvariantViolation where a
+        """U(t) on the subspace, in the basis ``support``: ``linalg.unitary_at``,
+        with its ValueError for a bad time and InvariantViolation where a
         phase w t overflows."""
-        return _finite_unitary(linalg.unitary_at(self._eig, t), t)
+        return linalg.unitary_at(self._eig, t)
 
     def _layout(self, ds: int, de: int) -> _Layout:
         """The layout of the split ds x de. Its first call also fills the

@@ -3,6 +3,9 @@ import pytest
 
 from backflow import spinchain
 
+# The one message of an overflowing phase, linalg._exp_outer's, at t = 1e308.
+PHASE_OVERFLOW = r"^phase exp\(t z\) overflows at t = 1e\+308$"
+
 
 @pytest.fixture(autouse=True)
 def cold_block_propagator():

@@ -508,7 +508,7 @@ class TestInvariantExit:
 
     def test_non_finite_chain_values_exit_2(self, tmp_path, capsys):
         # t + t' stays finite, but the phases exp(-i w t) overflow at t = 1e308:
-        # the norm step reports it as the dephasing model's bound check does
+        # linalg._exp_outer reports it, as it does for the dephasing model
         cfg = tmp_path / "phase.ini"
         cfg.write_text(
             "[scenario]\nmodel = spin_chain\nsites = 3\nexchange = 1.0\n"
@@ -520,7 +520,7 @@ class TestInvariantExit:
         assert main(["run", str(cfg), "--out", str(out)]) == EXIT_INVARIANT
         err = capsys.readouterr().err
         assert err.startswith("invariant violation: ") and err.count("\n") == 1, err
-        assert "not finite and Hermitian" in read_summary(out)["error"]
+        assert "phase exp(t z) overflows at t = 1e+308" in read_summary(out)["error"]
 
     @pytest.mark.parametrize("preset", ["fig3", "fig2b"])
     def test_overflowing_phases_exit_2_without_a_warning(self, tmp_path, capsys, preset):

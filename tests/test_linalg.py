@@ -1,5 +1,7 @@
+import ast
 import re
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +11,7 @@ from hypothesis import strategies as st
 from backflow import blp, dephasing, linalg, spinchain, states, witness
 from backflow.spinchain import SpinChainSpec
 
-from conftest import random_density_direct, random_hermitian_direct
+from conftest import PHASE_OVERFLOW, random_density_direct, random_hermitian_direct
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SZ = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -431,21 +433,23 @@ class TestPhases:
             expected = np.exp(np.multiply.outer(times, z))
             assert np.array_equal(linalg._exp_outer(times, z, float(np.abs(z).max())), expected)
 
-    def test_overflowing_phases_are_nan_without_a_warning(self):
-        z = np.array([0.0, -1j, -4j])
+    def test_finite_phases_past_the_pre_test_are_the_plain_product(self):
+        # 4 * 1e308 fails the pre-test, yet no product t z overflows
+        z = np.array([0.0, -1j, -0.5 - 1j])
+        times = np.array([0.5, 1e308])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            phases = linalg._exp_outer(np.array([0.5, 1e308]), z, 4.0)
-        assert np.array_equal(phases[0], np.exp(0.5 * z))
-        # only the product 4e308 overflows
-        assert phases[1, 0] == 1.0 and np.isfinite(phases[1, 1]) and np.isnan(phases[1, 2])
+            phases = linalg._exp_outer(times, z, 4.0)
+        assert np.array_equal(phases, np.exp(np.multiply.outer(times, z)))
 
-    def test_unitary_at_is_nan_without_a_warning(self, rng):
-        eig = linalg.hermitian_eigensystem(10.0 * random_hermitian_direct(4, rng))
+    @pytest.mark.parametrize("action", ["error", "ignore"])
+    def test_an_overflowing_phase_names_the_largest_time(self, action):
+        # the products -4j t overflow at t = 5e307 and at t = 1e308
+        times = np.array([[0.5, 1e308], [2.0, 5e307]])
         with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            u = linalg.unitary_at(eig, 1e308)
-        assert np.isnan(u).any()
+            warnings.simplefilter(action)
+            with pytest.raises(linalg.InvariantViolation, match=PHASE_OVERFLOW):
+                linalg._exp_outer(times, np.array([-1j, -4j]), 4.0)
 
 
 def _chain():
@@ -531,6 +535,17 @@ class TestTimeRule:
         with pytest.raises(ValueError, match=f"^{re.escape(name)} must be {problem}, got"):
             call(bad)
 
+    @pytest.mark.parametrize("call", [
+        lambda ts: dephasing.dephasing_function(SPLIT_CENTERS, ts),
+        lambda ts: witness.reduced_distance(_chain(), ts),
+    ], ids=["dephasing_function", "reduced_distance"])
+    def test_long_time_list_gives_a_short_message(self, call):
+        # numpy summarises the checked array; the raw list would print in full
+        message = r"^time must be finite, got \[ 0\. .* \.\.\. .* nan\]$"
+        with pytest.raises(ValueError, match=message) as exc:
+            call([0.0] * 100_000 + [np.nan])
+        assert len(str(exc.value)) < 100
+
     @pytest.mark.parametrize("grid, problem", [
         ([0.0, np.nan], "finite, got"),
         ([0.0, np.inf], "finite, got"),
@@ -541,6 +556,109 @@ class TestTimeRule:
     def test_bad_grid_rejected(self, name, call, grid, problem):
         with pytest.raises(ValueError, match=f"^{re.escape(name)} must be {problem}"):
             call(grid)
+
+
+# Each public entry point that forms a phase exp(t z), and a call at the time
+# x, where some phase overflows at x = 1e308.
+PHASE_ENTRY_POINTS = [
+    pytest.param(lambda x: linalg.unitary_at(_eig(), x), id="unitary_at"),
+    pytest.param(lambda x: witness.EigenPropagator(_eig()).unitary(x),
+                 id="EigenPropagator.unitary"),
+    pytest.param(lambda x: witness.EigenPropagator(_eig()).evolve(np.eye(2), x),
+                 id="EigenPropagator.evolve"),
+    pytest.param(lambda x: witness.EigenPropagator(_eig()).reduced(np.eye(2), [0.0, x], 2, 1),
+                 id="EigenPropagator.reduced"),
+    pytest.param(lambda x: witness.EigenPropagator(_eig()).forecast(
+        np.eye(2)[None], np.eye(2), [x], [0.0], 2, 1), id="EigenPropagator.forecast-t"),
+    pytest.param(lambda x: witness.EigenPropagator(_eig()).forecast(
+        np.eye(2)[None], np.eye(2), [0.0], [x], 2, 1), id="EigenPropagator.forecast-tprime"),
+    pytest.param(lambda x: dephasing.DiagonalPropagator([0.0, 2.0]).evolve(np.eye(2), x),
+                 id="DiagonalPropagator.evolve"),
+    pytest.param(lambda x: dephasing.DiagonalPropagator([0.0, 2.0]).reduced(
+        np.eye(2), [0.0, x], 2, 1), id="DiagonalPropagator.reduced"),
+    pytest.param(lambda x: dephasing.DiagonalPropagator([0.0, 2.0]).forecast(
+        np.eye(2)[None], np.eye(2), [0.0], [x], 2, 1), id="DiagonalPropagator.forecast"),
+    pytest.param(lambda x: dephasing.dephasing_function(SPLIT_CENTERS, x),
+                 id="dephasing_function"),
+    pytest.param(lambda x: dephasing.dephasing_function(SPLIT_CENTERS, [0.0, x]),
+                 id="dephasing_function-array"),
+    pytest.param(lambda x: dephasing.tcl_coefficients(SPLIT_CENTERS, x), id="tcl_coefficients"),
+    pytest.param(lambda x: dephasing.analytic_witnesses(SPLIT_CENTERS, 0.0, x),
+                 id="analytic_witnesses"),
+    pytest.param(lambda x: dephasing.analytic_point(SPLIT_CENTERS, x, 0.0), id="analytic_point"),
+    pytest.param(lambda x: dephasing.analytic_surface(SPLIT_CENTERS, [0.0, x], [0.0]),
+                 id="analytic_surface"),
+    pytest.param(lambda x: witness.evolve_pair(_chain(), x), id="evolve_pair"),
+    pytest.param(lambda x: witness.reduced_distance(_chain(), x), id="reduced_distance"),
+    pytest.param(lambda x: witness.reduced_distance(_chain(), [0.0, x]),
+                 id="reduced_distance-array"),
+    pytest.param(lambda x: witness.evaluate_point(_chain(), 0.0, x), id="evaluate_point-t"),
+    pytest.param(lambda x: witness.evaluate_point(_chain(), x, 0.0), id="evaluate_point-tprime"),
+    pytest.param(lambda x: witness.evaluate_point(
+        dephasing.full_model(dephasing.discretize(SPLIT_CENTERS, modes=16)), 0.0, x),
+        id="evaluate_point-modes"),
+    pytest.param(lambda x: witness.evaluate_surface(_chain(), [0.0, x], [0.0]),
+                 id="evaluate_surface"),
+    pytest.param(lambda x: witness.forecast_distance(_chain(), 0.0, x), id="forecast_distance"),
+    pytest.param(lambda x: witness.correlation_influence(_chain(), x, 0.0),
+                 id="correlation_influence"),
+    pytest.param(lambda x: witness.distance_change(_chain(), 0.0, x), id="distance_change"),
+    pytest.param(lambda x: witness.weak_upper_bound(_chain(), x), id="weak_upper_bound"),
+    pytest.param(lambda x: blp.distance_profile(_chain(), [0.0, x]), id="distance_profile"),
+    pytest.param(lambda x: blp.nm_measure_fixed_pair(_chain(), [0.0, x]),
+                 id="nm_measure_fixed_pair"),
+    pytest.param(lambda x: blp.nm_measure_maximized(
+        lambda r1, r2: spinchain.scenario(SpinChainSpec(sites=3), pair=(r1, r2)), [0.0, x],
+        blp.bloch_pair_grid(1, 1)), id="nm_measure_maximized"),
+]
+
+
+class _ExpSites(ast.NodeVisitor):
+    """Where a module reads ``exp`` from numpy, math or cmath: the dotted
+    name of each enclosing function, once per read."""
+
+    def __init__(self, module: str):
+        self.scope, self.sites = [module], []
+
+    def visit_FunctionDef(self, node):
+        self.scope.append(node.name)
+        self.generic_visit(node)
+        self.scope.pop()
+
+    visit_AsyncFunctionDef = visit_ClassDef = visit_FunctionDef
+
+    def visit_Attribute(self, node):
+        if node.attr == "exp" and isinstance(node.value, ast.Name) and node.value.id in (
+                "np", "numpy", "math", "cmath"):
+            self.sites.append(".".join(self.scope))
+        self.generic_visit(node)
+
+    def visit_ImportFrom(self, node):
+        self.sites += [".".join(self.scope)] * sum(a.name == "exp" for a in node.names)
+
+
+class TestPhaseRule:
+    """Every phase exp(t z) is formed by ``linalg._exp_outer``, and one that
+    overflows at a finite t raises its InvariantViolation, naming the time,
+    under warnings as errors and with warnings ignored alike."""
+
+    @pytest.mark.parametrize("action", ["error", "ignore"])
+    @pytest.mark.parametrize("call", PHASE_ENTRY_POINTS)
+    def test_overflowing_phase_raises(self, call, action):
+        with warnings.catch_warnings():
+            warnings.simplefilter(action)
+            with pytest.raises(linalg.InvariantViolation, match=PHASE_OVERFLOW):
+                call(1e308)
+
+    def test_every_exp_is_formed_by_exp_outer(self):
+        # the audit's exponential-decay reference is computed independently on purpose
+        sites = []
+        for path in sorted(Path(linalg.__file__).parent.glob("*.py")):
+            visitor = _ExpSites(path.stem)
+            visitor.visit(ast.parse(path.read_text(), str(path)))
+            sites += visitor.sites
+        assert sorted(sites) == ["cli._check_exponential_reference",
+                                 "linalg._exp_outer", "linalg._exp_outer"]
 
 
 class TestConjugate:
