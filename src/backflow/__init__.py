@@ -63,14 +63,10 @@ from .witness import (
     ScenarioPair,
     WitnessPoint,
     WitnessSurface,
-    classify,
     classify_values,
-    correlation_influence,
-    distance_change,
     evaluate_point,
     evaluate_surface,
     evolve_pair,
-    forecast_distance,
     reduced_distance,
     weak_upper_bound,
 )
@@ -98,19 +94,15 @@ __all__ = [
     "apply_channel",
     "bloch_pair_grid",
     "build_hamiltonian",
-    "classify",
     "classify_values",
     "conjugate",
-    "correlation_influence",
     "decompose",
     "dephasing_function",
     "discretize",
-    "distance_change",
     "distance_profile",
     "evaluate_point",
     "evaluate_surface",
     "evolve_pair",
-    "forecast_distance",
     "frequency_density",
     "full_model",
     "hermitian_eigensystem",

@@ -220,12 +220,17 @@ def analytic_surface(
 
 def frequency_density(dist: FrequencyDistribution, omega):
     """Normalized frequency density of a continuum distribution: the
-    weighted sum of its normalized Lorentzian lines."""
+    weighted sum of its normalized Lorentzian lines. A ValueError where a
+    denominator (omega - omega_j)^2 + delta_j^2 underflows to zero."""
     centers, widths, weights = _lines(dist)
     if not widths.all():
         raise TypeError("frequency_density is defined for continuum distributions only")
     w = np.asarray(omega, dtype=float)[..., None]
-    return (weights * (widths / np.pi) / ((w - centers) ** 2 + widths**2)).sum(axis=-1)
+    denominators = (w - centers) ** 2 + widths**2
+    if not denominators.all():
+        raise ValueError(f"a denominator (omega - omega_j)^2 + delta_j^2 underflows to zero "
+                         f"for lines of widths {widths.tolist()}")
+    return (weights * (widths / np.pi) / denominators).sum(axis=-1)
 
 
 def discretize(
@@ -289,10 +294,6 @@ class DiagonalPropagator:
     @property
     def dim(self) -> int:
         return int(self._rates.size)
-
-    @property
-    def rates(self) -> np.ndarray:
-        return self._rates
 
     def evolve(self, mat: np.ndarray, t: float) -> np.ndarray:
         """U(t) mat U(t)^dagger; a stack of matrices is evolved in one call.
@@ -380,12 +381,10 @@ def full_model(
     (rates 0 on level 0, omega_m on level 1), reproducing the channel with
     the discrete k. Default initial pair: the +/- states. Both states share
     one environment factor, the amplitude vector sqrt(p), checked once.
+    Any mode count is taken: the witnesses read the states as their
+    factors, and only a dense product (``BipartiteState.op``) is capped.
     """
     modes = int(env.freqs.size)
-    if 2 * modes > linalg.DENSE_DIM_CAP:
-        raise ValueError(
-            f"total dimension 2 * {modes} = {2 * modes} exceeds cap {linalg.DENSE_DIM_CAP}"
-        )
     if pair is None:
         pair = plus_minus_pair()
     state1, state2 = BipartiteState.products(pair, np.sqrt(env.probs))

@@ -29,8 +29,11 @@ HERMITICITY_TOL = 1e-10
 PSD_TOL = 1e-9
 TRACE_TOL = 1e-9
 EIG_RESIDUAL_TOL = 1e-9
-# Largest total dimension a model may store densely: one complex matrix of
-# this size takes 256 MiB, and a point holds several.
+# Largest total dimension of a state whose total operator or pure environment's
+# matrix is formed densely (``BipartiteState.op`` and ``.environment()``, which
+# ``decompose``, ``evolve_pair`` and ``weak_upper_bound`` read), or of a chain:
+# one complex matrix of this size takes 256 MiB. The witnesses read a product
+# state as its factors, so they take one of any size.
 DENSE_DIM_CAP = 4096
 
 

@@ -99,6 +99,8 @@ class BipartiteState:
     A product state keeps its two validated factors as ``factors``, the
     environment as a matrix or as a pure state's amplitude vector, and forms
     ``op`` only on first access; for any other state ``factors`` is None.
+    Above ``linalg.DENSE_DIM_CAP`` total dimensions a product state works as
+    its factors only: ``op`` and a pure environment's matrix raise ValueError.
     """
 
     def __init__(self, op, ds: int, de: int):
@@ -158,8 +160,16 @@ class BipartiteState:
     @property
     def op(self) -> np.ndarray:
         if self._op is None:
+            self._require_dense("total operator")
             self._op = linalg.tensor_product(self.factors[0], self.environment())
         return self._op
+
+    def _require_dense(self, what: str) -> None:
+        """A ValueError naming ``linalg.DENSE_DIM_CAP`` before a product state
+        above it forms ``what`` as a dense array; it works as its factors."""
+        if self.dim > linalg.DENSE_DIM_CAP:
+            raise ValueError(f"cannot form the {what} of a {self.ds} x {self.de} product state: "
+                             f"dimension {self.dim} exceeds DENSE_DIM_CAP = {linalg.DENSE_DIM_CAP}")
 
     @property
     def dim(self) -> int:
@@ -173,7 +183,10 @@ class BipartiteState:
     def environment(self) -> np.ndarray:
         if self.factors:
             env = self.factors[1]
-            return env if env.ndim == 2 else np.outer(env, env.conj())
+            if env.ndim == 2:
+                return env
+            self._require_dense("environment matrix")
+            return np.outer(env, env.conj())
         return linalg.partial_trace(self.op, self.ds, self.de, "environment")
 
 

@@ -328,6 +328,17 @@ class ScenarioPair:
 class WitnessPoint:
     """One (t, t') evaluation: distances, bounds and the classification.
 
+    - ``d_t`` and ``d_next`` are the reduced distances D(t) and D(t + t');
+      ``delta_d`` is D(t + t') - D(t).
+    - ``forecast`` F is the distance at t + t' had the totals at t been
+      products with a common environment, that of ``state1`` (swap the pair
+      for the other environment). Contractive: at most D(t), with equality
+      at t' = 0.
+    - ``influence`` B is the trace-norm weight, at t + t', of what that
+      replacement drops: the correlations present at t and the difference of
+      the environmental states. It lies in [0, 2], and is zero whenever they
+      have no effect on the reduced pair.
+
     ``lower``/``upper`` bound delta_d; their width (the ``gap``) equals
     2 * forecast, the region where the witnesses are silent.
     """
@@ -423,10 +434,6 @@ def classify_values(influence, d_t, forecast, eps: float = DEFAULT_CLASS_EPS):
     return _LABEL_VALUES[code] if isinstance(code, np.ndarray) else _LABELS[code]
 
 
-def classify(point: WitnessPoint, eps: float = DEFAULT_CLASS_EPS) -> Classification:
-    return classify_values(point.influence, point.d_t, point.forecast, eps)
-
-
 def check_window(t, tprime, d_t, d_next, forecast, influence, eps: float = DEFAULT_CLASS_EPS):
     """delta_d, the window [lower, upper] and the label, from the distances:
     floats give floats, broadcasting arrays give columns. A delta_d outside
@@ -504,30 +511,6 @@ def reduced_distance(sc: ScenarioPair, t):
     ts = linalg._require_times(t)
     dist = _half_norms(_reduced_differences(sc, ts).reshape(-1, sc.ds, sc.ds))
     return float(dist[0]) if ts.ndim == 0 else dist.reshape(ts.shape)
-
-
-def forecast_distance(sc: ScenarioPair, tprime: float, t: float) -> float:
-    """Distance at t + t' if the totals at t were products with a common
-    environment, that of ``state1``; swap the pair for the other environment.
-
-    Contractive: at most D(t), with equality at t' = 0.
-    """
-    return evaluate_point(sc, tprime, t).forecast
-
-
-def correlation_influence(sc: ScenarioPair, tprime: float, t: float) -> float:
-    """Trace-norm weight, at t + t', of what the product replacement drops:
-    correlations present at t and the difference of environmental states.
-
-    Lies in [0, 2]; zero whenever correlations and environment differences
-    have no effect on the reduced pair.
-    """
-    return evaluate_point(sc, tprime, t).influence
-
-
-def distance_change(sc: ScenarioPair, tprime: float, t: float) -> float:
-    """D(t + t') - D(t)."""
-    return evaluate_point(sc, tprime, t).delta_d
 
 
 def weak_upper_bound(sc: ScenarioPair, t: float) -> float:

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import backflow
-from backflow import cli, linalg, spinchain
+from backflow import cli, linalg, spinchain, states
 from backflow.cli import (
     EXIT_CONFIG_ERROR,
     EXIT_INVARIANT,
@@ -481,12 +481,17 @@ class TestInvariantExit:
 
     @pytest.mark.parametrize("failure", ["above-tolerance", "assertion"])
     def test_bell_check_failure_exits_2(self, tmp_path, monkeypatch, capsys, failure):
+        # the split check raises on its own bound, so a Bell bound stands for
+        # a value above tolerance
         def broken_split_check(rng):
             if failure == "assertion":
                 raise InvariantViolation("reconstruction error 1.0")
-            return 1.0
+            return 0.0
 
         monkeypatch.setattr(cli, "_check_correlation_split", broken_split_check)
+        if failure == "above-tolerance":
+            monkeypatch.setattr(states.CorrelationDecomposition, "correlation_norm",
+                                lambda split: 1.6)
         out = tmp_path / "bell"
         assert main(["run", "--preset", "bell-check", "--out", str(out)]) == EXIT_INVARIANT
         assert "error" in read_summary(out)

@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from backflow import linalg, witness
+from backflow import blp, linalg, witness
 from backflow.cli import GridSpec
 from backflow.dephasing import (
     DiagonalPropagator,
@@ -330,6 +330,21 @@ class TestDiscretize:
                                r"squared offsets from lines of widths \[.*\] are not finite$"):
                 discretize(dist, modes=8)
 
+    @pytest.mark.parametrize("action", ["error", "ignore"])
+    @pytest.mark.parametrize("width", [1e-170, 1e-200])
+    def test_underflowing_squares_rejected(self, width, action):
+        # a grid point on the center divides by 0^2 + width^2 = 0: rejected in
+        # frequency_density, naming the widths, with no divide-by-zero warning
+        message = (r"^a denominator \(omega - omega_j\)\^2 \+ delta_j\^2 underflows to zero "
+                   rf"for lines of widths \[{width}\]$")
+        dist = SingleLorentzian(0.0, width)
+        with warnings.catch_warnings():
+            warnings.simplefilter(action)
+            with pytest.raises(ValueError, match=message):
+                discretize(dist, modes=9)
+            with pytest.raises(ValueError, match=message):
+                frequency_density(dist, 0.0)
+
     def test_large_finite_squares_accepted(self):
         # 40 widths of 1e152 square to 1.6e307: finite, so accepted as before
         env = discretize(SingleLorentzian(0.0, 1e152), modes=8)
@@ -571,12 +586,36 @@ class TestFullModel:
         assert sizes.count(modes) == 0
         assert sc.state1.factors[1] is sc.state2.factors[1]
 
-    def test_oversized_environment_rejected(self):
-        # the cap counts the qubit too: 2049 modes make 4098 dimensions
+    def test_any_mode_count_past_the_dense_cap(self):
+        """2,049 and 5,000 modes make 4,098 and 10,000 dimensions, past
+        linalg.DENSE_DIM_CAP: the model builds, and its surface and measure match
+        the closed form on the same discrete environment, while its states refuse
+        to form their total operator or environment matrix, before allocating."""
+        grid = np.linspace(0.0, 3.0, 6)
         for modes in (2049, 5000):
-            big = Discrete(freqs=np.arange(modes, dtype=float), probs=np.full(modes, 1 / modes))
-            with pytest.raises(ValueError, match="cap"):
-                full_model(big)
+            env = Discrete(freqs=np.linspace(-20.0, 20.0, modes), probs=np.full(modes, 1 / modes))
+            sc = full_model(env)
+            got, want = witness.evaluate_surface(sc, grid, grid), analytic_surface(env, grid, grid)
+            for column in ("d_t", "d_next", "forecast", "influence", "delta_d", "lower", "upper"):
+                assert np.max(np.abs(getattr(got, column) - getattr(want, column))) <= 1e-12
+            assert np.array_equal(got.labels, want.labels)
+            # the measure over pairs that include the equatorial one, whose distance is |k|
+            times = np.linspace(0.0, 3.0, 40)
+            value, _ = blp.nm_measure_maximized(
+                lambda r1, r2: full_model(env, (r1, r2)), times, blp.bloch_pair_grid(3, 1))
+            closed = blp.increasing_intervals(times, np.abs(dephasing_function(env, times)))
+            assert value > 0.1
+            assert value == pytest.approx(closed.total_increase(), abs=1e-12)
+            for form in (lambda: sc.state1.op, sc.state2.environment):
+                tracemalloc.start()
+                try:
+                    with pytest.raises(ValueError, match=f"^cannot form the .* state: dimension "
+                                       f"{2 * modes} exceeds DENSE_DIM_CAP = 4096$"):
+                        form()
+                    _, peak = tracemalloc.get_traced_memory()
+                finally:
+                    tracemalloc.stop()
+                assert peak < modes * 16  # below one environment row
 
     def test_non_finite_point_raises(self):
         # a non-finite time is bad input, rejected where it enters

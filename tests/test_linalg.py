@@ -478,12 +478,6 @@ TIME_ENTRY_POINTS = [
     pytest.param("time", lambda x: witness.evaluate_point(_chain(), 0.3, x), id="evaluate_point-t"),
     pytest.param("time step", lambda x: witness.evaluate_point(_chain(), x, 0.7),
                  id="evaluate_point-tprime"),
-    pytest.param("time", lambda x: witness.forecast_distance(_chain(), 0.3, x),
-                 id="forecast_distance"),
-    pytest.param("time step", lambda x: witness.correlation_influence(_chain(), x, 0.7),
-                 id="correlation_influence"),
-    pytest.param("time", lambda x: witness.distance_change(_chain(), 0.3, x),
-                 id="distance_change"),
     pytest.param("time", lambda x: dephasing.dephasing_function(SPLIT_CENTERS, x),
                  id="dephasing_function"),
     pytest.param("time", lambda x: dephasing.dephasing_function(SPLIT_CENTERS, [0.0, x]),
@@ -599,10 +593,6 @@ PHASE_ENTRY_POINTS = [
         id="evaluate_point-modes"),
     pytest.param(lambda x: witness.evaluate_surface(_chain(), [0.0, x], [0.0]),
                  id="evaluate_surface"),
-    pytest.param(lambda x: witness.forecast_distance(_chain(), 0.0, x), id="forecast_distance"),
-    pytest.param(lambda x: witness.correlation_influence(_chain(), x, 0.0),
-                 id="correlation_influence"),
-    pytest.param(lambda x: witness.distance_change(_chain(), 0.0, x), id="distance_change"),
     pytest.param(lambda x: witness.weak_upper_bound(_chain(), x), id="weak_upper_bound"),
     pytest.param(lambda x: blp.distance_profile(_chain(), [0.0, x]), id="distance_profile"),
     pytest.param(lambda x: blp.nm_measure_fixed_pair(_chain(), [0.0, x]),

@@ -14,14 +14,10 @@ from backflow.witness import (
     Classification,
     EigenPropagator,
     ScenarioPair,
-    classify,
     classify_values,
-    correlation_influence,
-    distance_change,
     evaluate_point,
     evaluate_surface,
     evolve_pair,
-    forecast_distance,
     reduced_distance,
     weak_upper_bound,
 )
@@ -90,7 +86,7 @@ class TestForecast:
         for _ in range(5):
             sc = random_scenario(rng)
             t = float(rng.uniform(0, 2))
-            assert forecast_distance(sc, 0.0, t) == pytest.approx(
+            assert evaluate_point(sc, 0.0, t).forecast == pytest.approx(
                 reduced_distance(sc, t), abs=1e-12
             )
 
@@ -98,7 +94,7 @@ class TestForecast:
         for _ in range(10):
             sc = random_scenario(rng)
             t, tp = rng.uniform(0, 2, size=2)
-            assert forecast_distance(sc, float(tp), float(t)) <= reduced_distance(
+            assert evaluate_point(sc, float(tp), float(t)).forecast <= reduced_distance(
                 sc, float(t)
             ) + 1e-9
 
@@ -108,10 +104,10 @@ class TestForecast:
         # either branch's environment gives a valid forecast: contractive,
         # equal at t'=0; the swapped pair takes that of state2
         for pair in (sc, swapped):
-            assert forecast_distance(pair, 0.0, 0.8) == pytest.approx(
+            assert evaluate_point(pair, 0.0, 0.8).forecast == pytest.approx(
                 reduced_distance(sc, 0.8), abs=1e-12
             )
-            assert forecast_distance(pair, 0.5, 0.8) <= reduced_distance(
+            assert evaluate_point(pair, 0.5, 0.8).forecast <= reduced_distance(
                 sc, 0.8
             ) + 1e-9
 
@@ -121,13 +117,13 @@ class TestInfluence:
         sc = random_scenario(rng, equal_env=True)
         # at t=0 both totals are products with the same environment
         for tp in (0.0, 0.7, 1.9):
-            assert correlation_influence(sc, tp, 0.0) <= 1e-12
+            assert evaluate_point(sc, tp, 0.0).influence <= 1e-12
 
     def test_range(self, rng):
         for _ in range(10):
             sc = random_scenario(rng)
             t, tp = rng.uniform(0, 2, size=2)
-            b = correlation_influence(sc, float(tp), float(t))
+            b = evaluate_point(sc, float(tp), float(t)).influence
             assert -1e-12 <= b <= 2.0 + 1e-12
 
 
@@ -147,7 +143,7 @@ class TestBoundWindow:
         sc = random_scenario(rng)
         t, tp = 0.5, 1.1
         direct = reduced_distance(sc, t + tp) - reduced_distance(sc, t)
-        assert distance_change(sc, tp, t) == pytest.approx(direct, abs=1e-10)
+        assert evaluate_point(sc, tp, t).delta_d == pytest.approx(direct, abs=1e-10)
 
     def test_lower_threshold_nonnegative(self, rng):
         for _ in range(10):
@@ -185,7 +181,7 @@ class TestClassify:
     def test_on_point(self, rng):
         sc = random_scenario(rng)
         p = evaluate_point(sc, 0.5, 0.5)
-        assert classify(p) is p.label
+        assert classify_values(p.influence, p.d_t, p.forecast) is p.label
 
     @staticmethod
     def rule(influence, d_t, forecast, eps):
@@ -275,7 +271,7 @@ class TestWeakUpperBound:
         for t in (0.0, 0.5, 1.3):
             cap = weak_upper_bound(sc, t)
             for tp in np.linspace(0.0, 2.0, 9):
-                assert distance_change(sc, float(tp), t) <= cap + 1e-9
+                assert evaluate_point(sc, float(tp), t).delta_d <= cap + 1e-9
 
 
 class TestSurface:
