@@ -33,7 +33,9 @@ from . import linalg, witness
 from .states import _shared_environment, pure_qubit
 from .witness import ScenarioPair
 
-DEFAULT_RISE_TOL = 1e-10
+# A step of the distance counts as a rise only above this, so that rounding
+# jitter cannot fabricate growth.
+RISE_TOL = 1e-10
 # I, sigma_x, sigma_y and sigma_z: a Hermitian basis of the qubit's operators
 _PAULI_BASIS = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]],
                          [[1, 0], [0, -1]]], dtype=complex)
@@ -48,8 +50,7 @@ class MonotonicityProfile:
     """Sampled distance curve with its detected growth intervals.
 
     Intervals are (start, stop) index pairs, disjoint and ordered; between
-    consecutive samples inside one, the curve rises by more than the rise
-    tolerance used at detection.
+    consecutive samples inside one, the curve rises by more than ``RISE_TOL``.
     """
 
     times: np.ndarray
@@ -72,30 +73,28 @@ class MonotonicityProfile:
         return mask
 
 
-def increasing_intervals(times, values, rise_tol: float = DEFAULT_RISE_TOL) -> MonotonicityProfile:
+def increasing_intervals(times, values) -> MonotonicityProfile:
     """Detect maximal runs of strict increase along a sampled curve.
 
-    A step counts as an increase only when it exceeds ``rise_tol``, so
-    numerical jitter cannot fabricate growth. Consecutive rising steps
+    A step counts as an increase only when it exceeds the fixed ``RISE_TOL``,
+    so numerical jitter cannot fabricate growth. Consecutive rising steps
     merge into one interval. ``times`` is a time grid, as
     ``linalg._require_grid`` checks it: 1-d, finite, nonnegative and strictly
     ascending, or empty. Values must be finite: a NaN compares false both
-    ways, so it would hide a rise. ``rise_tol`` must be finite and
-    nonnegative. The runs and their sum follow ``_rises``, the one rule of
-    the measure.
+    ways, so it would hide a rise. The runs and their sum follow ``_rises``,
+    the one rule of the measure.
     """
-    linalg._require_times(rise_tol, "rise_tol")
     ts = linalg._require_grid(times, "times")
     vs = np.asarray(values, dtype=float)
     if vs.shape != ts.shape:
         raise ValueError(f"times and values must match, got {ts.shape} vs {vs.shape}")
-    intervals, _ = _rises(vs, rise_tol)
+    intervals, _ = _rises(vs)
     return MonotonicityProfile(times=ts, values=vs, intervals=intervals)
 
 
-def _rises(values: np.ndarray, rise_tol: float) -> tuple[tuple[tuple[int, int], ...], float]:
+def _rises(values: np.ndarray) -> tuple[tuple[tuple[int, int], ...], float]:
     """The maximal runs of a 1-d float curve whose steps each rise by more
-    than ``rise_tol``, as (start, stop) index pairs in order, and the sum of
+    than ``RISE_TOL``, as (start, stop) index pairs in order, and the sum of
     values[stop] - values[start] over them, in that order and in Python
     floats. A non-finite value raises ValueError."""
     if not np.isfinite(values).all():
@@ -103,7 +102,7 @@ def _rises(values: np.ndarray, rise_tol: float) -> tuple[tuple[tuple[int, int], 
     # A run of rising steps i..j-1 starts at edge i and stops at edge j of the
     # mask padded with False at both ends.
     rising = np.zeros(values.size + 1, dtype=bool)
-    rising[1:-1] = values[1:] - values[:-1] > rise_tol
+    rising[1:-1] = values[1:] - values[:-1] > RISE_TOL
     edges = np.flatnonzero(rising[1:] != rising[:-1]).tolist()
     intervals = tuple(zip(edges[::2], edges[1::2]))
     return intervals, _increase(values.tolist(), intervals)
@@ -126,8 +125,7 @@ def nm_measure_fixed_pair(sc: ScenarioPair, times) -> float:
 def distance_profile(sc: ScenarioPair, times) -> MonotonicityProfile:
     """Reduced trace distance sampled along ``times``, a time grid checked by
     ``linalg._require_grid`` before any distance is computed, with growth
-    intervals above ``DEFAULT_RISE_TOL``; for another tolerance, pass the
-    distances to ``increasing_intervals``."""
+    intervals above ``RISE_TOL``."""
     ts = linalg._require_grid(times, "times")
     return increasing_intervals(ts, witness.reduced_distance(sc, ts))
 
@@ -175,7 +173,7 @@ def nm_measure_maximized(
     the first scenario is built: 1-d, finite, nonnegative and strictly
     ascending, or empty. Each pair's distances then go straight to
     ``_rises``, the rule of ``increasing_intervals`` and
-    ``MonotonicityProfile.total_increase``, with ``DEFAULT_RISE_TOL``; no
+    ``MonotonicityProfile.total_increase``, at ``RISE_TOL``; no
     profile is built per pair.
 
     ``make_scenario`` is called once per pair, and each pair is measured
@@ -213,7 +211,7 @@ def nm_measure_maximized(
         (d00, _), (d10, d11) = (sc.state1.system() - sc.state2.system()).tolist()
         coefficients = ((d00.real + d11.real) / 2, d10.real, d10.imag, (d00.real - d11.real) / 2)
         distances = 0.5 * linalg._qubit_norm((bloch @ coefficients).reshape(-1, 4))
-        _, value = _rises(distances, DEFAULT_RISE_TOL)
+        _, value = _rises(distances)
         if value > best_value:
             best_value = value
             best_pair = pair

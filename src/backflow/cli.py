@@ -115,17 +115,13 @@ class Preset:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Everything a run needs: the resolved scenario plus tolerances and output."""
+    """Everything a run needs: the resolved scenario plus its output."""
 
     preset: Preset
-    class_eps: float = witness.DEFAULT_CLASS_EPS
-    rise_tol: float = blp.DEFAULT_RISE_TOL
     out_dir: str = "out"
     fmt: str = "csv"
 
     def __post_init__(self):
-        linalg._require_times(self.class_eps, "class_eps")
-        linalg._require_times(self.rise_tol, "rise_tol")
         if not self.out_dir:
             raise ValueError("output path must not be empty")
         if self.fmt not in ("csv", "json"):
@@ -186,13 +182,10 @@ PRESETS: dict[str, Preset] = {
 
 # The field that each INI key sets: of GridSpec in a grid section, else of RunConfig.
 _GRID_KEYS = {"min": "lo", "max": "hi", "count": "count"}
-_RUN_KEYS = {
-    "tolerances": {"class_eps": "class_eps", "rise_tol": "rise_tol"},
-    "output": {"path": "out_dir", "format": "fmt"},
-}
+_OUTPUT_KEYS = {"path": "out_dir", "format": "fmt"}
 # Sections a kind of job has no use for: the sweep runs at the fixed
-# SWEEP_TPRIME, and the check job evaluates no grid and no tolerance.
-_UNUSED_SECTIONS = {"sweep": {"tprime_grid"}, "check": {"t_grid", "tprime_grid", "tolerances"}}
+# SWEEP_TPRIME, and the check job evaluates no grid.
+_UNUSED_SECTIONS = {"sweep": {"tprime_grid"}, "check": {"t_grid", "tprime_grid"}}
 # How a value is read for a field of each declared type.
 _PARSERS = {"int": (int, "an integer"), "float": (float, "a number"), "str": (str, "text")}
 
@@ -252,7 +245,7 @@ def parse_config(path: str | Path) -> RunConfig:
     except (OSError, UnicodeDecodeError, configparser.Error) as exc:
         # one line: configparser's messages span several
         raise ConfigError(f"cannot read config file {path}: {' '.join(str(exc).split())}") from exc
-    unknown = set(cp.sections()) - {"scenario", "t_grid", "tprime_grid", *_RUN_KEYS}
+    unknown = set(cp.sections()) - {"scenario", "t_grid", "tprime_grid", "output"}
     if unknown:
         raise ConfigError(f"unknown config sections: {sorted(unknown)}")
     if "scenario" not in cp:
@@ -266,10 +259,8 @@ def parse_config(path: str | Path) -> RunConfig:
     if unused:
         listed = ", ".join(f"[{name}]" for name in unused)
         raise ConfigError(f"preset {preset.name} does not use the section(s) {listed}")
-    settings = {}
-    for name, keys in _RUN_KEYS.items():
-        if name in cp:
-            settings.update(_read_section(cp[name], f"[{name}]", RunConfig, keys, required=False))
+    output = cp["output"] if "output" in cp else {}
+    settings = _read_section(output, "[output]", RunConfig, _OUTPUT_KEYS, required=False)
     return RunConfig(preset, **settings)
 
 
@@ -332,10 +323,10 @@ def _run_surface_job(cfg: RunConfig, out_dir: Path) -> dict:
     tps = preset.tprime_grid.points()
     if isinstance(preset.model, SpinChainSpec):
         scenario = spinchain.scenario(preset.model)
-        surface = witness.evaluate_surface(scenario, ts, tps, eps=cfg.class_eps)
+        surface = witness.evaluate_surface(scenario, ts, tps)
     else:
-        surface = analytic_surface(preset.model, ts, tps, eps=cfg.class_eps)
-    profile = increasing_intervals(ts, surface.d_t, cfg.rise_tol)
+        surface = analytic_surface(preset.model, ts, tps)
+    profile = increasing_intervals(ts, surface.d_t)
 
     t, tprime = np.meshgrid(ts, tps, indexing="ij")
     d_t = np.broadcast_to(surface.d_t[:, None], t.shape)
@@ -353,8 +344,8 @@ def _run_surface_job(cfg: RunConfig, out_dir: Path) -> dict:
         "growth_intervals": [list(iv) for iv in profile.interval_times()],
         "t_grid": preset.t_grid.as_dict(),
         "tprime_grid": preset.tprime_grid.as_dict(),
-        "class_eps": cfg.class_eps,
-        "rise_tol": cfg.rise_tol,
+        "class_eps": witness.CLASS_EPS,
+        "rise_tol": blp.RISE_TOL,
     }
 
 
@@ -368,7 +359,7 @@ def _run_sweep_job(cfg: RunConfig, out_dir: Path) -> dict:
     columns: list[tuple] = []
     per_ratio: list[dict] = []
     for r in SWEEP_RATIOS:
-        surface = analytic_surface(replace(preset.model, r=r), ts, [tprime], cfg.class_eps)
+        surface = analytic_surface(replace(preset.model, r=r), ts, [tprime])
         influence, upper = surface.influence[:, 0], surface.d_t + surface.forecast[:, 0]
         columns.append((ts, np.full_like(ts, r), influence, upper))
         per_ratio.append({
@@ -380,7 +371,7 @@ def _run_sweep_job(cfg: RunConfig, out_dir: Path) -> dict:
     _write_table(out_dir / "surface", SWEEP_COLUMNS, np.concatenate(columns, axis=1), cfg.fmt)
 
     # Profile along t for the final ratio, where the transition is fully developed.
-    profile = increasing_intervals(ts, surface.d_t, cfg.rise_tol)
+    profile = increasing_intervals(ts, surface.d_t)
     _write_table(out_dir / "profile", PROFILE_COLUMNS, _profile_columns(profile), cfg.fmt)
     parameters = asdict(preset.model)
     del parameters["r"]
@@ -393,8 +384,8 @@ def _run_sweep_job(cfg: RunConfig, out_dir: Path) -> dict:
         "profile_ratio": SWEEP_RATIOS[-1],
         "measure": profile.total_increase(),
         "t_grid": preset.t_grid.as_dict(),
-        "class_eps": cfg.class_eps,
-        "rise_tol": cfg.rise_tol,
+        "class_eps": witness.CLASS_EPS,
+        "rise_tol": blp.RISE_TOL,
     }
 
 

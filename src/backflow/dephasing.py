@@ -20,7 +20,7 @@ from typing import Union
 
 import numpy as np
 
-from . import linalg, witness
+from . import linalg
 from .states import BipartiteState, plus_minus_pair, validate_density_matrix
 from .witness import ScenarioPair, WitnessPoint, WitnessSurface
 
@@ -194,39 +194,36 @@ def analytic_witnesses(
     return d_t, forecast, influence, delta_d
 
 
-def analytic_point(
-    dist: FrequencyDistribution,
-    tprime: float,
-    t: float,
-    eps: float = witness.DEFAULT_CLASS_EPS,
-) -> WitnessPoint:
+def analytic_point(dist: FrequencyDistribution, tprime: float, t: float) -> WitnessPoint:
     """Closed-form counterpart of witness.evaluate_point for this model: the
     one cell of ``analytic_surface`` on the grids [t] and [t']."""
-    return analytic_surface(dist, [t], [tprime], eps).point(0, 0)
+    return analytic_surface(dist, [t], [tprime]).point(0, 0)
 
 
-def analytic_surface(
-    dist: FrequencyDistribution,
-    t_grid,
-    tprime_grid,
-    eps: float = witness.DEFAULT_CLASS_EPS,
-) -> WitnessSurface:
+def analytic_surface(dist: FrequencyDistribution, t_grid, tprime_grid) -> WitnessSurface:
     """Closed-form witness surface over a (t, t') product grid."""
     ts = linalg._require_surface_grid(t_grid, "t grid")
     tps = linalg._require_surface_grid(tprime_grid, "t' grid")
     d_t, forecast, influence, delta_d = analytic_witnesses(dist, tps[None, :], ts[:, None])
-    return WitnessSurface(ts, tps, d_t[:, 0], d_t + delta_d, forecast, influence, eps)
+    return WitnessSurface(ts, tps, d_t[:, 0], d_t + delta_d, forecast, influence)
 
 
 def frequency_density(dist: FrequencyDistribution, omega):
     """Normalized frequency density of a continuum distribution: the
     weighted sum of its normalized Lorentzian lines. A ValueError where a
-    denominator (omega - omega_j)^2 + delta_j^2 underflows to zero."""
+    denominator (omega - omega_j)^2 + delta_j^2 is not finite, as at an omega
+    that is not, or underflows to zero; with or without warnings as errors."""
     centers, widths, weights = _lines(dist)
     if not widths.all():
         raise TypeError("frequency_density is defined for continuum distributions only")
     w = np.asarray(omega, dtype=float)[..., None]
-    denominators = (w - centers) ** 2 + widths**2
+    with np.errstate(over="ignore"):  # an overflowing square gives inf, which the check rejects
+        denominators = (w - centers) ** 2 + widths**2
+    finite = np.isfinite(denominators)
+    if not finite.all():
+        at = np.broadcast_to(w, finite.shape)[~finite][0]
+        raise ValueError(f"at omega = {at}, the denominators (omega - omega_j)^2 + delta_j^2 of "
+                         f"lines of widths {widths.tolist()} are not finite")
     if not denominators.all():
         raise ValueError(f"a denominator (omega - omega_j)^2 + delta_j^2 underflows to zero "
                          f"for lines of widths {widths.tolist()}")

@@ -22,7 +22,9 @@ from typing import Literal
 
 import numpy as np
 
-# Tolerances are constants, not parameters a call may override.
+# Tolerances are constants, not parameters a call may override. So are the two
+# that shape the results, the classification margin ``witness.CLASS_EPS`` and
+# the rise tolerance ``blp.RISE_TOL``, which summary.json records.
 # require_hermitian absorbs anti-Hermitian drift up to HERMITICITY_TOL and
 # rejects more, so that eigensolvers never see garbage.
 HERMITICITY_TOL = 1e-10

@@ -26,7 +26,7 @@ D(t), g, f and g - f take one batched trace norm.
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 from enum import Enum
 
 import numpy as np
@@ -35,7 +35,8 @@ from . import linalg, states
 from .linalg import HermitianEigenSystem, InvariantViolation
 from .states import BipartiteState
 
-DEFAULT_CLASS_EPS = 1e-9
+# Margin by which B must clear a threshold D -+ F to be placed beyond it.
+CLASS_EPS = 1e-9
 BOUND_TOL = 1e-9
 # Weight an operator may have outside a propagator's subspace, relative to
 # its largest entry, before it is rejected.
@@ -65,13 +66,17 @@ class _Layout:
     """Where a propagator's support rows sit in one split of its space into
     ds x de: each row's level a and environment index e, and for an
     environment kept on the indices the support reaches only, each row's
-    place among those and the support position of each (a, reached e)."""
+    place among those and the support position of each (a, reached e); and
+    the stack of partial-trace kernels G^{ab}_{ij} = sum_e M_{ae,i} conj(M_{be,j})
+    for a <= b, row by row, for the dim x n mode matrix M (the eigenvector
+    rows at the support positions, zero rows outside)."""
 
     level: np.ndarray
     env: np.ndarray
     narrow: np.ndarray
     levels: np.ndarray  # (ds, reached), -1 off the support
     narrow_outside: np.ndarray
+    kernels: np.ndarray
 
 
 class EigenPropagator:
@@ -109,7 +114,6 @@ class EigenPropagator:
         self._minus_iw = -1j * eig.values
         self._rate = float(np.abs(eig.values).max(initial=0.0))  # bounds the phases w t
         self._layouts: dict[int, _Layout] = {}
-        self._kernels: dict[int, np.ndarray] = {}
 
     @property
     def dim(self) -> int:
@@ -132,10 +136,7 @@ class EigenPropagator:
         return linalg.unitary_at(self._eig, t)
 
     def _layout(self, ds: int, de: int) -> _Layout:
-        """The layout of the split ds x de. Its first call also fills the
-        stack of kernels G^{ab}_{ij} = sum_e M_{ae,i} conj(M_{be,j}) for
-        a <= b, row by row, for the dim x n mode matrix M (the eigenvector
-        rows at the support positions, zero rows outside)."""
+        """The layout of the split ds x de, built with its kernels on first use."""
         if ds * de != self._dim:
             raise ValueError(f"factors ({ds}, {de}) do not match dimension {self._dim}")
         if ds not in self._layouts:
@@ -143,16 +144,17 @@ class EigenPropagator:
             reached = np.bincount(env, minlength=de) > 0  # np.unique imports numpy.ma
             position = self._position.reshape(ds, de)
             levels = position[:, reached]
-            layout = _Layout(level, env, (np.cumsum(reached) - 1)[env], levels, levels.ravel() < 0)
             v = self._modes[position]
             pairs = [(a, b) for a in range(ds) for b in range(a, ds)]
             # filled in place: stacking a list of them peaks 0.2 MiB higher on nm-max
             kernels = np.empty((len(pairs), self._eig.dim, self._eig.dim), dtype=complex)
             for kernel, (a, b) in zip(kernels, pairs):
                 np.matmul(v[a].T, v[b].conj(), out=kernel)
-            for array in (*vars(layout).values(), kernels):
+            layout = _Layout(level, env, (np.cumsum(reached) - 1)[env], levels,
+                             levels.ravel() < 0, kernels)
+            for array in vars(layout).values():
                 array.flags.writeable = False  # shared by every later call
-            self._layouts[ds], self._kernels[ds] = layout, kernels
+            self._layouts[ds] = layout
         return self._layouts[ds]
 
     def _gather(self, mat, layout: _Layout | None = None) -> np.ndarray:
@@ -225,7 +227,7 @@ class EigenPropagator:
         x, keep = self._rotated(mat, layout)
         phi = linalg._exp_outer(np.asarray(times, dtype=float), self._minus_iw[keep], self._rate)
         conj = phi.conj()
-        kernels = iter(self._kernels[ds][:, keep][..., keep])
+        kernels = iter(layout.kernels[:, keep][..., keep])
         out = np.empty(x.shape[:-2] + phi.shape[:-1] + (ds, ds), dtype=complex)
         for a in range(ds):
             for b in range(a, ds):
@@ -364,7 +366,8 @@ class WitnessSurface:
     """Read-only witness columns on a (t, t') product grid: ``d_t`` of shape
     (T,), the others (T, T'). It is built from the four distances, and
     check_window derives ``delta_d``, the window and the ``labels``
-    (Classification values), so no surface holds a cell outside its window.
+    (Classification values, at the margin ``CLASS_EPS``), so no surface holds
+    a cell outside its window.
     """
 
     t_grid: np.ndarray
@@ -373,18 +376,17 @@ class WitnessSurface:
     d_next: np.ndarray
     forecast: np.ndarray
     influence: np.ndarray
-    eps: InitVar[float] = DEFAULT_CLASS_EPS
     delta_d: np.ndarray = field(init=False)
     lower: np.ndarray = field(init=False)
     upper: np.ndarray = field(init=False)
     labels: np.ndarray = field(init=False)
 
-    def __post_init__(self, eps: float):
+    def __post_init__(self):
         given = (getattr(self, f.name) for f in fields(self) if f.init)
         ts, tps, d_t, *cells = (np.array(column, dtype=float) for column in given)
         if d_t.shape != ts.shape or any(c.shape != ts.shape + tps.shape for c in cells):
             raise ValueError("columns do not match the (t, t') grid")
-        window = check_window(ts[:, None], tps, d_t[:, None], *cells, eps)
+        window = check_window(ts[:, None], tps, d_t[:, None], *cells)
         for f, column in zip(fields(self), (ts, tps, d_t, *cells, *window)):
             column.flags.writeable = False
             object.__setattr__(self, f.name, column)
@@ -415,26 +417,24 @@ _LABELS = (Classification.INCONCLUSIVE, Classification.GUARANTEED_INCREASE,
 _LABEL_VALUES = np.array([c.value for c in _LABELS])
 
 
-def classify_values(influence, d_t, forecast, eps: float = DEFAULT_CLASS_EPS):
-    """Place B against the thresholds D -+ F with margin ``eps``.
+def classify_values(influence, d_t, forecast):
+    """Place B against the thresholds D -+ F with the fixed margin ``CLASS_EPS``.
 
     The fully degenerate case B = D = F = 0 (identical states) sits on the
     lower boundary and is classified IncreaseImpossible by convention.
     Scalars give a Classification; arrays give an array of Classification
-    values, cell by cell the same as for scalars. ``eps`` must be finite and
-    nonnegative.
+    values, cell by cell the same as for scalars.
     """
-    linalg._require_times(eps, "eps")
-    impossible = influence < d_t - forecast - eps
-    increase = influence > d_t + forecast + eps
-    degenerate = (influence <= eps) & (d_t <= eps) & (forecast <= eps)
+    impossible = influence < d_t - forecast - CLASS_EPS
+    increase = influence > d_t + forecast + CLASS_EPS
+    degenerate = (influence <= CLASS_EPS) & (d_t <= CLASS_EPS) & (forecast <= CLASS_EPS)
     # ``a > b`` is "a and not b" for Python bools and boolean arrays alike:
     # the lower threshold wins over the upper one, both over the degenerate case.
     code = (increase > impossible) + 2 * (impossible | (degenerate > increase))
     return _LABEL_VALUES[code] if isinstance(code, np.ndarray) else _LABELS[code]
 
 
-def check_window(t, tprime, d_t, d_next, forecast, influence, eps: float = DEFAULT_CLASS_EPS):
+def check_window(t, tprime, d_t, d_next, forecast, influence):
     """delta_d, the window [lower, upper] and the label, from the distances:
     floats give floats, broadcasting arrays give columns. A delta_d outside
     its window raises InvariantViolation naming the first such (t, t'); NaN
@@ -451,7 +451,7 @@ def check_window(t, tprime, d_t, d_next, forecast, influence, eps: float = DEFAU
             "bound violated at t={:.12g}, t'={:.12g}: delta_d={:.6e} outside [{:.6e}, {:.6e}]"
             .format(*at)
         )
-    return delta_d, lower, upper, classify_values(influence, d_t, forecast, eps)
+    return delta_d, lower, upper, classify_values(influence, d_t, forecast)
 
 
 def evolve_pair(sc: ScenarioPair, t: float) -> tuple[BipartiteState, BipartiteState]:
@@ -527,9 +527,7 @@ def weak_upper_bound(sc: ScenarioPair, t: float) -> float:
     return term1 + term2 + term3
 
 
-def evaluate_point(
-    sc: ScenarioPair, tprime: float, t: float, eps: float = DEFAULT_CLASS_EPS
-) -> WitnessPoint:
+def evaluate_point(sc: ScenarioPair, tprime: float, t: float) -> WitnessPoint:
     """All witnesses at one (t, t'), with bounds checked and classified.
 
     The forecast takes the environment of ``state1``; swap the pair for the
@@ -542,13 +540,11 @@ def evaluate_point(
     diffs = _reduced_differences(sc, np.array([ts.item(), step]))
     # Python floats: the window check costs less on them than on 1-element arrays
     d_t, d_next, forecast, influence = _grid_norms(sc, ts, tps, diffs[None])[0].tolist()
-    window = check_window(t, tps[0], d_t, d_next, forecast, influence, eps)
+    window = check_window(t, tps[0], d_t, d_next, forecast, influence)
     return WitnessPoint(float(t), float(tps[0]), d_t, d_next, forecast, influence, *window)
 
 
-def evaluate_surface(
-    sc: ScenarioPair, t_grid, tprime_grid, eps: float = DEFAULT_CLASS_EPS
-) -> WitnessSurface:
+def evaluate_surface(sc: ScenarioPair, t_grid, tprime_grid) -> WitnessSurface:
     """Witness columns over the full (t, t') product grid.
 
     One reduced-differences call at the distinct times [t, t + t'...], one
@@ -564,4 +560,4 @@ def evaluate_surface(
     diffs = _reduced_differences(sc, distinct)[inverse.reshape(times.shape)]
     norms = _grid_norms(sc, ts, tps, diffs)
     d_next, forecast, influence = norms[:, 1:].reshape(ts.size, 3, tps.size).transpose(1, 0, 2)
-    return WitnessSurface(ts, tps, norms[:, 0], d_next, forecast, influence, eps)
+    return WitnessSurface(ts, tps, norms[:, 0], d_next, forecast, influence)

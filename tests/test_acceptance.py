@@ -37,6 +37,13 @@ BOUND_TOL = 1e-9
 CLASS_EPS = 1e-9
 
 
+def test_tolerances_are_the_library_constants():
+    """The suite's window tolerance and classification margin are the ones
+    every label it checks was computed with."""
+    assert witness.BOUND_TOL == BOUND_TOL
+    assert witness.CLASS_EPS == CLASS_EPS
+
+
 def _report(num: int, ok: bool, detail: str = ""):
     status = "PASS" if ok else "FAIL"
     line = f"criterion {num}: {status}"
@@ -116,7 +123,7 @@ def random_scenario_points():
         s2 = BipartiteState(np.kron(states.random_density(2, rng), env2), 2, de)
         sc = ScenarioPair(state1=s1, state2=s2, propagator=eig)
         for t, tp in rng.uniform(0.0, 2.5, size=(4, 2)):
-            points.append(evaluate_point(sc, float(tp), float(t), eps=CLASS_EPS))
+            points.append(evaluate_point(sc, float(tp), float(t)))
     return points
 
 
@@ -133,7 +140,7 @@ def equivalence_points():
     records = []
     for t in grid:
         for tp in grid:
-            point = evaluate_point(sc, float(tp), float(t), eps=CLASS_EPS)
+            point = evaluate_point(sc, float(tp), float(t))
             expected = analytic_witnesses(env, float(tp), float(t))
             records.append((point, expected))
     return records

@@ -58,19 +58,15 @@ class TestIncreasingIntervals:
 
     def test_rise_tolerance_filters_jitter(self):
         values = [0.5, 0.5 + 1e-12, 0.5, 0.5 + 1e-12]
-        profile = increasing_intervals(np.arange(4.0), values, rise_tol=1e-10)
+        profile = increasing_intervals(np.arange(4.0), values)
         assert profile.intervals == ()
 
-    def test_zero_rise_tolerance_counts_every_rise(self):
-        profile = increasing_intervals(np.arange(3.0), [0.5, 0.5 + 1e-12, 0.5], rise_tol=0.0)
-        assert profile.intervals == ((0, 1),)
-
-    @pytest.mark.parametrize("bad", [np.nan, -1.0, np.inf])
-    def test_bad_rise_tolerance_rejected(self, bad):
-        # NaN would find no rise at all, a negative tolerance would count a dip
-        problem = "nonnegative" if bad < 0 else "finite"
-        with pytest.raises(ValueError, match=f"^rise_tol must be {problem}, got"):
-            increasing_intervals(np.arange(3.0), [0.5, 0.4, 0.6], rise_tol=bad)
+    def test_a_rise_counts_only_above_the_tolerance(self):
+        # steps from 0.0 are exact: one of RISE_TOL, then one a float above it
+        above = np.nextafter(blp.RISE_TOL, np.inf)
+        profile = increasing_intervals(np.arange(4.0), [0.0, blp.RISE_TOL, 0.0, above])
+        assert profile.intervals == ((2, 3),)
+        assert profile.total_increase() == above
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError, match="match"):
@@ -91,9 +87,9 @@ class TestIncreasingIntervals:
             increasing_intervals([0.0, 1.0, 2.0], [0.1, bad, 0.3])
 
     def test_matches_a_stepwise_scan(self, rng):
-        def scan(values, rise_tol):
+        def scan(values):
             intervals, start = [], None
-            for i, up in enumerate(np.diff(values) > rise_tol):
+            for i, up in enumerate(np.diff(values) > blp.RISE_TOL):
                 if up and start is None:
                     start = i
                 elif not up and start is not None:
@@ -101,11 +97,12 @@ class TestIncreasingIntervals:
                     start = None
             return tuple(intervals) + (((start, len(values) - 1),) if start is not None else ())
 
+        # in units of RISE_TOL, steps of exactly one unit sit on the boundary
         for n in [0, 1, 2, 3, 8, 40] * 5:
-            values = rng.integers(0, 3, size=n) * 0.1
-            for rise_tol in (0.0, 0.15):
-                got = increasing_intervals(np.arange(float(n)), values, rise_tol).intervals
-                assert got == scan(values, rise_tol)
+            for unit in (0.1, blp.RISE_TOL):
+                values = rng.integers(0, 3, size=n) * unit
+                got = increasing_intervals(np.arange(float(n)), values).intervals
+                assert got == scan(values)
                 assert all(type(i) is int for pair in got for i in pair)
 
     def test_split_centers_coherence_revives(self):
@@ -151,7 +148,7 @@ class TestFixedPairMeasure:
         vals = lambda ts: np.abs(dephasing_function(SPLIT_CENTERS, ts))
         coarse = increasing_intervals(ts_coarse, vals(ts_coarse)).total_increase()
         fine = increasing_intervals(ts_fine, vals(ts_fine)).total_increase()
-        assert fine >= coarse - len(ts_fine) * blp.DEFAULT_RISE_TOL
+        assert fine >= coarse - len(ts_fine) * blp.RISE_TOL
 
     def test_chain_profile_matches_transfer_amplitude(self):
         # a state at polar angle theta paired with its antipode keeps |f| of its coherence
@@ -286,10 +283,10 @@ def recorded_profiles(monkeypatch):
     curves = []
     rises = blp._rises
 
-    def recording(values, rise_tol):
+    def recording(values):
         if sys._getframe(1).f_code is nm_measure_maximized.__code__:
             curves.append(np.array(values))
-        return rises(values, rise_tol)
+        return rises(values)
 
     monkeypatch.setattr(blp, "_rises", recording)
     return curves
@@ -317,7 +314,7 @@ class ScaledBloch:
 # prime, since Hypothesis favours floats whose sums are exact.
 CURVE_STEPS = st.lists(
     st.one_of(st.integers(-30000, 30000).map(lambda k: k / 100003), st.floats(-2e-10, 2e-10),
-              st.sampled_from([0.0, blp.DEFAULT_RISE_TOL, -blp.DEFAULT_RISE_TOL])),
+              st.sampled_from([0.0, blp.RISE_TOL, -blp.RISE_TOL])),
     max_size=40,
 )
 
@@ -348,7 +345,7 @@ class TestSharedRiseRule:
     def test_rule_rejects_a_non_finite_curve(self):
         for bad in (np.nan, np.inf):
             with pytest.raises(ValueError, match="values must be finite"):
-                blp._rises(np.array([0.1, bad, 0.3]), blp.DEFAULT_RISE_TOL)
+                blp._rises(np.array([0.1, bad, 0.3]))
 
 
 def counted_reduced(monkeypatch, cls):

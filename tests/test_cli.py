@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import warnings
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -331,10 +332,8 @@ class TestConfigErrors:
             "[scenario]\nmodel = double_lorentzian\nomega0_1 = 1\ndelta1 = 1\n"
             "omega0_2 = 9\ndelta2 = 1\nr = inf\n",
             "[scenario]\npreset = fig2a\n\n[t_grid]\nmin = 0\nmax = nan\ncount = 5\n",
-            "[scenario]\npreset = fig2b\n\n[tolerances]\nclass_eps = -5\n",
-            "[scenario]\npreset = fig2b\n\n[tolerances]\nrise_tol = nan\n",
         ],
-        ids=["delta1-nan", "r-inf", "grid-max-nan", "class-eps-negative", "rise-tol-nan"],
+        ids=["delta1-nan", "r-inf", "grid-max-nan"],
     )
     def test_bad_number_rejected(self, tmp_path, text):
         cfg = tmp_path / "bad.ini"
@@ -356,8 +355,9 @@ class TestConfigErrors:
             ("[scenario]\nmodel = ising\n" + OUTPUT, "unknown model 'ising'"),
             ("[scenario]\npreset = fig%2b\n" + OUTPUT, "unknown preset 'fig%2b'"),
             ("[t_grid]\nmin = 0\nmax = 1\ncount = 3\n" + OUTPUT, "[scenario] section"),
-            ("[scenario]\npreset = fig2b\n\n[tolerances]\nbogus = 1\n" + OUTPUT,
-             "[tolerances] has unknown keys ['bogus']"),
+            # the margin and the rise tolerance are constants, not settings
+            ("[scenario]\npreset = fig2b\n\n[tolerances]\nclass_eps = 1e-9\n" + OUTPUT,
+             "error: unknown config sections: ['tolerances']\n"),
             ("[scenario]\npreset = fig2b\n" + OUTPUT + "colour = red\n",
              "[output] has unknown keys ['colour']"),
             ("[scenario]\npreset = fig2b\n" + OUTPUT + "format = xml\n",
@@ -445,10 +445,8 @@ class TestConfigErrors:
             ("fig2c", "[tprime_grid]\nmin = 0\nmax = 1\ncount = 3\n"),
             ("bell-check", "[t_grid]\nmin = 0\nmax = 1\ncount = 3\n"),
             ("bell-check", "[tprime_grid]\nmin = 0\nmax = 1\ncount = 3\n"),
-            ("bell-check", "[tolerances]\nclass_eps = 1e-9\n"),
         ],
-        ids=["fig2c-tprime-grid", "bell-check-t-grid", "bell-check-tprime-grid",
-             "bell-check-tolerances"],
+        ids=["fig2c-tprime-grid", "bell-check-t-grid", "bell-check-tprime-grid"],
     )
     def test_unused_section_rejected(self, tmp_path, capsys, preset, section):
         cfg = tmp_path / "unused.ini"
@@ -570,14 +568,8 @@ class TestParseConfig:
             GridSpec(lo=1.0, hi=1.0000000000000002, count=3)
         np.testing.assert_array_equal(GridSpec(lo=1.0, hi=1.0, count=1).points(), [1.0])
 
-    def test_tolerances_parsed(self, tmp_path):
-        cfg = tmp_path / "tol.ini"
-        cfg.write_text(
-            "[scenario]\npreset = fig2a\n\n[tolerances]\nclass_eps = 1e-8\nrise_tol = 1e-9\n"
-        )
-        parsed = parse_config(cfg)
-        assert parsed.class_eps == 1e-8
-        assert parsed.rise_tol == 1e-9
+    def test_run_config_holds_the_scenario_and_output_only(self):
+        assert [f.name for f in fields(RunConfig)] == ["preset", "out_dir", "fmt"]
 
     def test_unknown_section_rejected(self, tmp_path):
         cfg = tmp_path / "sec.ini"

@@ -258,13 +258,6 @@ class TestAnalyticWitnesses:
         with pytest.raises(ValueError, match="finite"):
             analytic_surface(SINGLE, [0.0], [0.0, bad])
 
-    @pytest.mark.parametrize("bad", [np.nan, -1.0, np.inf])
-    def test_surface_rejects_bad_margin(self, bad):
-        grid = np.linspace(0.0, 3.0, 5)
-        problem = "nonnegative" if bad < 0 else "finite"
-        with pytest.raises(ValueError, match=f"^eps must be {problem}, got"):
-            analytic_surface(SPLIT_CENTERS, grid, grid, eps=bad)
-
     def test_semigroup_surface_classifications(self):
         ts = np.linspace(0.0, 3.0, 20)
         surf = analytic_surface(SINGLE, ts, ts)
@@ -344,6 +337,26 @@ class TestDiscretize:
                 discretize(dist, modes=9)
             with pytest.raises(ValueError, match=message):
                 frequency_density(dist, 0.0)
+
+    @pytest.mark.parametrize("action", ["error", "ignore"])
+    @pytest.mark.parametrize("dist, omega, at", [
+        (SingleLorentzian(0.0, 1.0), 1e200, "1e+200"),
+        (SingleLorentzian(0.0, 1.0), np.inf, "inf"),
+        (SingleLorentzian(0.0, 1.0), -np.inf, "-inf"),
+        (SingleLorentzian(0.0, 1.0), np.nan, "nan"),
+        (SingleLorentzian(0.0, 1.0), [0.0, 1.0, 1e200], "1e+200"),
+        (SingleLorentzian(0.0, 1e200), 0.0, "0.0"),
+        (DoubleLorentzian(0.0, 1.0, 1e300, 1.0, 1.0), -1e10, "-10000000000.0"),
+    ], ids=["far", "inf", "minus-inf", "nan", "array", "wide-line", "far-line"])
+    def test_non_finite_denominators_rejected(self, dist, omega, at, action):
+        # a far or non-finite omega, or a line too wide, overflows (omega - omega_j)^2 +
+        # delta_j^2: rejected, naming the first such omega, with no overflow warning
+        message = (rf"^at omega = {re.escape(at)}, the denominators \(omega - omega_j\)\^2 "
+                   r"\+ delta_j\^2 of lines of widths \[.*\] are not finite$")
+        with warnings.catch_warnings():
+            warnings.simplefilter(action)
+            with pytest.raises(ValueError, match=message):
+                frequency_density(dist, omega)
 
     def test_large_finite_squares_accepted(self):
         # 40 widths of 1e152 square to 1.6e307: finite, so accepted as before

@@ -28,5 +28,4 @@ def test_config_example_parses(tmp_path):
     assert cfg.preset.kind == "surface"
     assert cfg.preset.model == SpinChainSpec(sites=8, exchange=1.0, probe_exchange=1.0, field=0.01)
     assert cfg.preset.t_grid == cfg.preset.tprime_grid == GridSpec(0.0, 3.0, 40)
-    assert (cfg.class_eps, cfg.rise_tol) == (1e-9, 1e-10)
     assert (cfg.out_dir, cfg.fmt) == ("results", "csv")

@@ -311,10 +311,10 @@ class TestSharedPropagator:
         sc = scenario(SpinChainSpec(**self.SPEC))
         reduced_distance(sc, np.linspace(0.0, 1.0, 3))  # fills the kernels
         prop = sc.propagator
-        kernels = list(prop._kernels.values())
-        assert kernels
+        layouts = [array for layout in prop._layouts.values() for array in vars(layout).values()]
+        assert layouts
         for array in (prop.eigensystem.values, prop.eigensystem.vectors, prop.support,
-                      prop._position, *kernels):
+                      prop._position, *layouts):
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 0
 

@@ -166,17 +166,14 @@ class TestClassify:
     def test_degenerate_all_zero(self):
         assert classify_values(0.0, 0.0, 0.0) is Classification.INCREASE_IMPOSSIBLE
 
-    def test_zero_margin_allowed(self):
-        assert classify_values(1.0, 0.2, 0.1, eps=0.0) is Classification.GUARANTEED_INCREASE
-
-    @pytest.mark.parametrize("bad", [np.nan, -1.0, np.inf])
-    def test_bad_margin_rejected(self, bad, rng):
-        # NaN would label every cell Inconclusive, -1 and inf IncreaseImpossible
-        problem = "nonnegative" if bad < 0 else "finite"
-        with pytest.raises(ValueError, match=f"^eps must be {problem}, got"):
-            classify_values(0.5, 0.5, 0.2, eps=bad)
-        with pytest.raises(ValueError, match=f"^eps must be {problem}, got"):
-            evaluate_surface(random_scenario(rng), [0.0, 0.5], [0.0, 0.5], eps=bad)
+    def test_a_threshold_is_crossed_only_beyond_the_margin(self):
+        d, f = 0.5, 0.2
+        lower, upper = d - f - witness.CLASS_EPS, d + f + witness.CLASS_EPS
+        assert classify_values(lower, d, f) is Classification.INCONCLUSIVE
+        assert classify_values(upper, d, f) is Classification.INCONCLUSIVE
+        below, above = np.nextafter(lower, -np.inf), np.nextafter(upper, np.inf)
+        assert classify_values(below, d, f) is Classification.INCREASE_IMPOSSIBLE
+        assert classify_values(above, d, f) is Classification.GUARANTEED_INCREASE
 
     def test_on_point(self, rng):
         sc = random_scenario(rng)
@@ -184,8 +181,9 @@ class TestClassify:
         assert classify_values(p.influence, p.d_t, p.forecast) is p.label
 
     @staticmethod
-    def rule(influence, d_t, forecast, eps):
+    def rule(influence, d_t, forecast):
         """The classification rule as scalar if-statements."""
+        eps = witness.CLASS_EPS
         if influence < d_t - forecast - eps:
             return Classification.INCREASE_IMPOSSIBLE
         if influence > d_t + forecast + eps:
@@ -206,11 +204,11 @@ class TestClassify:
             min_size=1,
             max_size=12,
         ),
-        eps=st.sampled_from([0.0, 1e-12, witness.DEFAULT_CLASS_EPS, 0.1]),
     )
-    def test_array_labels_match_scalar_calls(self, cells, eps):
+    def test_array_labels_match_scalar_calls(self, cells):
         """Columns are labelled cell by cell as scalars are, also with B
-        exactly at D - F - eps or D + F + eps and on the all-zero cell."""
+        exactly at D - F - CLASS_EPS or D + F + CLASS_EPS and on the all-zero cell."""
+        eps = witness.CLASS_EPS
         values = []
         for b, d, f, kind in cells:
             if kind == "zero":
@@ -221,12 +219,12 @@ class TestClassify:
                 b = d + f + eps
             values.append((b, d, f))
         influence, d_t, forecast = np.array(values).T
-        labels = classify_values(influence, d_t, forecast, eps)
+        labels = classify_values(influence, d_t, forecast)
         assert labels.shape == (len(cells),)
         for label, (b, d, f) in zip(labels.tolist(), values):
-            scalar = classify_values(b, d, f, eps)
+            scalar = classify_values(b, d, f)
             assert isinstance(scalar, Classification)
-            assert scalar is self.rule(b, d, f, eps)
+            assert scalar is self.rule(b, d, f)
             assert label == scalar.value
 
 
